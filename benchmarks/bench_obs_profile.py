@@ -38,6 +38,8 @@ LEDGER_COUNTERS = (
     "cache.misses",
     "batch.nets",
     "dw.solves",
+    "dw.engine.tuple",
+    "dw.engine.array",
     "dw.subsets",
     "dw.merge_transitions",
     "dw.closure_extensions",

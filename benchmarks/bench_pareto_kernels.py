@@ -3,13 +3,19 @@
 Not a paper artefact: this measures the engineering win of
 :mod:`repro.core.frontier` over the enumerate-and-sort reference path,
 and of the array-native engine (:mod:`repro.core.frontier_array`) over
-both. Every net of an ICCAD-15-like degree sweep is solved three times
-by :func:`repro.core.pareto_dw.pareto_dw` — with ``kernels=False`` (the
-reference), ``kernels=True`` (the PR-5 tuple kernels), and
-``representation="array"`` — asserting bit-identical ``(w, d)``
+both. :func:`repro.core.pareto_dw.pareto_dw` picks its engine by degree,
+so every net of an ICCAD-15-like degree sweep is solved three times
+through the engines' private entry points — the reference
+(``_pareto_dw_impl(kernels=False)``), the tuple kernels
+(``_pareto_dw_impl(kernels=True)``) and the array engine
+(``_pareto_dw_array_impl``) — asserting bit-identical ``(w, d)``
 frontiers across all three and comparing
 
-* wall time per degree,
+* wall time per degree, and the best-of-``TIMING_PASSES`` tuple/array
+  ratio per degree; the lowest degree from which the array engine wins
+  at every higher degree is the measured crossover
+  (``kernels.crossover_degree``), the number ``pareto_dw``'s dispatch
+  constant ``_ARRAY_MIN_DEGREE`` is set from,
 * ``merge_candidates`` — merge-product solution tuples materialized
   (reference: ``a * b`` per transition; kernels: at most ``a + b - 1``),
 * ``closure_allocations`` — closure-bucket tuples materialized
@@ -19,7 +25,7 @@ Two acceptance bars are asserted on the highest degree, so the benchmark
 itself fails when either optimization stops paying for itself:
 
 * >= 3x allocation reduction (tuple kernels vs reference, PR 5),
-* >= 5x wall-time speedup (array engine vs tuple kernels, this PR) —
+* >= 5x wall-time speedup (array engine vs tuple kernels) —
   measured best-of-``TIMING_PASSES`` on warmed caches so one scheduler
   hiccup cannot flip the verdict.
 
@@ -45,7 +51,12 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro import obs
-from repro.core.pareto_dw import DWStats, pareto_dw
+from repro.core.pareto_dw import (
+    _ARRAY_MIN_DEGREE,
+    DWStats,
+    _pareto_dw_array_impl,
+    _pareto_dw_impl,
+)
 from repro.eval.benchmarks import Iccad15LikeSuite
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -61,11 +72,11 @@ QUICK_PER_DEGREE = {6: 3, 9: 6}
 #: DW merge+closure path on the degree-9 workload").
 MIN_HEADLINE_REDUCTION = 3.0
 
-#: Acceptance bar (this PR: ">= 5x wall-time speedup of the array engine
-#: over the PR-5 tuple kernels on the degree-9 sweep").
+#: Acceptance bar: ">= 5x wall-time speedup of the array engine over
+#: the tuple kernels on the degree-9 sweep".
 MIN_ARRAY_SPEEDUP = 5.0
 
-#: Timed passes per path for the headline wall-time comparison; the best
+#: Timed passes per engine and degree for the tuple/array ratios; the best
 #: pass counts, which makes the ratio robust to scheduler noise (the
 #: array path's short wall time makes it disproportionately sensitive).
 TIMING_PASSES = 5
@@ -76,34 +87,56 @@ def _allocated(stats: DWStats) -> int:
     return stats.merge_candidates + stats.closure_allocations
 
 
+def _solve(engine: str, net, stats=None):
+    """One engine's frontier of ``net`` (default Lemma flags, no trees)."""
+    flags = dict(
+        lemma2=True, lemma3=True, lemma4=True, with_trees=False, stats=stats
+    )
+    if engine == "array":
+        return _pareto_dw_array_impl(net, **flags)
+    return _pareto_dw_impl(net, kernels=engine == "tuple", **flags)
+
+
 def _run_path(
-    nets, kernels: bool = True, representation: str = "tuple"
+    nets, engine: str
 ) -> Tuple[float, DWStats, List[List[Tuple[float, float]]]]:
-    """Solve every net on one path; returns (seconds, stats, frontiers)."""
+    """Solve every net on one engine; returns (seconds, stats, frontiers)."""
     stats = DWStats()
     fronts: List[List[Tuple[float, float]]] = []
     t0 = time.perf_counter()
     for net in nets:
-        front = pareto_dw(
-            net,
-            with_trees=False,
-            stats=stats,
-            kernels=kernels,
-            representation=representation,
-        )
+        front = _solve(engine, net, stats)
         fronts.append([(w, d) for w, d, _ in front])
     return time.perf_counter() - t0, stats, fronts
 
 
-def _best_of(nets, passes: int, representation: str) -> float:
+def _best_of(nets, passes: int, engine: str) -> float:
     """Best wall time of ``passes`` repeat solves (caches warmed)."""
     best = float("inf")
     for _ in range(passes):
         t0 = time.perf_counter()
         for net in nets:
-            pareto_dw(net, with_trees=False, representation=representation)
+            _solve(engine, net)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def crossover_degree(ratios: Dict[int, float]) -> int:
+    """Lowest degree from which the array engine wins at every degree.
+
+    ``ratios`` maps degree to tuple/array wall-time ratio (> 1: array
+    faster). Returns one past the highest degree when the array engine
+    never wins at the top of the sweep.
+
+    >>> crossover_degree({4: 0.4, 5: 1.1, 6: 0.9, 7: 3.0})
+    7
+    """
+    cross = max(ratios) + 1
+    for degree in sorted(ratios, reverse=True):
+        if ratios[degree] <= 1.0:
+            break
+        cross = degree
+    return cross
 
 
 def bench(per_degree: Dict[int, int], seed: int = 2015) -> Dict[str, object]:
@@ -114,9 +147,9 @@ def bench(per_degree: Dict[int, int], seed: int = 2015) -> Dict[str, object]:
         nets = suite.small_nets(
             degrees=(degree,), per_degree=per_degree[degree]
         )[degree]
-        ref_s, ref_stats, ref_fronts = _run_path(nets, kernels=False)
-        ker_s, ker_stats, ker_fronts = _run_path(nets, kernels=True)
-        arr_s, arr_stats, arr_fronts = _run_path(nets, representation="array")
+        ref_s, ref_stats, ref_fronts = _run_path(nets, "reference")
+        ker_s, ker_stats, ker_fronts = _run_path(nets, "tuple")
+        arr_s, arr_stats, arr_fronts = _run_path(nets, "array")
         assert ker_fronts == ref_fronts, (
             f"kernel/reference frontier mismatch at degree {degree}"
         )
@@ -127,6 +160,10 @@ def bench(per_degree: Dict[int, int], seed: int = 2015) -> Dict[str, object]:
         assert ker_stats.merge_transitions == ref_stats.merge_transitions
         assert arr_stats.closure_extensions == ref_stats.closure_extensions
         assert arr_stats.merge_transitions == ref_stats.merge_transitions
+        # Warm best-of-N per engine: the per-degree ratio the crossover
+        # is read from (single passes are too noisy at small degrees).
+        tuple_best = _best_of(nets, TIMING_PASSES, "tuple")
+        array_best = _best_of(nets, TIMING_PASSES, "array")
         rows.append(
             {
                 "degree": degree,
@@ -134,6 +171,9 @@ def bench(per_degree: Dict[int, int], seed: int = 2015) -> Dict[str, object]:
                 "ref_seconds": ref_s,
                 "kernel_seconds": ker_s,
                 "array_seconds": arr_s,
+                "tuple_best_seconds": tuple_best,
+                "array_best_seconds": array_best,
+                "array_ratio": tuple_best / array_best,
                 "ref_merge_candidates": ref_stats.merge_candidates,
                 "kernel_merge_candidates": ker_stats.merge_candidates,
                 "ref_closure_allocations": ref_stats.closure_allocations,
@@ -144,14 +184,6 @@ def bench(per_degree: Dict[int, int], seed: int = 2015) -> Dict[str, object]:
             }
         )
     head = rows[-1]  # highest degree = headline workload
-    # Headline wall-time comparison: dedicated best-of-N passes on the
-    # already-solved (warm) highest-degree nets, so the recorded speedup
-    # is not hostage to a single noisy pass.
-    head_nets = suite.small_nets(
-        degrees=(head["degree"],), per_degree=per_degree[head["degree"]]
-    )[head["degree"]]
-    tuple_best = _best_of(head_nets, TIMING_PASSES, "tuple")
-    array_best = _best_of(head_nets, TIMING_PASSES, "array")
     return {
         "rows": rows,
         "headline_degree": head["degree"],
@@ -164,9 +196,13 @@ def bench(per_degree: Dict[int, int], seed: int = 2015) -> Dict[str, object]:
             / head["kernel_closure_allocations"]
         ),
         "speedup": head["ref_seconds"] / head["kernel_seconds"],
-        "tuple_best_seconds": tuple_best,
-        "array_best_seconds": array_best,
-        "array_speedup": tuple_best / array_best,
+        "tuple_best_seconds": head["tuple_best_seconds"],
+        "array_best_seconds": head["array_best_seconds"],
+        "array_speedup": head["array_ratio"],
+        "crossover_degree": crossover_degree(
+            {r["degree"]: r["array_ratio"] for r in rows}
+        ),
+        "dispatch_min_degree": _ARRAY_MIN_DEGREE,
     }
 
 
@@ -176,7 +212,8 @@ def render(result: Dict[str, object]) -> str:
         "(pareto_dw)",
         "",
         f"{'deg':>4} {'nets':>5} {'ref_s':>8} {'kern_s':>8} {'arr_s':>8} "
-        f"{'ref_alloc':>12} {'kern_alloc':>12} {'reduction':>10} {'speedup':>8}",
+        f"{'ref_alloc':>12} {'kern_alloc':>12} {'reduction':>10} "
+        f"{'speedup':>8} {'tup/arr':>8}",
     ]
     for r in result["rows"]:
         lines.append(
@@ -185,7 +222,8 @@ def render(result: Dict[str, object]) -> str:
             f"{r['ref_allocated']:>12} "
             f"{r['kernel_allocated']:>12} "
             f"{r['ref_allocated'] / r['kernel_allocated']:>9.2f}x "
-            f"{r['ref_seconds'] / r['kernel_seconds']:>7.2f}x"
+            f"{r['ref_seconds'] / r['kernel_seconds']:>7.2f}x "
+            f"{r['array_ratio']:>7.2f}x"
         )
     lines += [
         "",
@@ -198,6 +236,10 @@ def render(result: Dict[str, object]) -> str:
         f"{result['tuple_best_seconds']:.3f}s vs array "
         f"{result['array_best_seconds']:.3f}s = "
         f"{result['array_speedup']:.2f}x",
+        f"crossover: the array engine wins from degree "
+        f"{result['crossover_degree']} up (tup/arr = best-of-"
+        f"{TIMING_PASSES} ratio); pareto_dw dispatches degree >= "
+        f"{result['dispatch_min_degree']} to it",
         f"acceptance bars: >= {MIN_HEADLINE_REDUCTION:.1f}x allocation "
         f"reduction, >= {MIN_ARRAY_SPEEDUP:.1f}x array speedup "
         f"on the headline degree",
@@ -253,7 +295,11 @@ def main(argv=None) -> int:
         "kernels.headline_array_seconds": result["array_best_seconds"],
         "kernels.headline_tuple_best_seconds": result["tuple_best_seconds"],
         "kernels.array_headline_allocated": float(head["array_allocated"]),
+        # Where the array engine starts to win (best-of-N per degree).
+        "kernels.crossover_degree": float(result["crossover_degree"]),
     }
+    for r in result["rows"]:
+        metrics[f"kernels.array_ratio_d{r['degree']}_rate"] = r["array_ratio"]
     record = obs.make_record(
         metrics,
         name="pareto_kernels",

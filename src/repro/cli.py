@@ -211,16 +211,13 @@ def _cmd_draw(args: argparse.Namespace) -> int:
 def _cmd_negotiate(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .congestion.model import HAVE_NUMPY, CapacityGrid
+    from .congestion.model import CapacityGrid
     from .congestion.negotiate import (
         NegotiatedRouter,
         NegotiatorConfig,
         Scenario,
     )
 
-    if not HAVE_NUMPY:
-        print("error: `negotiate` needs NumPy installed", file=sys.stderr)
-        return 2
     if args.nets:
         from .io.nets_format import load_nets
 

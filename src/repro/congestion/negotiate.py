@@ -47,7 +47,7 @@ from .. import obs
 from ..core.pareto import Solution
 from ..geometry.net import Net, random_net
 from ..routing.embedding import embed_edge
-from .model import HAVE_NUMPY, Array, CapacityGrid, np
+from .model import Array, CapacityGrid, np
 
 if TYPE_CHECKING:  # runtime import is lazy (repro.incremental is optional here)
     from ..incremental.delta import NetDelta
@@ -294,10 +294,6 @@ class NegotiatedRouter:
         engine: Optional[Any] = None,
     ) -> None:
         """Bind a scenario and config; the engine is resolved lazily."""
-        if not HAVE_NUMPY:
-            raise RuntimeError(
-                "negotiated routing requires NumPy (CapacityGrid pricing)"
-            )
         self.scenario = scenario
         self.config = config or NegotiatorConfig()
         self._engine = engine

@@ -9,9 +9,7 @@ arrays plus a parallel payload sequence — so whole *batches* of fronts
 are filtered with one stable ``lexsort`` and one cumulative-minimum
 sweep instead of hundreds of thousands of interpreter iterations.
 
-The design follows the :meth:`repro.geometry.hanan.HananGrid.distance_matrix`
-precedent: broadcast NumPy with the pure-Python kernels kept as the
-bit-identical oracle. Every function here is **exact**, not approximately
+The pure-Python kernels stay the bit-identical oracle. Every function here is **exact**, not approximately
 equal — see ``docs/numerics.md`` for the contract. The three properties
 that make bit-identity possible:
 
@@ -36,10 +34,9 @@ Two layers live here:
 * **Segmented batch machinery** — :func:`segmented_pareto_keep`,
   :func:`segment_strict_prune`, :func:`ragged_product_indices` — filters
   *many* fronts (one per segment) in a single vectorized pass. This is
-  what the ``representation="array"`` path of
-  :func:`repro.core.pareto_dw.pareto_dw` builds on: it batches every
-  merge and closure bucket of one subset cardinality into one segmented
-  filter.
+  what the array engine of :func:`repro.core.pareto_dw.pareto_dw`
+  (degree 6 and up) builds on: it filters the merge and closure buckets
+  of one subset cardinality in budget-sized segmented passes.
 
 Empty and single-point fronts follow the same conventions as the tuple
 kernels: an empty front is a length-0 array pair (returned unchanged by
@@ -61,16 +58,9 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from .frontier import Solution
 
-try:  # pragma: no cover - import guard mirrors HananGrid.distance_matrix
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+import numpy as np
 
 __all__ = [
-    "HAVE_NUMPY",
     "arrays_to_front",
     "cross_sorted_arrays",
     "front_to_arrays",
@@ -92,15 +82,6 @@ __all__ = [
 Array = Any
 
 
-def _require_numpy() -> None:
-    """Raise a clear error when NumPy is unavailable (see module docstring)."""
-    if not HAVE_NUMPY:
-        raise RuntimeError(
-            "repro.core.frontier_array requires NumPy; use the pure-Python "
-            "kernels in repro.core.frontier instead"
-        )
-
-
 # --------------------------------------------------------------- conversion
 
 
@@ -116,7 +97,6 @@ def front_to_arrays(front: Sequence[Solution]) -> Tuple[Array, Array, List[Any]]
     >>> front_to_arrays([])[0].shape
     (0,)
     """
-    _require_numpy()
     n = len(front)
     w = np.empty(n, dtype=np.float64)
     d = np.empty(n, dtype=np.float64)
@@ -137,7 +117,6 @@ def arrays_to_front(w: Array, d: Array, payloads: Sequence[Any]) -> List[Solutio
     >>> arrays_to_front(*front_to_arrays([(1.0, 2.0, "a")]))
     [(1.0, 2.0, 'a')]
     """
-    _require_numpy()
     return [
         (float(wi), float(di), p)
         for wi, di, p in zip(w.tolist(), d.tolist(), payloads)
@@ -163,7 +142,6 @@ def pareto_filter_sorted_arrays(w: Array, d: Array) -> Tuple[Array, Array, Array
     >>> idx.tolist()  # duplicate collapses to the first occurrence
     [0]
     """
-    _require_numpy()
     n = w.shape[0]
     if n <= 1:
         idx = np.arange(n, dtype=np.int64)
@@ -183,10 +161,9 @@ def pareto_filter_sorted_arrays(w: Array, d: Array) -> Tuple[Array, Array, Array
 def pareto_filter_sorted_array(solutions: Sequence[Solution]) -> List[Solution]:
     """Tuple-API drop-in for ``pareto_filter_sorted`` running on arrays.
 
-    Used by the ``representation="array"`` wiring of Pareto-KS, the
-    PatLabor local search and the lookup table: same inputs, same
-    outputs (bit-identical, payload ties included), array math inside.
-    Small inputs (< 2 points) short-circuit without touching NumPy.
+    Same inputs, same outputs (bit-identical, payload ties included),
+    array math inside. Small inputs (< 2 points) short-circuit without
+    touching NumPy.
 
     >>> pareto_filter_sorted_array([(2.0, 1.0, "b"), (1.0, 5.0, "a")])
     [(1.0, 5.0, 'a'), (2.0, 1.0, 'b')]
@@ -194,7 +171,6 @@ def pareto_filter_sorted_array(solutions: Sequence[Solution]) -> List[Solution]:
     items = list(solutions)
     if len(items) <= 1:
         return items
-    _require_numpy()
     w, d, payloads = front_to_arrays(items)
     _, _, idx = pareto_filter_sorted_arrays(w, d)
     return [items[i] for i in idx.tolist()]
@@ -216,7 +192,6 @@ def shift_sorted_arrays(w: Array, d: Array, x: float) -> Tuple[Array, Array, Arr
     >>> w2.tolist(), idx.tolist()
     ([2.0, 3.0], [0, 1])
     """
-    _require_numpy()
     n = w.shape[0]
     if n == 0:
         idx = np.arange(0, dtype=np.int64)
@@ -267,7 +242,6 @@ def cross_sorted_arrays(
     >>> list(zip(w.tolist(), d.tolist()))
     [(2.0, 4.0), (3.0, 1.0)]
     """
-    _require_numpy()
     a, b = w1.shape[0], w2.shape[0]
     if a == 0 or b == 0:
         empty_f = np.empty(0, dtype=np.float64)
@@ -311,7 +285,6 @@ def merge_sorted_fronts_arrays(
     >>> f.tolist(), e.tolist()
     ([1], [0])
     """
-    _require_numpy()
     if not ws:
         empty_f = np.empty(0, dtype=np.float64)
         empty_i = np.empty(0, dtype=np.int64)
@@ -347,7 +320,6 @@ def merge_shifted_arrays(
     >>> list(zip(w.tolist(), d.tolist()))
     [(1.0, 4.0), (2.0, 0.0)]
     """
-    _require_numpy()
     if not ws:
         empty_f = np.empty(0, dtype=np.float64)
         empty_i = np.empty(0, dtype=np.int64)
@@ -388,7 +360,6 @@ def segmented_pareto_keep(seg: Array, w: Array, d: Array) -> Array:
     >>> segmented_pareto_keep(seg, w, np.array([5.0, 6.0, 9.0])).tolist()
     [True, False, True]
     """
-    _require_numpy()
     n = d.shape[0]
     if n == 0:
         return np.empty(0, dtype=bool)
@@ -434,7 +405,6 @@ def segmented_pareto_filter(seg: Array, w: Array, d: Array) -> Array:
     >>> segmented_pareto_filter(seg, w, np.array([6.0, 5.0, 9.0])).tolist()
     [1, 2]
     """
-    _require_numpy()
     return segmented_pareto_filter_packed(seg, pack_objectives(w, d))
 
 
@@ -453,7 +423,6 @@ def pack_objectives(w: Array, d: Array) -> Array:
     >>> (z.real.tolist(), z.imag.tolist())
     ([1.0], [2.0])
     """
-    _require_numpy()
     wd = np.empty(w.shape[0], dtype=np.complex128)
     wd.real = w
     wd.imag = d
@@ -473,7 +442,6 @@ def segmented_pareto_filter_packed(seg: Array, wd: Array) -> Array:
     >>> segmented_pareto_filter_packed(seg, wd).tolist()
     [1, 2]
     """
-    _require_numpy()
     n = wd.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
@@ -524,7 +492,6 @@ def segment_strict_prune(
     >>> keep.tolist()
     [True, True, False]
     """
-    _require_numpy()
     n = w.shape[0]
     if n == 0:
         return np.empty(0, dtype=bool)
@@ -584,7 +551,6 @@ def ragged_product_indices(
     >>> i.tolist(), j.tolist()
     ([0, 0, 1, 1], [5, 6, 5, 6])
     """
-    _require_numpy()
     counts = cnt1 * cnt2
     total = int(counts.sum())
     n_rows = counts.shape[0]
@@ -627,7 +593,6 @@ def front_views(
     ...             np.array([1.0]), np.array([2.0]))[1] is None
     True
     """
-    _require_numpy()
     out: List[Optional[Tuple[Array, Array]]] = []
     for k in range(ptr.shape[0]):
         c = int(cnt[k])

@@ -25,8 +25,13 @@ The frontier returned is exact regardless of which pruning flags are set;
 the flags only change how much work is done (tests cross-check all
 configurations).
 
-The hot loops run on the sorted-front kernels of
-:mod:`repro.core.frontier`: every DP front is maintained sorted
+Two exact engines share the DP; :func:`pareto_dw` picks one by degree
+(:data:`_ARRAY_MIN_DEGREE`), no public caller chooses (PatLabor's
+local-search sub-nets use the tuple kernels via :func:`_pareto_dw_on`).
+From degree 6 up the array engine (:func:`_pareto_dw_array_impl`) batches each subset
+cardinality into budget-sized NumPy passes over
+:mod:`repro.core.frontier_array`. Below that the hot loops run on the
+sorted-front tuple kernels of :mod:`repro.core.frontier`: every DP front is maintained sorted
 (``w`` ascending, ``d`` strictly descending), merge transitions use the
 O(a+b) two-pointer product of
 :func:`~repro.core.frontier.cross_sorted` — fused with the split union
@@ -64,6 +69,26 @@ from .pareto import Solution, clean_front, pareto_filter
 #: Hard ceiling on exact enumeration; above this the caller should be using
 #: PatLabor's local search. Overridable via ``max_degree=``.
 DEFAULT_MAX_DEGREE = 12
+
+#: :func:`pareto_dw` runs the array engine at this degree and above, the
+#: tuple kernels below it: the array engine's fixed per-pass NumPy cost
+#: only pays off once a cardinality holds enough candidates.
+#: ``benchmarks/bench_pareto_kernels.py`` measures the crossover degree
+#: (``kernels.crossover_degree``) on the ICCAD-15-like sweep.
+_ARRAY_MIN_DEGREE = 6
+
+#: Most merge or closure candidates one array-engine batch materializes.
+#: Bounds the engine's transient working set (about 150 bytes per
+#: candidate) independently of the degree; batches are cut between
+#: ``(mask, node)`` segments, which are filtered independently, so the
+#: budget changes no front, tie choice or shared work counter.
+_CANDIDATE_BUDGET = 8192
+
+#: Below this many candidates a batch skips the strict-dominance
+#: pre-pass: its fixed per-call passes cost more than the sort it
+#: shrinks. The exact filter alone produces identical fronts (the prune
+#: only drops elements the filter would drop anyway).
+_PRUNE_MIN = 1024
 
 
 @dataclass
@@ -165,7 +190,7 @@ def _splits_for_mask(
 
     Shared by the tuple, kernel and array engines so the enumeration
     order — which decides payload survival on exact ties — is identical
-    across representations. With Lemma 4 active (``boundary_rank`` given
+    across engines. With Lemma 4 active (``boundary_rank`` given
     and covering the mask's sinks) only circularly-consecutive splits are
     kept; otherwise all proper submasks containing the lowest sink bit.
     """
@@ -203,7 +228,6 @@ def pareto_dw(
     max_degree: int = DEFAULT_MAX_DEGREE,
     stats: Optional[DWStats] = None,
     kernels: bool = True,
-    representation: str = "tuple",
 ) -> List[Solution]:
     """Exact Pareto frontier of timing-driven routing trees for ``net``.
 
@@ -212,28 +236,55 @@ def pareto_dw(
     :class:`RoutingTree` attaining (or weakly dominating) the objectives,
     otherwise payloads are opaque backpointers.
 
-    ``kernels=False`` runs the enumerate-and-sort reference
-    implementation instead of the sorted-front kernels — the returned
-    ``(w, d)`` frontier is identical; only the work done differs (see the
-    module docstring). It exists for equivalence tests and benchmarks.
+    The engine is picked by degree: nets of degree
+    :data:`_ARRAY_MIN_DEGREE` and above run the NumPy array engine
+    (every DP front in contiguous ``(w[], d[])`` arrays, one subset
+    cardinality filtered in budget-sized segmented passes — see
+    :mod:`repro.core.frontier_array` and ``docs/numerics.md``), smaller
+    nets the sorted-front tuple kernels. Both are bit-identical —
+    objectives, payload tie choices and the shared work counters; only
+    the work done differs. The engine that ran is counted as
+    ``dw.engine.array`` / ``dw.engine.tuple`` when observability is on.
 
-    ``representation="array"`` runs the NumPy batch engine instead: every
-    DP front lives in contiguous ``(w[], d[])`` arrays and all merge and
-    closure buckets of one subset cardinality are filtered in a single
-    segmented pass (see :mod:`repro.core.frontier_array` and
-    ``docs/numerics.md``). The frontier — objectives, payload tie choices
-    and the shared work counters — is bit-identical to the reference;
-    only the work done differs. When NumPy is unavailable the call falls
-    back to the pure-Python path selected by ``kernels`` (mirroring
-    :meth:`~repro.geometry.hanan.HananGrid.distance_matrix`).
+    ``kernels=False`` runs the enumerate-and-sort reference at every
+    degree instead (counted as ``dw.engine.reference``) — the returned
+    frontier is identical; it exists as the oracle of the equivalence
+    tests and benchmarks.
 
-    Raises :class:`DegreeTooLargeError` when ``net.degree > max_degree``,
-    ``ValueError`` for an unknown ``representation``.
+    Raises :class:`DegreeTooLargeError` when ``net.degree > max_degree``.
     """
-    if representation not in ("tuple", "array"):
-        raise ValueError(
-            f"representation must be 'tuple' or 'array', got {representation!r}"
-        )
+    if not kernels:
+        engine = "reference"
+    elif net.degree >= _ARRAY_MIN_DEGREE:
+        engine = "array"
+    else:
+        engine = "tuple"
+    return _pareto_dw_on(
+        net,
+        engine,
+        lemma2=lemma2,
+        lemma3=lemma3,
+        lemma4=lemma4,
+        with_trees=with_trees,
+        max_degree=max_degree,
+        stats=stats,
+    )
+
+
+def _pareto_dw_on(
+    net: Net,
+    engine: str,
+    *,
+    lemma2: bool = True,
+    lemma3: bool = True,
+    lemma4: bool = True,
+    with_trees: bool = True,
+    max_degree: int = DEFAULT_MAX_DEGREE,
+    stats: Optional[DWStats] = None,
+) -> List[Solution]:
+    """:func:`pareto_dw` on a given ``engine``: ``"tuple"``, ``"array"``
+    or ``"reference"`` (same frontier on each), with its counters, span
+    and ``dw_solve`` event."""
     n = net.degree
     if n > max_degree:
         raise DegreeTooLargeError(n, max_degree)
@@ -248,33 +299,20 @@ def pareto_dw(
         import time as _time
 
         t0 = _time.perf_counter()
-    if representation == "array":
-        from .frontier_array import HAVE_NUMPY
-
-        if not HAVE_NUMPY:  # pragma: no cover - numpy is a hard dependency
-            representation = "tuple"
+    flags = dict(
+        lemma2=lemma2,
+        lemma3=lemma3,
+        lemma4=lemma4,
+        with_trees=with_trees,
+        stats=stats,
+    )
     with span("dw.solve"):
-        if representation == "array":
-            result = _pareto_dw_array_impl(
-                net,
-                lemma2=lemma2,
-                lemma3=lemma3,
-                lemma4=lemma4,
-                with_trees=with_trees,
-                stats=stats,
-            )
+        if engine == "array":
+            result = _pareto_dw_array_impl(net, **flags)
         else:
-            result = _pareto_dw_impl(
-                net,
-                lemma2=lemma2,
-                lemma3=lemma3,
-                lemma4=lemma4,
-                with_trees=with_trees,
-                stats=stats,
-                kernels=kernels,
-            )
+            result = _pareto_dw_impl(net, kernels=engine == "tuple", **flags)
     if flush:
-        _flush_dw_stats(stats)
+        _flush_dw_stats(stats, engine)
     if emitting:
         event = {
             "net": net.name or f"net_{id(net):x}",
@@ -290,9 +328,10 @@ def pareto_dw(
     return result
 
 
-def _flush_dw_stats(stats: DWStats) -> None:
-    """Report one solve's :class:`DWStats` into the metrics registry."""
+def _flush_dw_stats(stats: DWStats, engine: str) -> None:
+    """Report one solve's :class:`DWStats` and engine into the registry."""
     counter_add("dw.solves")
+    counter_add(f"dw.engine.{engine}")
     counter_add("dw.subsets", stats.subsets)
     counter_add("dw.merge_transitions", stats.merge_transitions)
     counter_add("dw.merge_skipped_lemma3", stats.merge_skipped_lemma3)
@@ -555,18 +594,19 @@ def _pareto_dw_array_impl(
     with_trees: bool,
     stats: Optional[DWStats],
 ) -> List[Solution]:
-    """The array-native DP engine of :func:`pareto_dw` (``representation="array"``).
+    """The array-native DP engine :func:`pareto_dw` runs from degree 6 up.
 
     Same DP, same transitions, same frontiers as :func:`_pareto_dw_impl` —
     but every front lives in contiguous NumPy arrays and the work of one
-    subset cardinality is batched into a handful of vectorized passes:
+    subset cardinality is batched into a few vectorized passes, each
+    holding at most :data:`_CANDIDATE_BUDGET` candidates:
 
-    * **merge phase** — all ``(mask, split, node)`` cross products of one
+    * **merge phase** — the ``(mask, split, node)`` cross products of one
       cardinality are enumerated with :func:`~repro.core.frontier_array.\
-ragged_product_indices` and filtered by one segmented exact sweep, one
+ragged_product_indices` and filtered by segmented exact sweeps, one
       segment per ``(mask, node)`` bucket;
     * **closure phase** — every merged front is extended to every grid
-      node via one broadcast against the distance matrix and filtered the
+      node via broadcasts against the distance matrix and filtered the
       same way, reusing source elements for identity extensions exactly
       like the tuple kernels reuse tuples.
 
@@ -575,6 +615,8 @@ ragged_product_indices` and filtered by one segmented exact sweep, one
     frontier, which makes the result — objectives, payload structure and
     tie choices included — bit-identical to the reference path (see
     ``docs/numerics.md`` for why each step preserves IEEE semantics).
+    Its allocation counters differ: ``merge_candidates`` counts every
+    product pair (``a · b`` per transition, like the reference).
     """
     import numpy as np
 
@@ -584,12 +626,7 @@ ragged_product_indices` and filtered by one segmented exact sweep, one
         segmented_pareto_filter,
     )
 
-    # Below this many candidates the strict-dominance pre-pass costs more
-    # in fixed per-call passes than the sort it shrinks; the exact filter
-    # alone produces identical fronts (the prune only drops elements the
-    # filter would drop anyway).
-    prune_min = 1024
-
+    budget = _CANDIDATE_BUDGET
     grid = HananGrid.of_net(net)
     pin_nodes = grid.pin_nodes()
     source_node = pin_nodes[0]
@@ -622,69 +659,33 @@ ragged_product_indices` and filtered by one segmented exact sweep, one
     ]
 
     # --- element store: struct-of-arrays backpointers, appended per batch.
-    # kind 0 = leaf(sink flat), 1 = ext(child, u flat, v flat),
-    # kind 2 = merge(left, right). float columns hold the objectives.
-    ew_chunks: List[Any] = []
-    ed_chunks: List[Any] = []
+    # kind 0 = leaf(sink node index), 1 = ext(child, u * num_nodes + v),
+    # kind 2 = merge(left, right). Objectives live only in the slots.
     kind_chunks: List[Any] = []
     ea_chunks: List[Any] = []
     eb_chunks: List[Any] = []
-    ec_chunks: List[Any] = []
     num_elems = 0
-    cons: List[Any] = [None] * 6  # consolidated EW, ED, KIND, EA, EB, EC
 
-    def _append_elems(ew: Any, ed: Any, kind: int, ea: Any, eb: Any, ec: Any) -> int:
+    def _append_elems(kind: int, ea: Any, eb: Any) -> int:
         """Append one batch of elements; returns the batch's base id."""
         nonlocal num_elems
         base = num_elems
-        ew_chunks.append(ew)
-        ed_chunks.append(ed)
-        kind_chunks.append(np.full(ew.shape[0], kind, dtype=np.int64))
+        kind_chunks.append(np.full(ea.shape[0], kind, dtype=np.int8))
         ea_chunks.append(ea)
         eb_chunks.append(eb)
-        ec_chunks.append(ec)
-        num_elems += ew.shape[0]
-        cons[0] = None
+        num_elems += ea.shape[0]
         return base
 
-    def _elems() -> Tuple[Any, Any, Any, Any, Any, Any]:
-        """Consolidated element columns (rebuilt only after appends)."""
-        if cons[0] is None:
-            cons[0] = np.concatenate(ew_chunks) if ew_chunks else np.empty(0)
-            cons[1] = np.concatenate(ed_chunks) if ed_chunks else np.empty(0)
-            cons[2] = (
-                np.concatenate(kind_chunks)
-                if kind_chunks
-                else np.empty(0, dtype=np.int64)
-            )
-            cons[3] = (
-                np.concatenate(ea_chunks)
-                if ea_chunks
-                else np.empty(0, dtype=np.int64)
-            )
-            cons[4] = (
-                np.concatenate(eb_chunks)
-                if eb_chunks
-                else np.empty(0, dtype=np.int64)
-            )
-            cons[5] = (
-                np.concatenate(ec_chunks)
-                if ec_chunks
-                else np.empty(0, dtype=np.int64)
-            )
-        return cons[0], cons[1], cons[2], cons[3], cons[4], cons[5]
-
-    # --- front store: FE maps front slots to element ids; SW/SD mirror
+    # --- front store: FE maps front slots to element ids; SW/SD hold
     # each slot's (w, d) objectives in contiguous float columns so the
-    # merge phase reads them with plain float gathers (slot values equal
-    # the element's exactly — identity closure adds a bitwise 0.0).
-    # PTR/CNT give each (mask, node) front's slot range; uncomputed masks
-    # read as empty.
+    # merge phase reads them with plain float gathers (an identity
+    # closure adds a bitwise 0.0, so a reused element's objectives are
+    # its slot's). PTR/CNT give each (mask, node) front's slot range;
+    # uncomputed masks read as empty.
     fe_chunks: List[Any] = []
     sw_chunks: List[Any] = []
     sd_chunks: List[Any] = []
     num_slots = 0
-    fe_cache: List[Any] = [None, None, None]
     PTR = np.zeros((full + 1, num_nodes), dtype=np.int64)
     CNT = np.zeros((full + 1, num_nodes), dtype=np.int64)
 
@@ -695,52 +696,45 @@ ragged_product_indices` and filtered by one segmented exact sweep, one
         sw_chunks.append(sw)
         sd_chunks.append(sd)
         num_slots += fe.shape[0]
-        fe_cache[0] = None
         return base
 
-    def _fe() -> Any:
-        if fe_cache[0] is None:
-            fe_cache[0] = (
-                np.concatenate(fe_chunks)
-                if fe_chunks
-                else np.empty(0, dtype=np.int64)
-            )
-            fe_cache[1] = (
-                np.concatenate(sw_chunks) if sw_chunks else np.empty(0)
-            )
-            fe_cache[2] = (
-                np.concatenate(sd_chunks) if sd_chunks else np.empty(0)
-            )
-        return fe_cache[0]
+    def _consolidated(chunks: List[Any]) -> Any:
+        """One array of all ``chunks``; it replaces them, so no copy stays."""
+        if len(chunks) > 1:
+            chunks[:] = [np.concatenate(chunks)]
+        return chunks[0]
 
-    def _slot_w_d() -> Tuple[Any, Any]:
-        _fe()
-        return fe_cache[1], fe_cache[2]
+    def _slots() -> Tuple[Any, Any, Any]:
+        """Consolidated FE, SW, SD columns."""
+        return (
+            _consolidated(fe_chunks),
+            _consolidated(sw_chunks),
+            _consolidated(sd_chunks),
+        )
 
     def _closure_batch(
-        masks: List[int],
+        masks: Any,
         src_ptr: Any,
         src_eids: Any,
         src_vis: Any,
         src_w: Any,
         src_d: Any,
+        c0: int,
+        c1: int,
     ) -> None:
-        """Extend every source front of every mask to every node, filter.
+        """Extend the source fronts of ``masks`` to nodes ``c0:c1``, filter.
 
         ``src_*`` hold the merged fronts of all ``masks`` back to back
         (block ``m`` delimited by ``src_ptr``), each block ordered by
         source node then front position — the reference's closure bucket
-        order. Writes the resulting fronts into PTR/CNT/FE and appends
-        extension elements for the non-identity survivors.
+        order. Writes the resulting fronts of target columns ``c0:c1``
+        into PTR/CNT/FE and appends extension elements for the
+        non-identity survivors.
         """
-        n_masks = len(masks)
+        n_masks = masks.shape[0]
         e_arr = np.diff(src_ptr)
-        n_src = int(e_arr.sum())
-        total = n_src * num_nodes
-        if stats is not None:
-            stats.closure_extensions += n_src * (num_nodes - 1)
-        if total == 0:
-            return
+        n_src = src_vis.shape[0]
+        ncols = c1 - c0
         # Candidate matrices, element-major: row e = source element,
         # column v = target node, value = source objectives +
         # dmat[u_e, v] — both objectives grow by the same wirelength
@@ -749,19 +743,19 @@ ragged_product_indices` and filtered by one segmented exact sweep, one
         # segment of cell (e, v) is (mask_of_e, v); within a segment the
         # flattened row-major order is ascending e — the reference
         # bucket order.
-        drows = dmat[src_vis]
+        drows = dmat[src_vis, c0:c1]
         c_w = src_w[:, None] + drows
         c_d = src_d[:, None] + drows
         nz = e_arr > 0
-        cblock = np.repeat(
-            np.arange(int(nz.sum()), dtype=np.int64), e_arr[nz]
-        )
         mask_of_e = np.repeat(np.arange(n_masks, dtype=np.int64), e_arr)
-        if total >= prune_min:
+        if n_src * ncols >= _PRUNE_MIN:
             # Strict-dominance pre-pass, per segment (m, v) = the mask's
             # rows of one column: the same two real witnesses as
             # segment_strict_prune, computed with axis-0 reduceats over
             # contiguous row blocks (empty blocks skipped via ``nz``).
+            cblock = np.repeat(
+                np.arange(int(nz.sum()), dtype=np.int64), e_arr[nz]
+            )
             bstarts = src_ptr[:-1][nz]
             inf = np.float64("inf")
             min_d = np.minimum.reduceat(c_d, bstarts, axis=0)[cblock]
@@ -777,17 +771,14 @@ ragged_product_indices` and filtered by one segmented exact sweep, one
             sel = np.flatnonzero(~dom)
             w_c = c_w.ravel().take(sel)
             d_c = c_d.ravel().take(sel)
-            e_c = sel // num_nodes
-            v_c = sel - e_c * num_nodes
+            e_c = sel // ncols
+            v_c = sel - e_c * ncols
         else:
-            sel = None
             w_c = c_w.ravel()
             d_c = c_d.ravel()
-            e_c = np.repeat(
-                np.arange(n_src, dtype=np.int64), num_nodes
-            )
-            v_c = np.tile(np.arange(num_nodes, dtype=np.int64), n_src)
-        seg_c = mask_of_e.take(e_c) * num_nodes + v_c
+            e_c = np.repeat(np.arange(n_src, dtype=np.int64), ncols)
+            v_c = np.tile(np.arange(ncols, dtype=np.int64), n_src)
+        seg_c = mask_of_e.take(e_c) * ncols + v_c
         sidx = segmented_pareto_filter(seg_c, w_c, d_c)
         s_seg = seg_c.take(sidx)
         s_w = w_c.take(sidx)
@@ -795,100 +786,89 @@ ragged_product_indices` and filtered by one segmented exact sweep, one
         e_full = e_c.take(sidx)
         s_child = src_eids.take(e_full)
         s_u = src_vis.take(e_full)
-        s_v = v_c.take(sidx)
+        s_v = v_c.take(sidx) + c0
         is_id = s_u == s_v
         new = ~is_id
         n_new = int(new.sum())
         elem_base = _append_elems(
-            s_w[new],
-            s_d[new],
-            1,
-            s_child[new],
-            node_flat[s_u[new]],
-            node_flat[s_v[new]],
+            1, s_child[new], s_u[new] * num_nodes + s_v[new]
         )
         new_ids = elem_base + np.cumsum(new) - 1
         fe_vals = np.where(is_id, s_child, new_ids)
         slot_base = _append_slots(fe_vals, s_w, s_d)
-        counts = np.bincount(s_seg, minlength=n_masks * num_nodes).reshape(
-            n_masks, num_nodes
+        counts = np.bincount(s_seg, minlength=n_masks * ncols).reshape(
+            n_masks, ncols
         )
         starts = slot_base + np.concatenate(
             ([0], np.cumsum(counts.ravel())[:-1])
-        ).reshape(n_masks, num_nodes)
-        masks_arr = np.array(masks, dtype=np.int64)
-        PTR[masks_arr] = starts
-        CNT[masks_arr] = counts
+        ).reshape(n_masks, ncols)
+        PTR[masks, c0:c1] = starts
+        CNT[masks, c0:c1] = counts
         if stats is not None:
             stats.closure_allocations += n_new
             top = int(counts.max()) if counts.size else 0
             if top > stats.max_front_size:
                 stats.max_front_size = top
 
-    def _merge_batch(
-        mask_rows: List[Tuple[int, List[int], Any]],
-    ) -> Tuple[Any, Any, Any, Any, Any]:
-        """All split merges of one cardinality in one segmented filter.
+    def _closure(
+        masks: List[int],
+        src_ptr: Any,
+        src_eids: Any,
+        src_vis: Any,
+        src_w: Any,
+        src_d: Any,
+    ) -> None:
+        """Close every source front of every mask over all nodes.
 
-        ``mask_rows`` holds ``(mask, submasks, bbox_node_indices)`` per
-        mask. Returns the merged fronts as closure-batch inputs:
-        ``(src_ptr, src_eids, src_vis, src_w, src_d)`` with one block
-        per mask (in ``mask_rows`` order), each ordered by node then
-        front position. Appends merge elements for every survivor.
+        Cuts the ``len(src) * num_nodes`` candidates into batches of at
+        most ``budget``: consecutive masks are grouped while their rows
+        fit, and a mask whose rows alone exceed the budget is split by
+        target-node columns. Every ``(mask, node)`` segment sees all of
+        its candidates in one batch, in reference order.
         """
-        # Row grid construction, fully vectorized across masks: one row per
-        # (mask, bbox node, split), node-major within each mask so the
-        # products of one (mask, node) bucket land contiguously in split
-        # order — the reference enumeration order.
-        n_masks = len(mask_rows)
-        sub_flat: List[int] = []
-        mask_vals: List[int] = []
-        ns_list: List[int] = []
-        bb_parts: List[Any] = []
-        nb_list: List[int] = []
-        for mask, submasks, bb in mask_rows:
-            sub_flat.extend(submasks)
-            mask_vals.append(mask)
-            ns_list.append(len(submasks))
-            bb_parts.append(bb)
-            nb_list.append(bb.shape[0])
-        ns_arr = np.array(ns_list, dtype=np.int64)
-        nb_arr = np.array(nb_list, dtype=np.int64)
-        rows_per_mask = ns_arr * nb_arr
-        total_rows = int(rows_per_mask.sum())
-        seg_base = int(nb_arr.sum())
-        bb_starts = np.concatenate(([0], np.cumsum(nb_arr)))
-        seg_mask_ptr = bb_starts
-        empty_i = np.empty(0, dtype=np.int64)
-        if total_rows == 0:
-            return (
-                np.zeros(n_masks + 1, dtype=np.int64),
-                empty_i,
-                empty_i,
-                np.empty(0),
-                np.empty(0),
-            )
-        sub_all = np.array(sub_flat, dtype=np.int64)
-        bb_all = np.concatenate(bb_parts)
-        sub_starts = np.concatenate(([0], np.cumsum(ns_arr)[:-1]))
-        row_starts = np.concatenate(([0], np.cumsum(rows_per_mask)[:-1]))
-        mask_of_row = np.repeat(np.arange(n_masks, dtype=np.int64), rows_per_mask)
-        pos = np.arange(total_rows, dtype=np.int64) - row_starts[mask_of_row]
-        ns_rep = ns_arr[mask_of_row]
-        v_local = pos // ns_rep
-        q1_all = sub_all[sub_starts[mask_of_row] + pos % ns_rep]
-        q2_all = np.array(mask_vals, dtype=np.int64)[mask_of_row] ^ q1_all
-        segrow = bb_starts[:-1][mask_of_row] + v_local
-        v_all = bb_all[segrow]
-        c1 = CNT[q1_all, v_all]
-        c2 = CNT[q2_all, v_all]
-        st1 = PTR[q1_all, v_all]
-        st2 = PTR[q2_all, v_all]
+        e_list = np.diff(src_ptr).tolist()
+        n_src = src_vis.shape[0]
         if stats is not None:
-            stats.merge_transitions += int(((c1 > 0) & (c2 > 0)).sum())
-        cnts = c1 * c2
+            stats.closure_extensions += n_src * (num_nodes - 1)
+        masks_arr = np.array(masks, dtype=np.int64)
+        m0 = 0
+        while m0 < len(masks):
+            rows = e_list[m0]
+            m1 = m0 + 1
+            while m1 < len(masks) and (rows + e_list[m1]) * num_nodes <= budget:
+                rows += e_list[m1]
+                m1 += 1
+            if rows:
+                r0, r1 = int(src_ptr[m0]), int(src_ptr[m1])
+                cols = max(1, min(num_nodes, budget // rows))
+                for c0 in range(0, num_nodes, cols):
+                    _closure_batch(
+                        masks_arr[m0:m1],
+                        src_ptr[m0 : m1 + 1] - r0,
+                        src_eids[r0:r1],
+                        src_vis[r0:r1],
+                        src_w[r0:r1],
+                        src_d[r0:r1],
+                        c0,
+                        min(c0 + cols, num_nodes),
+                    )
+            m0 = m1
+
+    def _merge_rows(
+        r0: int, r1: int, s0: int, s1: int, rows: Tuple[Any, ...]
+    ) -> Tuple[Any, Any, Any, Any, Any]:
+        """Merge products of rows ``r0:r1`` = segments ``s0:s1``, filtered.
+
+        Returns ``(seg_counts, src_eids, src_vis, src_w, src_d)`` of the
+        survivors, grouped by segment in segment order, and appends one
+        merge element per survivor.
+        """
+        c1, c2, st1, st2, cnts, segrow, v_all = (
+            col[r0:r1] for col in rows
+        )
+        n_seg = s1 - s0
+        fe, sw, sd = _slots()
         _, i_a, i_b = ragged_product_indices(c1, c2, st1, st2, rows=False)
-        sw, sd = _slot_w_d()
         # Merged pair: w adds, d maxes (in place over the fresh gathers).
         mw = sw.take(i_a)
         np.add(mw, sw.take(i_b), out=mw)
@@ -902,12 +882,13 @@ ragged_product_indices` and filtered by one segmented exact sweep, one
         # aggregate per-row product counts, and survivors recover their
         # segment / row ids by binary search instead of a full-length
         # expansion (exact: counts stay far below 2**53).
-        sizes = np.bincount(segrow, weights=cnts, minlength=seg_base).astype(
-            np.int64
-        )
-        seg_cum = np.cumsum(sizes)
-        starts = np.concatenate(([0], seg_cum[:-1]))
-        if n_cand >= prune_min:
+        local = segrow - s0
+        if n_cand >= _PRUNE_MIN:
+            sizes = np.bincount(local, weights=cnts, minlength=n_seg).astype(
+                np.int64
+            )
+            seg_cum = np.cumsum(sizes)
+            starts = np.concatenate(([0], seg_cum[:-1]))
             keep0 = segment_strict_prune(starts, sizes, mw, md)
             sel = np.nonzero(keep0)[0]
             w_c = mw.take(sel)
@@ -917,27 +898,115 @@ ragged_product_indices` and filtered by one segmented exact sweep, one
             sel = None
             w_c = mw
             d_c = md
-            seg_c = np.repeat(segrow, cnts)
+            seg_c = np.repeat(local, cnts)
         sidx = segmented_pareto_filter(seg_c, w_c, d_c)
-        full = sel.take(sidx) if sel is not None else sidx
+        picked = sel.take(sidx) if sel is not None else sidx
         s_w = w_c.take(sidx)
         s_d = d_c.take(sidx)
-        s_seg = seg_c.take(sidx)
-        fe = _fe()
-        elem_base = _append_elems(
-            s_w,
-            s_d,
-            2,
-            fe[i_a[full]],
-            fe[i_b[full]],
-            np.zeros(sidx.shape[0], dtype=np.int64),
-        )
+        elem_base = _append_elems(2, fe[i_a[picked]], fe[i_b[picked]])
         src_eids = elem_base + np.arange(sidx.shape[0], dtype=np.int64)
-        seg_counts = np.bincount(s_seg, minlength=seg_base)
+        seg_counts = np.bincount(seg_c.take(sidx), minlength=n_seg)
+        row_of = np.searchsorted(np.cumsum(cnts), picked, side="right")
+        return seg_counts, src_eids, v_all[row_of], s_w, s_d
+
+    def _merge_group(
+        group: List[Tuple[int, List[int], Any]],
+    ) -> List[Tuple[Any, Any, Any, Any, Any]]:
+        """Merge the rows of ``group``, in batches of at most ``budget`` products.
+
+        ``group`` holds ``(mask, submasks, bbox_node_indices)`` entries
+        whose rows fit the budget. Returns the ``_merge_rows`` outputs of
+        every batch, in segment order.
+        """
+        # Row grid construction, vectorized across the group: one row per
+        # (mask, bbox node, split), node-major within each mask so the
+        # products of one (mask, node) bucket land contiguously in split
+        # order — the reference enumeration order.
+        ns_arr = np.array([len(sm) for _, sm, _ in group], dtype=np.int64)
+        nb_arr = np.array([bb.shape[0] for _, _, bb in group], dtype=np.int64)
+        rows_per_mask = ns_arr * nb_arr
+        total_rows = int(rows_per_mask.sum())
+        seg_base = int(nb_arr.sum())
+        sub_all = np.array([q for _, sm, _ in group for q in sm], dtype=np.int64)
+        bb_all = np.concatenate([bb for _, _, bb in group])
+        sub_starts = np.concatenate(([0], np.cumsum(ns_arr)[:-1]))
+        row_starts = np.concatenate(([0], np.cumsum(rows_per_mask)[:-1]))
+        bb_starts = np.concatenate(([0], np.cumsum(nb_arr)[:-1]))
+        mask_of_row = np.repeat(np.arange(len(group), dtype=np.int64), rows_per_mask)
+        pos = np.arange(total_rows, dtype=np.int64) - row_starts[mask_of_row]
+        ns_rep = ns_arr[mask_of_row]
+        q1_all = sub_all[sub_starts[mask_of_row] + pos % ns_rep]
+        mask_vals = np.array([mask for mask, _, _ in group], dtype=np.int64)
+        q2_all = mask_vals[mask_of_row] ^ q1_all
+        segrow = bb_starts[mask_of_row] + pos // ns_rep
+        v_all = bb_all[segrow]
+        c1 = CNT[q1_all, v_all]
+        c2 = CNT[q2_all, v_all]
+        if stats is not None:
+            stats.merge_transitions += int(((c1 > 0) & (c2 > 0)).sum())
+        cnts = c1 * c2
+        rows = (c1, c2, PTR[q1_all, v_all], PTR[q2_all, v_all], cnts, segrow, v_all)
+        # Greedy batch cuts on segment boundaries: each batch takes the
+        # longest run of segments whose products fit the budget.
+        seg_cum = np.cumsum(
+            np.bincount(segrow, weights=cnts, minlength=seg_base).astype(np.int64)
+        )
+        seg_row = np.searchsorted(segrow, np.arange(seg_base + 1)).tolist()
+        pieces: List[Tuple[Any, Any, Any, Any, Any]] = []
+        s0 = 0
+        while s0 < seg_base:
+            done = int(seg_cum[s0 - 1]) if s0 else 0
+            s1 = int(np.searchsorted(seg_cum, done + budget, side="right"))
+            s1 = max(s1, s0 + 1)
+            pieces.append(_merge_rows(seg_row[s0], seg_row[s1], s0, s1, rows))
+            s0 = s1
+        return pieces
+
+    def _merge(
+        mask_rows: List[Tuple[int, List[int], Any]],
+    ) -> Tuple[Any, Any, Any, Any, Any]:
+        """All split merges of one cardinality, in budget-sized batches.
+
+        ``mask_rows`` holds ``(mask, submasks, bbox_node_indices)`` per
+        mask. Returns the merged fronts as closure inputs:
+        ``(src_ptr, src_eids, src_vis, src_w, src_d)`` with one block
+        per mask (in ``mask_rows`` order), each ordered by node then
+        front position. Consecutive masks are grouped while their rows
+        fit the budget; a mask with more rows is split between its bbox
+        nodes. Every ``(mask, node)`` segment is merged and filtered in
+        one batch.
+        """
+        pieces: List[Tuple[Any, Any, Any, Any, Any]] = []
+        group: List[Tuple[int, List[int], Any]] = []
+        group_rows = 0
+        for mask, submasks, bb in mask_rows:
+            step = max(1, budget // len(submasks))
+            for b0 in range(0, bb.shape[0], step):
+                part = bb[b0 : b0 + step]
+                rows = len(submasks) * part.shape[0]
+                if group and group_rows + rows > budget:
+                    pieces.extend(_merge_group(group))
+                    group, group_rows = [], 0
+                group.append((mask, submasks, part))
+                group_rows += rows
+        if group:
+            pieces.extend(_merge_group(group))
+        empty_i = np.empty(0, dtype=np.int64)
+        if not pieces:
+            return (
+                np.zeros(len(mask_rows) + 1, dtype=np.int64),
+                empty_i,
+                empty_i,
+                np.empty(0),
+                np.empty(0),
+            )
+        seg_counts, src_eids, src_vis, src_w, src_d = (
+            np.concatenate(col) for col in zip(*pieces)
+        )
         cum = np.concatenate(([0], np.cumsum(seg_counts)))
-        block_ptr = cum[seg_mask_ptr]
-        row_of = np.searchsorted(np.cumsum(cnts), full, side="right")
-        return block_ptr, src_eids, v_all[row_of], s_w, s_d
+        bb_ends = np.cumsum([bb.shape[0] for _, _, bb in mask_rows])
+        src_ptr = np.concatenate(([0], cum[bb_ends]))
+        return src_ptr, src_eids, src_vis, src_w, src_d
 
     # --- singletons: one leaf element per sink, closed over all nodes.
     with span("dw.closure"):
@@ -945,14 +1014,9 @@ ragged_product_indices` and filtered by one segmented exact sweep, one
             [node_index[s_node] for s_node in sink_nodes], dtype=np.int64
         )
         leaf_base = _append_elems(
-            np.zeros(num_sinks, dtype=np.float64),
-            np.zeros(num_sinks, dtype=np.float64),
-            0,
-            node_flat[leaf_vis],
-            np.zeros(num_sinks, dtype=np.int64),
-            np.zeros(num_sinks, dtype=np.int64),
+            0, leaf_vis, np.zeros(num_sinks, dtype=np.int64)
         )
-        _closure_batch(
+        _closure(
             [1 << si for si in range(num_sinks)],
             np.arange(num_sinks + 1, dtype=np.int64),
             leaf_base + np.arange(num_sinks, dtype=np.int64),
@@ -995,16 +1059,9 @@ ragged_product_indices` and filtered by one segmented exact sweep, one
             submasks = _splits_for_mask(mask, bits, size, boundary_rank, stats)
             mask_rows.append((mask, submasks, bb))
         with span("dw.merge"):
-            block_ptr, m_eids, m_vis, m_w, m_d = _merge_batch(mask_rows)
+            merged = _merge(mask_rows)
         with span("dw.closure"):
-            _closure_batch(
-                [m for m, _, _ in mask_rows],
-                block_ptr,
-                m_eids,
-                m_vis,
-                m_w,
-                m_d,
-            )
+            _closure([m for m, _, _ in mask_rows], *merged)
         if stats is not None:
             stats.subsets += len(mask_rows)
 
@@ -1014,8 +1071,12 @@ ragged_product_indices` and filtered by one segmented exact sweep, one
     src_vi = node_index[source_node]
     cnt = int(CNT[full, src_vi])
     ptr = int(PTR[full, src_vi])
-    fe = _fe()
-    ew, ed, ekind, ea, eb, ec = _elems()
+    if not cnt:
+        return []
+    fe, sw, sd = _slots()
+    ekind, ea, eb = (
+        _consolidated(col) for col in (kind_chunks, ea_chunks, eb_chunks)
+    )
     memo: Dict[int, Any] = {}
 
     def _payload_of(eid: int) -> Any:
@@ -1027,20 +1088,13 @@ ragged_product_indices` and filtered by one segmented exact sweep, one
                 continue
             k = int(ekind[e])
             if k == 0:
-                flat = int(ea[e])
-                memo[e] = ("leaf", (flat // ny, flat % ny))
+                memo[e] = ("leaf", nodes[int(ea[e])])
                 stack.pop()
             elif k == 1:
                 child = int(ea[e])
                 if child in memo:
-                    uf = int(eb[e])
-                    vf = int(ec[e])
-                    memo[e] = (
-                        "ext",
-                        (uf // ny, uf % ny),
-                        (vf // ny, vf % ny),
-                        memo[child],
-                    )
+                    u, v = divmod(int(eb[e]), num_nodes)
+                    memo[e] = ("ext", nodes[u], nodes[v], memo[child])
                     stack.pop()
                 else:
                     stack.append(child)
@@ -1058,8 +1112,12 @@ ragged_product_indices` and filtered by one segmented exact sweep, one
         return memo[eid]
 
     result = [
-        (float(ew[e]), float(ed[e]), _payload_of(int(e)))
-        for e in fe[ptr : ptr + cnt].tolist()
+        (w, d, _payload_of(e))
+        for w, d, e in zip(
+            sw[ptr : ptr + cnt].tolist(),
+            sd[ptr : ptr + cnt].tolist(),
+            fe[ptr : ptr + cnt].tolist(),
+        )
     ]
     if not with_trees:
         return clean_front(result)
@@ -1146,11 +1204,9 @@ class DWState:
     and skip its computation; the skipped work would have reproduced the
     stored fronts bit-for-bit (see the module comment above for why).
 
-    Fronts are stored in the tuple representation; :meth:`front_arrays`
-    exposes the same data as contiguous ``(w[], d[], payloads)`` arrays —
-    the :mod:`repro.core.frontier_array` layout — for array-engine
-    consumers. Both views describe one immutable solve; nothing here is
-    ever mutated after capture.
+    Fronts are stored as tuple-kernel fronts (state capture and reuse
+    run on the tuple kernels only); nothing here is ever mutated after
+    capture.
     """
 
     signature: Tuple[Any, ...]
@@ -1161,20 +1217,6 @@ class DWState:
     def num_masks(self) -> int:
         """How many sink-subset masks the snapshot holds."""
         return len(self.fronts)
-
-    def front_arrays(
-        self, mask: int, node: GridNode
-    ) -> Tuple[Any, Any, List[Any]]:
-        """One stored front as ``(w[], d[], payloads)`` arrays.
-
-        The array-representation view of the tuple-stored front (exact
-        float round trip — see :func:`repro.core.frontier_array.\
-front_to_arrays`). Returns empty arrays for an unknown mask/node.
-        """
-        from .frontier_array import front_to_arrays
-
-        front = self.fronts.get(mask, {}).get(node, [])
-        return front_to_arrays(front)
 
 
 @dataclass
@@ -1238,10 +1280,9 @@ def pareto_dw_with_state(
     :class:`DWState` snapshot of the full DP table and, when ``state``
     from a previous solve is supplied, installs every still-valid subset
     front instead of recomputing it. The returned frontier is
-    **bit-identical** to a cold ``pareto_dw(net)`` in either
-    representation (``"tuple"`` or ``"array"`` — the two are themselves
-    bit-identical by the ``docs/numerics.md`` contract); only the work
-    done differs. Reuse accounting comes back as a :class:`DWReuse`.
+    **bit-identical** to a cold ``pareto_dw(net)`` whichever engine that
+    dispatches to (the engines are themselves bit-identical by the
+    ``docs/numerics.md`` contract); only the work done differs. Reuse accounting comes back as a :class:`DWReuse`.
 
     Raises :class:`~repro.exceptions.DegreeTooLargeError` when
     ``net.degree > max_degree`` (same contract as :func:`pareto_dw`).
@@ -1268,7 +1309,7 @@ def pareto_dw_with_state(
         )
     if flush:
         assert stats is not None
-        _flush_dw_stats(stats)
+        _flush_dw_stats(stats, "tuple")
     fronts = capture[0]
     new_state = DWState(
         signature=dw_signature(net),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from ..geometry.net import Net
 from ..geometry.point import Point, l1
@@ -26,7 +26,7 @@ from ..routing.refine import wirelength_refine
 from ..routing.tree import RoutingTree
 from .frontier import merge_sorted_fronts, pareto_filter_sorted
 from .pareto import Solution, clean_front
-from .pareto_dw import pareto_dw
+from .pareto_dw import _pareto_dw_on, pareto_dw
 from .policy import SelectionPolicy
 
 #: The paper's λ: nets with at most this many pins are solved exactly.
@@ -42,7 +42,6 @@ class PatLaborConfig:
     post_refine: bool = True            # SALT-style post-processing
     max_front: int = 64                 # safety cap on |𝒯|
     seed: int = 0
-    representation: str = "tuple"       # frontier kernels: "tuple" | "array"
 
 
 class PatLabor:
@@ -73,17 +72,6 @@ class PatLabor:
     ) -> None:
         self.lut = lut
         self.config = config or PatLaborConfig()
-        if self.config.representation not in ("tuple", "array"):
-            raise ValueError(
-                "representation must be 'tuple' or 'array', got "
-                f"{self.config.representation!r}"
-            )
-        self._filter = pareto_filter_sorted
-        if self.config.representation == "array":
-            from .frontier_array import HAVE_NUMPY, pareto_filter_sorted_array
-
-            if HAVE_NUMPY:
-                self._filter = pareto_filter_sorted_array
         self.rng = random.Random(self.config.seed)
         self.policy = policy or SelectionPolicy()
 
@@ -142,8 +130,14 @@ class PatLabor:
         """Exact frontier for a small net (LUT first, Pareto-DW fallback).
 
         Dispatch-tier counters (``patlabor.dispatch.*``) include the
-        sub-nets local search sends back through this method.
+        sub-nets local search solves through the same tiers.
         """
+        return self._exact_frontier(net, pareto_dw)
+
+    def _exact_frontier(
+        self, net: Net, dw: Callable[[Net], List[Solution]]
+    ) -> List[Solution]:
+        """:meth:`small_frontier`'s tiers, with ``dw`` as the DP tier."""
         if net.degree <= 3:
             from ..lut.table import _degree2_frontier, _degree3_frontier
 
@@ -156,7 +150,7 @@ class PatLabor:
             with span("lut.lookup"):
                 return self.lut.lookup(net)
         counter_add("patlabor.dispatch.dw")
-        return pareto_dw(net, representation=self.config.representation)
+        return dw(net)
 
     # -------------------------------------------------------- local search
 
@@ -202,7 +196,7 @@ class PatLabor:
                     # candidates need filtering before the linear union.
                     additions = self._expand(net, selection)
                     front = merge_sorted_fronts(
-                        front, self._filter(additions)
+                        front, pareto_filter_sorted(additions)
                     )
                 if len(front) > self.config.max_front:
                     # Truncate by wirelength but always keep the min-delay
@@ -225,7 +219,7 @@ class PatLabor:
             [net.sinks[i] for i in selection],
             name=f"{net.name}/ls",
         )
-        sub_front = self.small_frontier(sub)
+        sub_front = self._exact_frontier(sub, _sub_net_dw)
         out: List[Solution] = []
         rest = [
             net.sinks[i]
@@ -251,6 +245,19 @@ class PatLabor:
                     w, d = shallow.objective()
                     out.append((w, d, shallow))
         return out
+
+
+def _sub_net_dw(net: Net) -> List[Solution]:
+    """The DP tier of local-search sub-nets: the tuple kernels.
+
+    Same frontier as :func:`pareto_dw`, whose array engine runs these
+    λ-pin sub-nets about 6x faster. They stay on the tuple kernels for
+    now: on the array engine the reassembly dominates local search, and
+    its geometry-dependent cost makes the ``batch_large`` benchmark
+    workload (32 nets per seed) vary about 18% between seeds, more than
+    its spread bound allows. ROADMAP.md has the follow-up.
+    """
+    return _pareto_dw_on(net, "tuple")
 
 
 def reassemble(

@@ -91,12 +91,6 @@ class LookupTable:
         self.pool = TopologyPool()
         self.stats: Dict[int, DegreeStats] = {}
         self.prune_mode: str = "componentwise"
-        #: Frontier-kernel representation for query-time Pareto filtering:
-        #: ``"tuple"`` (pure Python, default) or ``"array"`` (NumPy
-        #: kernels; bit-identical, see ``docs/numerics.md``). Row
-        #: evaluation itself stays sequential Python either way — pairwise
-        #: summation would change the floats.
-        self.representation: str = "tuple"
 
     # ------------------------------------------------------------ building
 
@@ -216,16 +210,7 @@ class LookupTable:
                 sum(c * g for c, g in zip(r, gaps)) for r in d_rows
             )
             evaluated.append((w, d, topo_id))
-        filt = pareto_filter_sorted
-        if self.representation == "array":
-            from ..core.frontier_array import (
-                HAVE_NUMPY,
-                pareto_filter_sorted_array,
-            )
-
-            if HAVE_NUMPY:
-                filt = pareto_filter_sorted_array
-        front = filt(evaluated)
+        front = pareto_filter_sorted(evaluated)
 
         t_inv = t.inverse(n, n)
         cn, _ = t.out_shape(n, n)  # == n

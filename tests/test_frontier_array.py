@@ -11,14 +11,19 @@ Mirrors ``test_frontier_kernels.py`` for :mod:`repro.core.frontier_array`:
 * the segmented batch kernels (``segmented_pareto_filter``,
   ``segment_strict_prune``, ``ragged_product_indices`` and their packed
   variants) match straightforward per-segment references;
-* a regression matrix that ``pareto_dw(representation="array")`` equals
-  both the ``kernels=True`` and ``kernels=False`` paths on degree 2-9
-  nets across the Lemma flags, stats parity included.
+* a regression matrix that the array engine equals both the tuple
+  kernels and the ``kernels=False`` reference on degree 2-9 nets across
+  the Lemma flags, stats parity included — each engine called through
+  its private entry point, since ``pareto_dw`` picks one by degree;
+* the array engine's candidate budget: at a tiny budget every pass
+  splits into many batches and fronts, trees and counters stay equal;
+* ``pareto_dw``'s degree dispatch and its ``dw.engine.*`` counters.
 
 Objective values reuse the integer/non-dyadic pool of the tuple-kernel
 tests so exact ties and rounding collisions occur constantly.
 """
 
+import importlib
 import math
 import random
 from itertools import product
@@ -30,6 +35,7 @@ np = pytest.importorskip("numpy")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.frontier import (
     cross_sorted,
     is_sorted_front,
@@ -55,8 +61,18 @@ from repro.core.frontier_array import (
     shift_sorted_arrays,
 )
 from repro.core.pareto import objectives, pareto_filter
-from repro.core.pareto_dw import DWStats, pareto_dw
-from repro.geometry.net import random_net
+from repro.core.patlabor import PatLabor, PatLaborConfig
+from repro.core.pareto_dw import (
+    DWStats,
+    _pareto_dw_array_impl,
+    _pareto_dw_impl,
+    pareto_dw,
+)
+from repro.geometry.net import Net, random_net
+
+# The package re-exports functions under these module names.
+pareto_dw_module = importlib.import_module("repro.core.pareto_dw")
+frontier_array = importlib.import_module("repro.core.frontier_array")
 
 # Same pool as the tuple-kernel tests: frequent exact ties, non-dyadic
 # floats so sums exercise rounding.
@@ -444,14 +460,73 @@ class TestRaggedProductIndices:
         assert row.shape == i_idx.shape == j_idx.shape == (0,)
 
 
-# ---------------------------------------- pareto_dw representation matrix
+# ------------------------------------------- Pareto-DW engine matrix
 
 
 LEMMA_COMBOS = list(product([False, True], repeat=3))
 
+#: Work counters every engine must report identically; the allocation
+#: counters (``merge_candidates``, ``closure_allocations``) measure what
+#: each engine materializes and legitimately differ.
+SHARED_COUNTERS = (
+    "grid_nodes",
+    "pruned_corner_nodes",
+    "merge_transitions",
+    "merge_skipped_lemma3",
+    "splits_saved_lemma4",
+    "closure_extensions",
+    "max_front_size",
+    "subsets",
+)
+
+
+def solve(engine, net, stats=None, **flags):
+    """Run one Pareto-DW engine through its private entry point."""
+    kw = dict(lemma2=True, lemma3=True, lemma4=True, with_trees=False)
+    kw.update(flags)
+    if engine == "array":
+        return _pareto_dw_array_impl(net, stats=stats, **kw)
+    return _pareto_dw_impl(
+        net, stats=stats, kernels=(engine == "tuple"), **kw
+    )
+
+
+def shared(stats):
+    return {name: getattr(stats, name) for name in SHARED_COUNTERS}
+
+
+def assert_engines_agree(net, **flags):
+    """Array == tuple == reference: objectives, trees, shared counters."""
+    runs = {}
+    for engine in ("array", "tuple", "reference"):
+        st_ = DWStats()
+        runs[engine] = (solve(engine, net, st_, with_trees=True, **flags), st_)
+    arr, st_a = runs["array"]
+    for engine in ("tuple", "reference"):
+        ref, st_r = runs[engine]
+        assert objectives(arr) == objectives(ref), engine
+        assert [t.edges() for _, _, t in arr] == [
+            t.edges() for _, _, t in ref
+        ], engine
+        assert shared(st_a) == shared(st_r), engine
+    return st_a
+
+
+def ring_net(seed, per_side=2):
+    """Every sink on the Hanan-grid boundary, so Lemma 4 fires."""
+    rng = random.Random(seed)
+    pts = set()
+    for _ in range(per_side):
+        pts.add((rng.uniform(10, 90), 0.0))
+        pts.add((rng.uniform(10, 90), 100.0))
+        pts.add((0.0, rng.uniform(10, 90)))
+        pts.add((100.0, rng.uniform(10, 90)))
+    pts = sorted(pts)
+    return Net.from_points(pts[0], pts[1:], name=f"ring{seed}")
+
 
 class TestParetoDWArrayEquivalence:
-    """representation="array" equals both tuple paths, stats included."""
+    """The array engine equals both tuple paths, stats included."""
 
     @pytest.mark.parametrize("degree", range(2, 10))
     def test_identical_frontier_across_lemma_flags(self, degree):
@@ -459,14 +534,12 @@ class TestParetoDWArrayEquivalence:
             degree, rng=random.Random(1000 + degree), grid=9, span=90.0
         )
         for lemma2, lemma3, lemma4 in LEMMA_COMBOS:
-            kw = dict(
-                lemma2=lemma2, lemma3=lemma3, lemma4=lemma4, with_trees=False
-            )
-            arr = pareto_dw(net, representation="array", **kw)
-            for kernels in (False, True):
-                ref = pareto_dw(net, kernels=kernels, **kw)
+            kw = dict(lemma2=lemma2, lemma3=lemma3, lemma4=lemma4)
+            arr = solve("array", net, **kw)
+            for engine in ("reference", "tuple"):
+                ref = solve(engine, net, **kw)
                 assert objectives(arr) == objectives(ref), (
-                    f"degree={degree} kernels={kernels} "
+                    f"degree={degree} engine={engine} "
                     f"lemmas={(lemma2, lemma3, lemma4)}"
                 )
 
@@ -475,8 +548,8 @@ class TestParetoDWArrayEquivalence:
         net = random_net(
             degree, rng=random.Random(2000 + degree), grid=9, span=90.0
         )
-        arr = pareto_dw(net, representation="array", with_trees=True)
-        ref = pareto_dw(net, kernels=True, with_trees=True)
+        arr = solve("array", net, with_trees=True)
+        ref = solve("tuple", net, with_trees=True)
         # Backpointer structure is materialized identically, so the full
         # solutions — trees included — compare equal.
         assert objectives(arr) == objectives(ref)
@@ -489,21 +562,173 @@ class TestParetoDWArrayEquivalence:
             degree, rng=random.Random(3000 + degree), grid=9, span=90.0
         )
         st_t, st_a = DWStats(), DWStats()
-        ref = pareto_dw(net, kernels=True, stats=st_t, with_trees=False)
-        arr = pareto_dw(
-            net, representation="array", stats=st_a, with_trees=False
-        )
+        ref = solve("tuple", net, st_t)
+        arr = solve("array", net, st_a)
         assert objectives(arr) == objectives(ref)
-        # Workload counters are path-independent; allocation counters are
-        # representation-specific and only sanity-checked.
-        assert st_a.closure_extensions == st_t.closure_extensions
-        assert st_a.merge_transitions == st_t.merge_transitions
-        assert st_a.subsets == st_t.subsets
-        assert st_a.max_front_size == st_t.max_front_size
+        # Workload counters are engine-independent; allocation counters
+        # are engine-specific and only sanity-checked.
+        assert shared(st_a) == shared(st_t)
         assert st_a.merge_candidates > 0
         assert st_a.closure_allocations > 0
 
-    def test_invalid_representation_rejected(self):
-        net = random_net(4, rng=random.Random(1), grid=9, span=90.0)
-        with pytest.raises(ValueError, match="representation"):
-            pareto_dw(net, representation="matrix")
+
+class TestCandidateBudget:
+    """A tiny budget splits every pass into many batches, exactly."""
+
+    BUDGET = 64
+
+    @pytest.fixture
+    def tiny_budget(self, monkeypatch):
+        monkeypatch.setattr(pareto_dw_module, "_CANDIDATE_BUDGET", self.BUDGET)
+
+    @pytest.fixture
+    def filter_calls(self, monkeypatch):
+        """Segment ids of every segmented filter call the engine makes."""
+        calls = []
+        real = frontier_array.segmented_pareto_filter
+
+        def spy(seg, w, d):
+            calls.append(seg.copy())
+            return real(seg, w, d)
+
+        monkeypatch.setattr(frontier_array, "segmented_pareto_filter", spy)
+        return calls
+
+    @pytest.mark.parametrize("degree", range(4, 10))
+    def test_exact_at_tiny_budget(self, degree, tiny_budget):
+        net = random_net(
+            degree, rng=random.Random(4000 + degree), grid=9, span=90.0
+        )
+        st_tiny = assert_engines_agree(net)
+        # The budget changes how work is batched, never what is counted.
+        st_full = DWStats()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pareto_dw_module, "_CANDIDATE_BUDGET", 1 << 40)
+            solve("array", net, st_full)
+        assert st_tiny == st_full
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lemma4_boundary_nets(self, seed, tiny_budget):
+        net = ring_net(seed)
+        assert net.degree >= 6
+        st_a = assert_engines_agree(net)
+        assert st_a.splits_saved_lemma4 > 0
+
+    @pytest.mark.parametrize(
+        "pins",
+        [
+            # Collinear: every pin on one horizontal line.
+            [(float(3 * i), 0.0) for i in range(9)],
+            # Two shared columns and rows: a 2x4 lattice.
+            [(x, y) for x in (0.0, 7.0) for y in (0.0, 2.0, 5.0, 9.0)],
+            # Shared coordinates with a repeated gap (exact distance ties).
+            [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0), (2.0, 2.0),
+             (2.0, 0.0), (4.0, 2.0), (0.0, 2.0), (2.0, 4.0)],
+        ],
+    )
+    def test_coincident_coordinates(self, pins, tiny_budget):
+        net = Net.from_points(pins[0], pins[1:])
+        assert_engines_agree(net)
+        assert_engines_agree(net, lemma2=False, lemma3=False, lemma4=False)
+
+    def test_small_grid_nets(self, tiny_budget):
+        # grid=3 snaps pins onto three coordinate lines per axis.
+        for degree in range(4, 10):
+            net = random_net(degree, rng=random.Random(degree), grid=3)
+            assert_engines_agree(net)
+
+    def test_batches_respect_the_budget(self, tiny_budget, filter_calls):
+        net = random_net(9, rng=random.Random(4009), grid=9, span=90.0)
+        solve("array", net)
+        assert len(filter_calls) > 50
+        for seg in filter_calls:
+            # Over budget only when one (mask, node) segment alone is.
+            assert len(seg) <= self.BUDGET or len(set(seg.tolist())) == 1
+
+    def test_one_mask_splits_between_bbox_nodes(self, monkeypatch):
+        # A 3-pin net merges one mask only (both sinks): at a budget of
+        # one product its bbox nodes must land in separate merge batches.
+        products = []
+        real = frontier_array.ragged_product_indices
+
+        def spy(c1, c2, s1, s2, rows=True):
+            products.append(int((c1 * c2).sum()))
+            return real(c1, c2, s1, s2, rows=rows)
+
+        monkeypatch.setattr(frontier_array, "ragged_product_indices", spy)
+        monkeypatch.setattr(pareto_dw_module, "_CANDIDATE_BUDGET", 1)
+        net = Net.from_points((0.0, 0.0), [(10.0, 4.0), (3.0, 9.0)])
+        assert_engines_agree(net)
+        assert len(products) > 1
+        assert max(products) == 1
+
+
+class TestEngineDispatch:
+    """``pareto_dw`` picks its engine by degree; ``kernels=False`` never."""
+
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        calls = []
+        real_array = pareto_dw_module._pareto_dw_array_impl
+        real_tuple = pareto_dw_module._pareto_dw_impl
+
+        def array_spy(net, **kw):
+            calls.append("array")
+            return real_array(net, **kw)
+
+        def tuple_spy(net, *, kernels=True, **kw):
+            calls.append("tuple" if kernels else "reference")
+            return real_tuple(net, kernels=kernels, **kw)
+
+        monkeypatch.setattr(pareto_dw_module, "_pareto_dw_array_impl", array_spy)
+        monkeypatch.setattr(pareto_dw_module, "_pareto_dw_impl", tuple_spy)
+        return calls
+
+    @pytest.mark.parametrize("degree", range(2, 10))
+    def test_degree_picks_engine(self, degree, engine_calls):
+        net = random_net(degree, rng=random.Random(5000 + degree), grid=9)
+        front = pareto_dw(net)
+        expected = "array" if degree >= pareto_dw_module._ARRAY_MIN_DEGREE else "tuple"
+        assert engine_calls == [expected]
+        assert objectives(front) == objectives(pareto_dw(net, kernels=False))
+
+    @pytest.mark.parametrize("degree", range(2, 10))
+    def test_kernels_false_runs_reference_at_every_degree(
+        self, degree, engine_calls
+    ):
+        net = random_net(degree, rng=random.Random(6000 + degree), grid=9)
+        pareto_dw(net, kernels=False)
+        assert engine_calls == ["reference"]
+
+    def test_local_search_sub_nets_run_tuple_kernels(self, engine_calls):
+        # A degree-9 net routed directly runs the array engine; the 9-pin
+        # sub-net of a local-search step stays on the tuple kernels.
+        router = PatLabor(config=PatLaborConfig(iterations=1, post_refine=False))
+        router.route(random_net(9, rng=random.Random(8000), grid=9))
+        assert engine_calls == ["array"]
+        engine_calls.clear()
+        router.route(random_net(14, rng=random.Random(8001), grid=9))
+        assert engine_calls == ["tuple"]
+
+    def test_engine_counters_split_by_degree(self):
+        # Fixed counts, not the constant: moving the crossover away from
+        # degree 6 is a deliberate re-baseline of the profile ledger.
+        degrees = [4, 5, 5, 6, 7, 9, 3]
+        nets = [
+            random_net(d, rng=random.Random(7000 + i), grid=9)
+            for i, d in enumerate(degrees)
+        ]
+        obs.reset()
+        obs.enable()
+        try:
+            for net in nets:
+                pareto_dw(net, with_trees=False)
+            pareto_dw(nets[0], with_trees=False, kernels=False)
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert counters["dw.engine.tuple"] == 4
+        assert counters["dw.engine.array"] == 3
+        assert counters["dw.engine.reference"] == 1
+        assert counters["dw.solves"] == len(nets) + 1
