@@ -1,4 +1,4 @@
-"""Array-native sorted-front Pareto kernels (NumPy twins of ``frontier``).
+"""Array-native sorted-front Pareto kernels (the array engine's batch layer).
 
 The pure-Python kernels of :mod:`repro.core.frontier` spend most of their
 time in CPython tuple/loop overhead: profiling the Pareto-DW hot path at
@@ -6,8 +6,8 @@ degree 9 shows ~200k two-pointer kernel calls per net over fronts of at
 most six points. This module re-expresses the same algebra over
 contiguous NumPy arrays — each front is a pair ``(w[], d[])`` of float64
 arrays plus a parallel payload sequence — so whole *batches* of fronts
-are filtered with one stable ``lexsort`` and one cumulative-minimum
-sweep instead of hundreds of thousands of interpreter iterations.
+are filtered with two stable sorts and one cumulative-minimum sweep
+instead of hundreds of thousands of interpreter iterations.
 
 The pure-Python kernels stay the bit-identical oracle. Every function here is **exact**, not approximately
 equal — see ``docs/numerics.md`` for the contract. The three properties
@@ -23,33 +23,28 @@ that make bit-identity possible:
 * reductions that *would* reassociate (``np.sum``/``np.dot`` use pairwise
   summation) are never used on objective values.
 
-Two layers live here:
-
-* **Kernel twins** — ``pareto_filter_sorted_arrays``,
-  ``shift_sorted_arrays``, ``cross_sorted_arrays``,
-  ``merge_sorted_fronts_arrays``, ``merge_shifted_arrays`` — one call per
-  front, mirroring the :mod:`repro.core.frontier` API. They return index
-  arrays into their inputs so callers gather payloads only for
-  survivors.
-* **Segmented batch machinery** — :func:`segmented_pareto_keep`,
-  :func:`segment_strict_prune`, :func:`ragged_product_indices` — filters
-  *many* fronts (one per segment) in a single vectorized pass. This is
-  what the array engine of :func:`repro.core.pareto_dw.pareto_dw`
-  (degree 6 and up) builds on: it filters the merge and closure buckets
-  of one subset cardinality in budget-sized segmented passes.
+The module holds the bit-exact tuple/array conversion and the
+**segmented batch machinery** — :func:`segmented_pareto_filter`,
+:func:`segment_strict_prune`, :func:`ragged_product_indices` — which
+filters *many* fronts (one per segment) in a single vectorized pass.
+This is what the array engine of :func:`repro.core.pareto_dw.pareto_dw`
+(degree 6 and up) builds on: it filters the merge and closure buckets of
+one subset cardinality in budget-sized segmented passes. A single front
+is simply one segment, so the tuple kernels' filter, shift, cross and
+union operations are each one segmented call (``tests/test_frontier_array.py``
+checks every one against its tuple kernel).
 
 Empty and single-point fronts follow the same conventions as the tuple
-kernels: an empty front is a length-0 array pair (returned unchanged by
-every filter), and a single-point front trivially satisfies the
-sorted-front invariant and always survives filtering alone.
+kernels: an empty input yields no survivors, and a single-point front
+trivially satisfies the sorted-front invariant and always survives
+filtering alone.
 
 Doctests double as minimal usage examples:
 
 >>> import numpy as np
 >>> w = np.array([1.0, 3.0, 2.0]); d = np.array([5.0, 4.0, 1.0])
->>> w2, d2, idx = pareto_filter_sorted_arrays(w, d)
->>> w2.tolist(), d2.tolist(), idx.tolist()
-([1.0, 2.0], [5.0, 1.0], [0, 2])
+>>> segmented_pareto_filter(np.zeros(3, dtype=np.int64), w, d).tolist()
+[0, 2]
 """
 
 from __future__ import annotations
@@ -62,19 +57,13 @@ import numpy as np
 
 __all__ = [
     "arrays_to_front",
-    "cross_sorted_arrays",
     "front_to_arrays",
-    "merge_shifted_arrays",
-    "merge_sorted_fronts_arrays",
     "pack_objectives",
-    "pareto_filter_sorted_array",
-    "pareto_filter_sorted_arrays",
     "ragged_product_indices",
     "segment_strict_prune",
     "segmented_pareto_filter",
     "segmented_pareto_filter_packed",
     "segmented_pareto_keep",
-    "shift_sorted_arrays",
 ]
 
 #: Type alias for the ubiquitous float64/int64 arrays; kept loose because
@@ -121,218 +110,6 @@ def arrays_to_front(w: Array, d: Array, payloads: Sequence[Any]) -> List[Solutio
         (float(wi), float(di), p)
         for wi, di, p in zip(w.tolist(), d.tolist(), payloads)
     ]
-
-
-# ------------------------------------------------------------ kernel twins
-
-
-def pareto_filter_sorted_arrays(w: Array, d: Array) -> Tuple[Array, Array, Array]:
-    """Array twin of :func:`repro.core.frontier.pareto_filter_sorted`.
-
-    Returns ``(w', d', idx)`` where ``idx`` maps surviving positions back
-    into the input (gather payloads with it). Implements exactly the
-    reference semantics: a stable sort by ``(w, d)`` followed by the
-    strict dominance sweep, so exact-duplicate ties keep the
-    first-encountered input element. An empty input returns three empty
-    arrays; a single point always survives.
-
-    >>> import numpy as np
-    >>> _, _, idx = pareto_filter_sorted_arrays(
-    ...     np.array([1.0, 1.0]), np.array([2.0, 2.0]))
-    >>> idx.tolist()  # duplicate collapses to the first occurrence
-    [0]
-    """
-    n = w.shape[0]
-    if n <= 1:
-        idx = np.arange(n, dtype=np.int64)
-        return w[idx], d[idx], idx
-    # Stable sort by (w, d): identical order to list.sort(key=(w, d)).
-    order = np.lexsort((d, w))
-    ds = d[order]
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    # Sweep: keep when d is strictly below every previous d (the running
-    # minimum over *all* previous equals the minimum over kept ones).
-    np.less(ds[1:], np.minimum.accumulate(ds)[:-1], out=keep[1:])
-    idx = order[keep]
-    return w[idx], d[idx], idx
-
-
-def pareto_filter_sorted_array(solutions: Sequence[Solution]) -> List[Solution]:
-    """Tuple-API drop-in for ``pareto_filter_sorted`` running on arrays.
-
-    Same inputs, same outputs (bit-identical, payload ties included),
-    array math inside. Small inputs (< 2 points) short-circuit without
-    touching NumPy.
-
-    >>> pareto_filter_sorted_array([(2.0, 1.0, "b"), (1.0, 5.0, "a")])
-    [(1.0, 5.0, 'a'), (2.0, 1.0, 'b')]
-    """
-    items = list(solutions)
-    if len(items) <= 1:
-        return items
-    w, d, payloads = front_to_arrays(items)
-    _, _, idx = pareto_filter_sorted_arrays(w, d)
-    return [items[i] for i in idx.tolist()]
-
-
-def shift_sorted_arrays(w: Array, d: Array, x: float) -> Tuple[Array, Array, Array]:
-    """Array twin of :func:`repro.core.frontier.shift_sorted`.
-
-    Shifts both objectives by ``x`` and collapses rounding collisions
-    exactly like the reference single pass: a candidate whose shifted
-    ``d`` did not strictly drop below the previous kept ``d`` is skipped
-    (the earlier, smaller-``w`` point weakly dominates), and a candidate
-    landing on the previous kept ``w`` replaces it (same ``w``, strictly
-    smaller ``d``). Returns ``(w', d', idx)`` with ``idx`` into the input.
-
-    >>> import numpy as np
-    >>> w2, d2, idx = shift_sorted_arrays(
-    ...     np.array([1.0, 2.0]), np.array([4.0, 3.0]), 1.0)
-    >>> w2.tolist(), idx.tolist()
-    ([2.0, 3.0], [0, 1])
-    """
-    n = w.shape[0]
-    if n == 0:
-        idx = np.arange(0, dtype=np.int64)
-        return w + x, d + x, idx
-    ws = w + x
-    ds = d + x
-    # Phase 1 (d collisions, keep first): the input d is strictly
-    # descending, so the shifted ds is non-increasing and the reference's
-    # "d >= last kept d" test reduces to comparing adjacent elements.
-    keep1 = np.empty(n, dtype=bool)
-    keep1[0] = True
-    np.less(ds[1:], ds[:-1], out=keep1[1:])
-    idx = np.nonzero(keep1)[0]
-    # Phase 2 (w collisions, keep last): among survivors w is
-    # non-decreasing with strictly decreasing d, so of each equal-w run
-    # the reference keeps the last (each newcomer pops its predecessor).
-    wk = ws[idx]
-    m = idx.shape[0]
-    keep2 = np.empty(m, dtype=bool)
-    keep2[m - 1] = True
-    np.not_equal(wk[:-1], wk[1:], out=keep2[:-1])
-    idx = idx[keep2]
-    return ws[idx], ds[idx], idx
-
-
-def cross_sorted_arrays(
-    w1: Array, d1: Array, w2: Array, d2: Array
-) -> Tuple[Array, Array, Array, Array]:
-    """Array twin of :func:`repro.core.frontier.cross_sorted`.
-
-    Enumerates the non-dominated subset of the merge product
-    ``(w1[i] + w2[j], max(d1[i], d2[j]))`` without materializing the
-    ``a * b`` candidate grid. The two-pointer stream of the reference
-    visits, for each distinct delay value ``v`` of ``d1`` and ``d2`` in
-    descending order, the state ``i = |{d1 > v}|, j = |{d2 > v}|`` — both
-    counts computed here with one ``searchsorted`` each — and collapses
-    equal-``w`` rounding collisions by keeping the last (smallest-``d``)
-    state, exactly the reference's replace-on-collision rule.
-
-    Returns ``(w, d, i_idx, j_idx)``; build payloads by combining
-    ``p1[i_idx[k]]`` with ``p2[j_idx[k]]``. Either input empty yields
-    four empty arrays.
-
-    >>> import numpy as np
-    >>> w, d, i, j = cross_sorted_arrays(
-    ...     np.array([1.0, 2.0]), np.array([4.0, 1.0]),
-    ...     np.array([1.0]), np.array([0.0]))
-    >>> list(zip(w.tolist(), d.tolist()))
-    [(2.0, 4.0), (3.0, 1.0)]
-    """
-    a, b = w1.shape[0], w2.shape[0]
-    if a == 0 or b == 0:
-        empty_f = np.empty(0, dtype=np.float64)
-        empty_i = np.empty(0, dtype=np.int64)
-        return empty_f, empty_f.copy(), empty_i, empty_i.copy()
-    # Distinct delay values of both fronts, descending.
-    vals = np.union1d(d1, d2)[::-1]
-    # i(v) = |{d1 > v}|: with -d1 strictly ascending this is a left
-    # searchsorted of -v; same for j(v).
-    i_idx = np.searchsorted(-d1, -vals, side="left")
-    j_idx = np.searchsorted(-d2, -vals, side="left")
-    valid = (i_idx < a) & (j_idx < b)
-    i_idx = i_idx[valid]
-    j_idx = j_idx[valid]
-    w = w1[i_idx] + w2[j_idx]
-    d = vals[valid]
-    # Equal-w rounding collisions: keep the last (d is strictly
-    # descending along the stream, so the last has the smallest d).
-    m = w.shape[0]
-    keep = np.empty(m, dtype=bool)
-    keep[m - 1] = True
-    np.not_equal(w[:-1], w[1:], out=keep[:-1])
-    return w[keep], d[keep], i_idx[keep], j_idx[keep]
-
-
-def merge_sorted_fronts_arrays(
-    ws: Sequence[Array], ds: Sequence[Array]
-) -> Tuple[Array, Array, Array, Array]:
-    """Array twin of :func:`repro.core.frontier.merge_sorted_fronts`.
-
-    Pareto union of several sorted fronts: concatenate in argument order
-    and run the exact stable filter, which resolves ties to the earlier
-    front — the same first-encountered rule the reference fold
-    implements. Returns ``(w, d, front_idx, elem_idx)`` identifying each
-    survivor's source front and position.
-
-    >>> import numpy as np
-    >>> w, d, f, e = merge_sorted_fronts_arrays(
-    ...     [np.array([1.0]), np.array([1.0])],
-    ...     [np.array([2.0]), np.array([1.0])])
-    >>> f.tolist(), e.tolist()
-    ([1], [0])
-    """
-    if not ws:
-        empty_f = np.empty(0, dtype=np.float64)
-        empty_i = np.empty(0, dtype=np.int64)
-        return empty_f, empty_f.copy(), empty_i, empty_i.copy()
-    w = np.concatenate(ws)
-    d = np.concatenate(ds)
-    sizes = np.array([x.shape[0] for x in ws], dtype=np.int64)
-    front_of = np.repeat(np.arange(len(ws), dtype=np.int64), sizes)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    w2, d2, idx = pareto_filter_sorted_arrays(w, d)
-    f_idx = front_of[idx]
-    return w2, d2, f_idx, idx - starts[f_idx]
-
-
-def merge_shifted_arrays(
-    offsets: Array, ws: Sequence[Array], ds: Sequence[Array]
-) -> Tuple[Array, Array, Array, Array]:
-    """Array twin of :func:`repro.core.frontier.merge_shifted`.
-
-    Union of several sorted fronts, each shifted by its run offset — the
-    Pareto-DW closure bucket. Matches the reference's documented
-    semantics: identical to ``pareto_filter`` over the concatenated
-    shifted bucket in run order, ties to the earlier run. Returns
-    ``(w, d, run_idx, elem_idx)``; the caller decides payload reuse vs
-    rewrap per surviving run (the reference's allocation accounting is a
-    kernel-strategy detail, not part of the numeric contract).
-
-    >>> import numpy as np
-    >>> w, d, r, e = merge_shifted_arrays(
-    ...     np.array([0.0, 1.0]),
-    ...     [np.array([2.0]), np.array([0.0])],
-    ...     [np.array([0.0]), np.array([3.0])])
-    >>> list(zip(w.tolist(), d.tolist()))
-    [(1.0, 4.0), (2.0, 0.0)]
-    """
-    if not ws:
-        empty_f = np.empty(0, dtype=np.float64)
-        empty_i = np.empty(0, dtype=np.int64)
-        return empty_f, empty_f.copy(), empty_i, empty_i.copy()
-    sizes = np.array([x.shape[0] for x in ws], dtype=np.int64)
-    off = np.repeat(np.asarray(offsets, dtype=np.float64), sizes)
-    w = np.concatenate(ws) + off
-    d = np.concatenate(ds) + off
-    run_of = np.repeat(np.arange(len(ws), dtype=np.int64), sizes)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    w2, d2, idx = pareto_filter_sorted_arrays(w, d)
-    r_idx = run_of[idx]
-    return w2, d2, r_idx, idx - starts[r_idx]
 
 
 # ------------------------------------------------- segmented batch kernels
@@ -578,27 +355,3 @@ def ragged_product_indices(
     expanded = np.repeat(per_pair, blk, axis=1)
     j_idx = expanded[1] + np.arange(total, dtype=np.int64)
     return None, expanded[0], j_idx
-
-
-def front_views(
-    ptr: Array, cnt: Array, w: Array, d: Array
-) -> List[Optional[Tuple[Array, Array]]]:
-    """Per-segment ``(w, d)`` array views of a CSR-packed batch of fronts.
-
-    Convenience for tests and debugging: ``ptr[k]``/``cnt[k]`` delimit
-    front ``k`` inside the flat arrays. Empty fronts yield ``None``.
-
-    >>> import numpy as np
-    >>> front_views(np.array([0, 1]), np.array([1, 0]),
-    ...             np.array([1.0]), np.array([2.0]))[1] is None
-    True
-    """
-    out: List[Optional[Tuple[Array, Array]]] = []
-    for k in range(ptr.shape[0]):
-        c = int(cnt[k])
-        if c == 0:
-            out.append(None)
-        else:
-            p = int(ptr[k])
-            out.append((w[p : p + c], d[p : p + c]))
-    return out

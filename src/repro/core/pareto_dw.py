@@ -281,10 +281,13 @@ def _pareto_dw_on(
     with_trees: bool = True,
     max_degree: int = DEFAULT_MAX_DEGREE,
     stats: Optional[DWStats] = None,
+    warm: Optional[Tuple["DWState", Sequence[int]]] = None,
+    retain: Optional[List[Tuple[Any, ...]]] = None,
 ) -> List[Solution]:
     """:func:`pareto_dw` on a given ``engine``: ``"tuple"``, ``"array"``
     or ``"reference"`` (same frontier on each), with its counters, span
-    and ``dw_solve`` event."""
+    and ``dw_solve`` event. ``warm`` / ``retain`` are the array engine's
+    ECO hooks (see :func:`_pareto_dw_array_impl`)."""
     n = net.degree
     if n > max_degree:
         raise DegreeTooLargeError(n, max_degree)
@@ -308,7 +311,9 @@ def _pareto_dw_on(
     )
     with span("dw.solve"):
         if engine == "array":
-            result = _pareto_dw_array_impl(net, **flags)
+            result = _pareto_dw_array_impl(
+                net, warm=warm, retain=retain, **flags
+            )
         else:
             result = _pareto_dw_impl(net, kernels=engine == "tuple", **flags)
     if flush:
@@ -370,20 +375,11 @@ def _pareto_dw_impl(
     with_trees: bool,
     stats: Optional[DWStats],
     kernels: bool = True,
-    reuse_fronts: Optional[Dict[int, Dict[GridNode, List[Solution]]]] = None,
-    capture: Optional[List[Dict[int, Dict[GridNode, List[Solution]]]]] = None,
 ) -> List[Solution]:
-    """The DP body of :func:`pareto_dw` (degree already validated).
+    """The tuple-front DP body of :func:`pareto_dw` (degree validated).
 
-    ``reuse_fronts`` maps sink-subset masks to already-solved per-node
-    fronts (from a previous solve whose :func:`dw_signature` matched);
-    those masks are installed verbatim and skipped by the DP, which is
-    what makes an ECO re-solve cheap. ``capture``, when given, receives
-    one dict ``{mask: {node: front}}`` of the complete solved table —
-    the snapshot :func:`pareto_dw_with_state` wraps into a
-    :class:`DWState`. Neither hook changes any computed value: reused
-    fronts are bit-identical to what the skipped computation would have
-    produced (see :class:`DWState` for the exactness argument).
+    ``kernels=True`` runs the sorted-front kernels, ``kernels=False`` the
+    enumerate-and-sort reference.
     """
     grid = HananGrid.of_net(net)
     pin_nodes = grid.pin_nodes()
@@ -517,9 +513,6 @@ def _pareto_dw_impl(
     # Singletons.
     with span("dw.closure"):
         for si, s_node in enumerate(sink_nodes):
-            if reuse_fronts is not None and (1 << si) in reuse_fronts:
-                S[1 << si] = reuse_fronts[1 << si]
-                continue
             base = {s_node: [(0.0, 0.0, ("leaf", s_node))]}
             S[1 << si] = closure(base)
             if stats is not None:
@@ -532,9 +525,6 @@ def _pareto_dw_impl(
 
     for size in range(2, num_sinks + 1):
         for mask in masks_by_size[size]:
-            if reuse_fronts is not None and mask in reuse_fronts:
-                S[mask] = reuse_fronts[mask]
-                continue
             bits = [i for i in range(num_sinks) if mask >> i & 1]
             # Bounding box of the active sinks, for Lemma 3.
             if lemma3:
@@ -567,10 +557,6 @@ def _pareto_dw_impl(
             # is bounded by 2^(n-1) * |nodes| * |S|, fine for n <= 12.)
 
     result = S[full][source_node] if S[full] is not None else []
-    if capture is not None:
-        capture.append(
-            {mask: fronts for mask, fronts in enumerate(S) if fronts is not None}
-        )
     if not with_trees:
         return clean_front(result)
 
@@ -593,6 +579,8 @@ def _pareto_dw_array_impl(
     lemma4: bool,
     with_trees: bool,
     stats: Optional[DWStats],
+    warm: Optional[Tuple["DWState", Sequence[int]]] = None,
+    retain: Optional[List[Tuple[Any, ...]]] = None,
 ) -> List[Solution]:
     """The array-native DP engine :func:`pareto_dw` runs from degree 6 up.
 
@@ -617,6 +605,15 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
     ``docs/numerics.md`` for why each step preserves IEEE semantics).
     Its allocation counters differ: ``merge_candidates`` counts every
     product pair (``a · b`` per transition, like the reference).
+
+    The ECO hooks of :func:`pareto_dw_with_state`: ``warm = (state,
+    masks)`` installs the retained ``(mask, node)`` rows of ``masks``
+    from a :class:`DWState` whose :func:`dw_signature` matches and leaves
+    those masks out of every merge and closure batch (no work, no
+    counters); ``retain``, when given, receives the solved tables
+    compacted to what is still reachable (:func:`_compact_tables`).
+    Neither changes a computed value — an installed front is the one
+    the skipped work would have produced (``docs/numerics.md`` §5).
     """
     import numpy as np
 
@@ -688,6 +685,23 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
     num_slots = 0
     PTR = np.zeros((full + 1, num_nodes), dtype=np.int64)
     CNT = np.zeros((full + 1, num_nodes), dtype=np.int64)
+    # Warm start: the retained stores become the first chunks, so the
+    # installed rows' slot and element ids stay valid as they are.
+    reused: Set[int] = set()
+    if warm is not None:
+        state, reuse_masks = warm
+        reused = set(reuse_masks)
+        kind_chunks.append(state.kind)
+        ea_chunks.append(state.ea)
+        eb_chunks.append(state.eb)
+        num_elems = state.kind.shape[0]
+        fe_chunks.append(state.fe)
+        sw_chunks.append(state.sw)
+        sd_chunks.append(state.sd)
+        num_slots = state.fe.shape[0]
+        idx = np.array(list(reused), dtype=np.int64)
+        PTR[idx] = state.ptr[idx]
+        CNT[idx] = state.cnt[idx]
 
     def _append_slots(fe: Any, sw: Any, sd: Any) -> int:
         nonlocal num_slots
@@ -1009,23 +1023,26 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
         return src_ptr, src_eids, src_vis, src_w, src_d
 
     # --- singletons: one leaf element per sink, closed over all nodes.
-    with span("dw.closure"):
-        leaf_vis = np.array(
-            [node_index[s_node] for s_node in sink_nodes], dtype=np.int64
-        )
-        leaf_base = _append_elems(
-            0, leaf_vis, np.zeros(num_sinks, dtype=np.int64)
-        )
-        _closure(
-            [1 << si for si in range(num_sinks)],
-            np.arange(num_sinks + 1, dtype=np.int64),
-            leaf_base + np.arange(num_sinks, dtype=np.int64),
-            leaf_vis,
-            np.zeros(num_sinks, dtype=np.float64),
-            np.zeros(num_sinks, dtype=np.float64),
-        )
+    leaves = [si for si in range(num_sinks) if (1 << si) not in reused]
+    if leaves:
+        with span("dw.closure"):
+            n_leaves = len(leaves)
+            leaf_vis = np.array(
+                [node_index[sink_nodes[si]] for si in leaves], dtype=np.int64
+            )
+            leaf_base = _append_elems(
+                0, leaf_vis, np.zeros(n_leaves, dtype=np.int64)
+            )
+            _closure(
+                [1 << si for si in leaves],
+                np.arange(n_leaves + 1, dtype=np.int64),
+                leaf_base + np.arange(n_leaves, dtype=np.int64),
+                leaf_vis,
+                np.zeros(n_leaves, dtype=np.float64),
+                np.zeros(n_leaves, dtype=np.float64),
+            )
         if stats is not None:
-            stats.subsets += num_sinks
+            stats.subsets += n_leaves
 
     # --- larger subsets, one batched merge + closure pass per cardinality.
     masks_by_size: List[List[int]] = [[] for _ in range(num_sinks + 1)]
@@ -1037,6 +1054,8 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
     for size in range(2, num_sinks + 1):
         mask_rows: List[Tuple[int, List[int], Any]] = []
         for mask in masks_by_size[size]:
+            if mask in reused:
+                continue
             bits = [i for i in range(num_sinks) if mask >> i & 1]
             if lemma3:
                 ixs = [sink_nodes[i][0] for i in bits]
@@ -1058,6 +1077,8 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
                 bb = all_vi
             submasks = _splits_for_mask(mask, bits, size, boundary_rank, stats)
             mask_rows.append((mask, submasks, bb))
+        if not mask_rows:
+            continue
         with span("dw.merge"):
             merged = _merge(mask_rows)
         with span("dw.closure"):
@@ -1071,12 +1092,14 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
     src_vi = node_index[source_node]
     cnt = int(CNT[full, src_vi])
     ptr = int(PTR[full, src_vi])
-    if not cnt:
-        return []
     fe, sw, sd = _slots()
     ekind, ea, eb = (
         _consolidated(col) for col in (kind_chunks, ea_chunks, eb_chunks)
     )
+    if retain is not None:
+        retain.append(_compact_tables(PTR, CNT, fe, sw, sd, ekind, ea, eb))
+    if not cnt:
+        return []
     memo: Dict[int, Any] = {}
 
     def _payload_of(eid: int) -> Any:
@@ -1169,11 +1192,6 @@ def pareto_frontier(net: Net, **kwargs: Any) -> List[Tuple[float, float]]:
 # re-validates before reusing anything.
 
 
-#: A solved DP table: ``{mask: {node: sorted front}}`` with backpointer
-#: payloads (never materialized trees).
-DWFronts = Dict[int, Dict[GridNode, List[Solution]]]
-
-
 def dw_signature(net: Net) -> Tuple[Any, ...]:
     """The grid identity two solves must share for DP-state reuse.
 
@@ -1193,30 +1211,113 @@ def dw_signature(net: Net) -> Tuple[Any, ...]:
     return (tuple(grid.xs), tuple(grid.ys), nodes, boundary)
 
 
-@dataclass
+def _compact_tables(
+    PTR: Any, CNT: Any, fe: Any, sw: Any, sd: Any, kind: Any, ea: Any, eb: Any
+) -> Tuple[Any, ...]:
+    """The array engine's solved tables, compacted for a :class:`DWState`.
+
+    Keeps the slots of every ``(mask, node)`` front, repacked in row
+    order, and the elements those slots still reach; everything else —
+    merge survivors the closure dominated, retained rows a warm solve
+    recomputed — is dropped, so retained state never grows with the
+    edit history. Elements only reference lower ids, so reachability is
+    one vectorized pass per DAG level, and renumbering in id order keeps
+    that property for the next solve. Index columns are stored as int32
+    (ids and slot offsets stay far below 2**31).
+    """
+    import numpy as np
+
+    cnt = CNT.ravel()
+    ptr = np.cumsum(cnt) - cnt
+    slot = np.repeat(PTR.ravel() - ptr, cnt) + np.arange(
+        int(cnt.sum()), dtype=np.int64
+    )
+    fe_live = fe.take(slot)
+    # Boolean marks, not np.unique: a level is deduplicated by one
+    # scatter and one flatnonzero instead of a sort.
+    live = np.zeros(kind.shape[0], dtype=bool)
+    live[fe_live] = True
+    level = np.flatnonzero(live)
+    while level.size:
+        k = kind.take(level)
+        fresh = np.zeros_like(live)
+        fresh[ea.take(level[k != 0])] = True
+        fresh[eb.take(level[k == 2])] = True
+        fresh &= ~live
+        live |= fresh
+        level = np.flatnonzero(fresh)
+    new_id = np.cumsum(live) - 1
+    kind_l = kind[live]
+    ea_l = ea[live]
+    eb_l = eb[live]
+    ref = kind_l != 0
+    ea_l[ref] = new_id.take(ea_l[ref])
+    ref = kind_l == 2
+    eb_l[ref] = new_id.take(eb_l[ref])
+    i32 = np.int32
+    return (
+        ptr.reshape(CNT.shape).astype(i32),
+        CNT.astype(i32),
+        new_id.take(fe_live).astype(i32),
+        sw.take(slot),
+        sd.take(slot),
+        kind_l,
+        ea_l.astype(i32),
+        eb_l.astype(i32),
+    )
+
+
+@dataclass(eq=False)
 class DWState:
-    """Retained Dreyfus–Wagner solver state of one :func:`pareto_dw` solve.
+    """Retained Dreyfus–Wagner solver state of one array-engine solve.
 
-    ``fronts`` holds the complete solved table — every sink-subset mask's
-    per-node sorted Pareto front, payloads as backpointers. A later solve
+    The complete solved table in the array engine's own layout:
+
+    * ``ptr`` / ``cnt`` — one row per sink-subset mask, one column per
+      Lemma-2 surviving grid node: where each ``(mask, node)`` front
+      starts in the slot columns, and how many points it has;
+    * ``fe`` / ``sw`` / ``sd`` — the slot columns: each front point's
+      element id and its ``(w, d)`` objectives;
+    * ``kind`` / ``ea`` / ``eb`` — the backpointer element store (0 =
+      leaf of a grid node, 1 = extension of child ``ea`` along edge
+      ``eb = u * nodes + v``, 2 = merge of ``ea`` and ``eb``); elements
+      only reference lower ids.
+
+    Compacted to the elements the fronts still reach, so its size
+    follows one solve's fronts, never the edit history. A later solve
     whose :func:`dw_signature` equals ``signature`` may install any mask
-    whose sinks are positionally unchanged (same index, same coordinates)
-    and skip its computation; the skipped work would have reproduced the
-    stored fronts bit-for-bit (see the module comment above for why).
-
-    Fronts are stored as tuple-kernel fronts (state capture and reuse
-    run on the tuple kernels only); nothing here is ever mutated after
-    capture.
+    whose sinks are positionally unchanged (same index, same coordinates
+    in ``sink_keys``) and skip its computation; the skipped work would
+    have reproduced the stored fronts bit-for-bit (see the module
+    comment above). Nothing here is mutated after capture.
     """
 
     signature: Tuple[Any, ...]
     sink_keys: Tuple[Tuple[float, float], ...]
-    fronts: DWFronts
+    ptr: Any
+    cnt: Any
+    fe: Any
+    sw: Any
+    sd: Any
+    kind: Any
+    ea: Any
+    eb: Any
 
     @property
     def num_masks(self) -> int:
         """How many sink-subset masks the snapshot holds."""
-        return len(self.fronts)
+        return int(self.cnt.shape[0]) - 1
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the retained arrays (``eco.retained_bytes``)."""
+        return sum(
+            int(col.nbytes)
+            for col in (
+                self.ptr, self.cnt, self.fe, self.sw, self.sd,
+                self.kind, self.ea, self.eb,
+            )
+        )
 
 
 @dataclass
@@ -1238,8 +1339,12 @@ class DWReuse:
         return self.reused_masks / total if total else 0.0
 
 
-def _reusable_fronts(state: DWState, net: Net) -> Optional[DWFronts]:
-    """The subset of ``state.fronts`` valid for ``net``, or None.
+def _reusable_masks(
+    state: DWState,
+    signature: Tuple[Any, ...],
+    sink_keys: Tuple[Tuple[float, float], ...],
+) -> List[int]:
+    """The masks of ``state`` a solve of ``signature`` / ``sink_keys`` may install.
 
     Requires the grid signatures to match exactly, then keeps every mask
     whose sink bits are *positionally unchanged* — sink ``i`` of the new
@@ -1249,20 +1354,19 @@ def _reusable_fronts(state: DWState, net: Net) -> Optional[DWFronts]:
     edits that renumber sinks invalidate everything, because the bit
     indexing feeds the split enumeration order.
     """
-    if state.signature != dw_signature(net):
-        return None
+    if state.signature != signature:
+        return []
     old_sinks = state.sink_keys
-    new_sinks = tuple((p.x, p.y) for p in net.sinks)
     clean = 0
-    for i in range(min(len(old_sinks), len(new_sinks))):
-        if old_sinks[i] == new_sinks[i]:
+    for i in range(min(len(old_sinks), len(sink_keys))):
+        if old_sinks[i] == sink_keys[i]:
             clean |= 1 << i
-    reuse = {
-        mask: fronts
-        for mask, fronts in state.fronts.items()
-        if mask and mask & ~clean == 0
-    }
-    return reuse or None
+    masks: List[int] = []
+    sub = clean
+    while sub:
+        masks.append(sub)
+        sub = (sub - 1) & clean
+    return masks
 
 
 def pareto_dw_with_state(
@@ -1272,17 +1376,20 @@ def pareto_dw_with_state(
     with_trees: bool = True,
     max_degree: int = DEFAULT_MAX_DEGREE,
     stats: Optional[DWStats] = None,
-) -> Tuple[List[Solution], DWState, DWReuse]:
-    """:func:`pareto_dw` with solver-state snapshot and reuse.
+) -> Tuple[List[Solution], Optional[DWState], DWReuse]:
+    """:func:`pareto_dw` with solver-state retention and reuse (the ECO path).
 
-    Solves ``net`` exactly like ``pareto_dw(net)`` — default pruning
-    flags, sorted-front kernels — but additionally returns a
-    :class:`DWState` snapshot of the full DP table and, when ``state``
-    from a previous solve is supplied, installs every still-valid subset
-    front instead of recomputing it. The returned frontier is
-    **bit-identical** to a cold ``pareto_dw(net)`` whichever engine that
-    dispatches to (the engines are themselves bit-identical by the
-    ``docs/numerics.md`` contract); only the work done differs. Reuse accounting comes back as a :class:`DWReuse`.
+    From degree :data:`_ARRAY_MIN_DEGREE` up, solves ``net`` on the array
+    engine with the default pruning flags, returns a :class:`DWState` of
+    the solved tables and, when ``state`` from a previous solve is
+    supplied, installs every still-valid subset front instead of
+    recomputing it. Below that degree it is the dispatched cold
+    :func:`pareto_dw` — sub-millisecond tuple solves — and retains
+    nothing: the state comes back ``None`` and every mask counts as
+    computed. Either way the returned frontier is **bit-identical** to a
+    cold ``pareto_dw(net)`` — trees and tie choices included (the
+    ``docs/numerics.md`` contract); only the work done differs. Reuse
+    accounting comes back as a :class:`DWReuse`.
 
     Raises :class:`~repro.exceptions.DegreeTooLargeError` when
     ``net.degree > max_degree`` (same contract as :func:`pareto_dw`).
@@ -1290,34 +1397,29 @@ def pareto_dw_with_state(
     n = net.degree
     if n > max_degree:
         raise DegreeTooLargeError(n, max_degree)
-    flush = stats is None and _obs_enabled()
-    if flush:
-        stats = DWStats()
-    reuse_fronts = _reusable_fronts(state, net) if state is not None else None
-    capture: List[DWFronts] = []
-    with span("dw.solve"):
-        result = _pareto_dw_impl(
-            net,
-            lemma2=True,
-            lemma3=True,
-            lemma4=True,
-            with_trees=with_trees,
-            stats=stats,
-            kernels=True,
-            reuse_fronts=reuse_fronts,
-            capture=capture,
+    num_masks = (1 << (n - 1)) - 1
+    if n < _ARRAY_MIN_DEGREE:
+        front = pareto_dw(
+            net, with_trees=with_trees, max_degree=max_degree, stats=stats
         )
-    if flush:
-        assert stats is not None
-        _flush_dw_stats(stats, "tuple")
-    fronts = capture[0]
-    new_state = DWState(
-        signature=dw_signature(net),
-        sink_keys=tuple((p.x, p.y) for p in net.sinks),
-        fronts=fronts,
+        return front, None, DWReuse(computed_masks=num_masks)
+    signature = dw_signature(net)
+    sink_keys = tuple((p.x, p.y) for p in net.sinks)
+    masks = (
+        _reusable_masks(state, signature, sink_keys) if state is not None else []
     )
-    reused = len(reuse_fronts) if reuse_fronts else 0
+    retain: List[Tuple[Any, ...]] = []
+    result = _pareto_dw_on(
+        net,
+        "array",
+        with_trees=with_trees,
+        max_degree=max_degree,
+        stats=stats,
+        warm=(state, masks) if masks else None,
+        retain=retain,
+    )
+    new_state = DWState(signature, sink_keys, *retain[0])
     reuse = DWReuse(
-        reused_masks=reused, computed_masks=len(fronts) - reused
+        reused_masks=len(masks), computed_masks=num_masks - len(masks)
     )
     return result, new_state, reuse

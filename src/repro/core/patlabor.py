@@ -74,17 +74,25 @@ class PatLabor:
         self.config = config or PatLaborConfig()
         self.rng = random.Random(self.config.seed)
         self.policy = policy or SelectionPolicy()
+        self._capabilities = None
 
     @property
     def capabilities(self):
         """:class:`~repro.engine.protocol.RouterCapabilities` of this router.
 
         The frontier is exact up to the configured lambda; larger nets
-        get the local-search approximation (no hard degree limit).
+        get the local-search approximation (no hard degree limit). Built
+        once and rebuilt only when ``config.lam`` changes (the config is
+        mutable), since validation reads it on every routed net.
         """
-        from ..engine.protocol import RouterCapabilities
+        caps = self._capabilities
+        if caps is None or caps.exact_up_to != self.config.lam:
+            from ..engine.protocol import RouterCapabilities
 
-        return RouterCapabilities(exact_up_to=self.config.lam)
+            caps = self._capabilities = RouterCapabilities(
+                exact_up_to=self.config.lam
+            )
+        return caps
 
     # ------------------------------------------------------------ dispatch
 

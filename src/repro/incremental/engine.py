@@ -43,7 +43,7 @@ from ..engine.protocol import RouterCapabilities
 from ..exceptions import InvalidNetError, InvalidTreeError, ReproError
 from ..geometry.net import Net
 from ..geometry.point import l1
-from ..obs import counter_add, emit_event, events_enabled, span
+from ..obs import counter_add, emit_event, events_enabled, gauge_set, span
 from ..routing.tree import RoutingTree
 from .delta import NetDelta, apply_delta
 
@@ -129,6 +129,11 @@ class _NetSession:
     front: List[Solution]
     dw_state: Optional[DWState] = None
 
+    @property
+    def retained_bytes(self) -> int:
+        """Bytes of retained DW solver state (0 without any)."""
+        return self.dw_state.nbytes if self.dw_state is not None else 0
+
 
 class IncrementalRouter(RouterMiddleware):
     """ECO middleware: delta-aware re-routing over retained state.
@@ -137,7 +142,8 @@ class IncrementalRouter(RouterMiddleware):
     additionally *track* the net (by name) so later ``apply_delta``
     calls have a session to edit against. Sessions are LRU-bounded by
     ``max_sessions``; untracked nets must be routed (seeded) before
-    they can take deltas.
+    they can take deltas. :attr:`retained_bytes` tracks the memory the
+    sessions' DW solver state holds.
     """
 
     def __init__(self, inner: object, max_sessions: int = 10_000) -> None:
@@ -145,11 +151,28 @@ class IncrementalRouter(RouterMiddleware):
         super().__init__(inner)  # type: ignore[arg-type]
         self.max_sessions = max_sessions
         self._sessions: "OrderedDict[str, _NetSession]" = OrderedDict()
+        self._retained_bytes = 0
+        self._caps_of: Optional[RouterCapabilities] = None
+        self._caps: Optional[RouterCapabilities] = None
 
     @property
     def capabilities(self) -> RouterCapabilities:
-        """The wrapped capabilities with ``incremental=True``."""
-        return replace(self.inner.capabilities, incremental=True)
+        """The wrapped capabilities with ``incremental=True``.
+
+        Rebuilt only when the wrapped stack hands out a different
+        capabilities object (e.g. after its ``config.lam`` changed).
+        """
+        inner = self.inner.capabilities
+        caps = self._caps
+        if caps is None or inner is not self._caps_of:
+            caps = self._caps = replace(inner, incremental=True)
+            self._caps_of = inner
+        return caps
+
+    @property
+    def retained_bytes(self) -> int:
+        """Bytes of DW solver state held across all ECO sessions."""
+        return self._retained_bytes
 
     @property
     def num_sessions(self) -> int:
@@ -170,17 +193,25 @@ class IncrementalRouter(RouterMiddleware):
 
     def forget(self, name: str) -> None:
         """Drop the retained state of one net (no-op when untracked)."""
-        self._sessions.pop(name, None)
+        session = self._sessions.pop(name, None)
+        if session is not None:
+            self._retained_bytes -= session.retained_bytes
 
     def clear_sessions(self) -> None:
         """Drop every retained ECO session."""
         self._sessions.clear()
+        self._retained_bytes = 0
 
     def _remember(self, name: str, session: _NetSession) -> None:
-        if name not in self._sessions and len(self._sessions) >= self.max_sessions:
-            self._sessions.popitem(last=False)
+        old = self._sessions.get(name)
+        if old is not None:
+            self._retained_bytes -= old.retained_bytes
+        elif len(self._sessions) >= self.max_sessions:
+            _, evicted = self._sessions.popitem(last=False)
+            self._retained_bytes -= evicted.retained_bytes
         self._sessions[name] = session
         self._sessions.move_to_end(name)
+        self._retained_bytes += session.retained_bytes
 
     # ------------------------------------------------------------ warm path
 
@@ -214,6 +245,7 @@ class IncrementalRouter(RouterMiddleware):
             counter_add("eco.cache_hits")
         counter_add("eco.masks_reused", result.reused_masks)
         counter_add("eco.masks_total", result.total_masks)
+        gauge_set("eco.retained_bytes", self._retained_bytes)
         if events_enabled():
             emit_event(
                 "eco_solve",
@@ -248,7 +280,9 @@ class IncrementalRouter(RouterMiddleware):
             front, state, reuse = pareto_dw_with_state(
                 new_net, state=session.dw_state
             )
+            self._retained_bytes -= session.retained_bytes
             session.dw_state = state
+            self._retained_bytes += session.retained_bytes
         elif tier == "local_search" and session.front:
             seed_tree = adapt_tree(session.front[0][2], new_net, delta)
             try:

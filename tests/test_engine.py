@@ -66,6 +66,15 @@ class TestRegistry:
         assert router.config.lam == 5
         assert router.capabilities.exact_up_to == 5
 
+    def test_capabilities_cached_until_lambda_changes(self):
+        router = create_router("patlabor")
+        caps = router.capabilities
+        assert router.capabilities is caps  # not rebuilt per routed net
+        router.config.lam = 6  # PatLaborConfig is mutable
+        assert router.capabilities.exact_up_to == 6
+        router.config = PatLaborConfig(lam=4)
+        assert router.capabilities.exact_up_to == 4
+
     def test_every_router_satisfies_protocol_and_routes(self):
         net = random_net(5, rng=random.Random(0), name="probe")
         for name in available_routers():

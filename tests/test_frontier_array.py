@@ -4,10 +4,12 @@ Mirrors ``test_frontier_kernels.py`` for :mod:`repro.core.frontier_array`:
 
 * hypothesis round trips — ``front_to_arrays`` / ``arrays_to_front`` are
   bit-identical inverses;
-* every array kernel twin returns exactly what its tuple kernel returns
-  (objectives, survivor indices *and* tie choices) on random inputs drawn
-  from a tie-heavy value pool, plus deterministic ``math.nextafter``
-  rounding-collision cases;
+* every tuple-kernel operation the array engine performs as one
+  segmented filter call — filter, shift (closure extension), cross
+  (merge product via ``ragged_product_indices``), union — returns exactly
+  what the tuple kernel returns (objectives, survivors *and* tie
+  choices) on random inputs drawn from a tie-heavy value pool, plus
+  deterministic ``math.nextafter`` rounding-collision cases;
 * the segmented batch kernels (``segmented_pareto_filter``,
   ``segment_strict_prune``, ``ragged_product_indices`` and their packed
   variants) match straightforward per-segment references;
@@ -46,19 +48,13 @@ from repro.core.frontier import (
 )
 from repro.core.frontier_array import (
     arrays_to_front,
-    cross_sorted_arrays,
     front_to_arrays,
-    merge_shifted_arrays,
-    merge_sorted_fronts_arrays,
     pack_objectives,
-    pareto_filter_sorted_array,
-    pareto_filter_sorted_arrays,
     ragged_product_indices,
     segment_strict_prune,
     segmented_pareto_filter,
     segmented_pareto_filter_packed,
     segmented_pareto_keep,
-    shift_sorted_arrays,
 )
 from repro.core.pareto import objectives, pareto_filter
 from repro.core.patlabor import PatLabor, PatLaborConfig
@@ -142,7 +138,25 @@ class TestRoundTrip:
         assert arrays_to_front(w, d, payloads) == []
 
 
-# -------------------------------------------------------------- filtering
+# ----------------------------------------------- single-front operations
+#
+# The array engine has no per-front kernels: a single front is one
+# segment of the segmented filter, and the tuple kernels' filter, shift,
+# cross and union are each a gather plus one segmented call. These
+# classes check exactly that composition against the tuple kernels.
+
+
+def one_segment_filter(w, d):
+    """The array engine's exact filter over a single front (one segment)."""
+    return segmented_pareto_filter(np.zeros(w.shape[0], dtype=np.int64), w, d)
+
+
+def filtered_front(w, d, payloads):
+    """Survivors of :func:`one_segment_filter` as a tuple front."""
+    idx = one_segment_filter(w, d)
+    return arrays_to_front(
+        w.take(idx), d.take(idx), [payloads[i] for i in idx.tolist()]
+    )
 
 
 class TestParetoFilterSortedArrays:
@@ -150,33 +164,15 @@ class TestParetoFilterSortedArrays:
     @given(solution_lists())
     def test_matches_tuple_kernel_exactly(self, sols):
         w, d, payloads = front_to_arrays(sols)
-        w2, d2, idx = pareto_filter_sorted_arrays(w, d)
-        got = arrays_to_front(w2, d2, [payloads[i] for i in idx.tolist()])
+        got = filtered_front(w, d, payloads)
         assert got == pareto_filter_sorted(sols) == pareto_filter(sols)
 
-    @few
-    @given(solution_lists())
-    def test_tuple_api_drop_in(self, sols):
-        assert pareto_filter_sorted_array(sols) == pareto_filter_sorted(sols)
-
-    def test_empty_front(self):
-        w2, d2, idx = pareto_filter_sorted_arrays(np.empty(0), np.empty(0))
-        assert w2.shape == d2.shape == idx.shape == (0,)
-        assert pareto_filter_sorted_array([]) == []
-
     def test_single_point_survives(self):
-        w2, d2, idx = pareto_filter_sorted_arrays(
-            np.array([1.0]), np.array([2.0])
-        )
+        idx = one_segment_filter(np.array([1.0]), np.array([2.0]))
         assert idx.tolist() == [0]
-        assert pareto_filter_sorted_array([(1.0, 2.0, "p")]) == [
-            (1.0, 2.0, "p")
-        ]
 
     def test_exact_duplicates_keep_first(self):
-        _, _, idx = pareto_filter_sorted_arrays(
-            np.array([1.0, 1.0]), np.array([2.0, 2.0])
-        )
+        idx = one_segment_filter(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
         assert idx.tolist() == [0]
 
 
@@ -184,14 +180,13 @@ class TestParetoFilterSortedArrays:
 
 
 class TestShiftSortedArrays:
+    """A closure extension: both objectives shifted by one offset, filtered."""
+
     @few
     @given(fronts(), coord)
     def test_matches_tuple_kernel(self, front, x):
-        ref = shift_sorted(front, x)
         w, d, payloads = front_to_arrays(front)
-        w2, d2, idx = shift_sorted_arrays(w, d, x)
-        got = arrays_to_front(w2, d2, [payloads[i] for i in idx.tolist()])
-        assert got == ref
+        assert filtered_front(w + x, d + x, payloads) == shift_sorted(front, x)
 
     def test_w_collision_keeps_smaller_delay(self):
         w = 1293.2694644882506
@@ -199,7 +194,7 @@ class TestShiftSortedArrays:
         off = 96.61455694252402
         assert w != w2 and w + off == w2 + off
         aw, ad, _ = front_to_arrays([(w, 2.0, None), (w2, 1.0, None)])
-        _, _, idx = shift_sorted_arrays(aw, ad, off)
+        idx = one_segment_filter(aw + off, ad + off)
         assert idx.tolist() == [1]  # replace-on-w-collision: keep last
 
     def test_d_collision_keeps_earlier_point(self):
@@ -208,11 +203,30 @@ class TestShiftSortedArrays:
         off = 96.61455694252402
         assert d_lo + off == d_hi + off
         aw, ad, _ = front_to_arrays([(1.0, d_hi, None), (2.0, d_lo, None)])
-        _, _, idx = shift_sorted_arrays(aw, ad, off)
+        idx = one_segment_filter(aw + off, ad + off)
         assert idx.tolist() == [0]  # first point weakly dominates
 
 
 # ------------------------------------------------------------------ cross
+
+
+def product_front(s1, s2):
+    """A merge transition the array engine's way: ragged product, filter.
+
+    Returns the surviving solutions (payloads are ``(p1, p2)`` pairs) and
+    the full product bucket in enumeration order.
+    """
+    w1, d1, p1 = front_to_arrays(s1)
+    w2, d2, p2 = front_to_arrays(s2)
+    zero = np.zeros(1, dtype=np.int64)
+    _, i_idx, j_idx = ragged_product_indices(
+        np.array([len(s1)]), np.array([len(s2)]), zero, zero
+    )
+    w = w1.take(i_idx) + w2.take(j_idx)
+    d = np.maximum(d1.take(i_idx), d2.take(j_idx))
+    pairs = [(p1[i], p2[j]) for i, j in zip(i_idx.tolist(), j_idx.tolist())]
+    bucket = arrays_to_front(w, d, pairs)
+    return filtered_front(w, d, pairs), bucket
 
 
 class TestCrossSortedArrays:
@@ -220,63 +234,41 @@ class TestCrossSortedArrays:
     @given(fronts(max_size=8), fronts(max_size=8))
     def test_matches_tuple_kernel(self, s1, s2):
         ref = cross_sorted(s1, s2, lambda a, b: (a, b))
-        w1, d1, p1 = front_to_arrays(s1)
-        w2, d2, p2 = front_to_arrays(s2)
-        w, d, i_idx, j_idx = cross_sorted_arrays(w1, d1, w2, d2)
-        got = arrays_to_front(
-            w, d,
-            [(p1[i], p2[j]) for i, j in zip(i_idx.tolist(), j_idx.tolist())],
-        )
+        got, bucket = product_front(s1, s2)
         assert objectives(got) == objectives(ref)
         assert is_sorted_front(got)
-        # Index pairs must attain the output objectives exactly.
-        for (ow, od, _), i, j in zip(got, i_idx.tolist(), j_idx.tolist()):
-            assert ow == s1[i][0] + s2[j][0]
-            assert od == max(s1[i][1], s2[j][1])
+        # Payload ties resolve like the reference merge bucket's filter.
+        assert got == pareto_filter(bucket)
 
     @few
     @given(fronts(max_size=8))
     def test_empty_operand(self, s1):
-        w1, d1, _ = front_to_arrays(s1)
-        for args in (
-            (w1, d1, np.empty(0), np.empty(0)),
-            (np.empty(0), np.empty(0), w1, d1),
-        ):
-            w, d, i_idx, j_idx = cross_sorted_arrays(*args)
-            assert w.shape == d.shape == i_idx.shape == j_idx.shape == (0,)
+        for args in ((s1, []), ([], s1)):
+            got, bucket = product_front(*args)
+            assert got == bucket == []
 
     def test_w_collision_emits_single_point(self):
         w = 1293.2694644882506
         w2 = math.nextafter(w, math.inf)
         x = 96.61455694252402
         assert w + x == w2 + x
-        aw, ad, _ = front_to_arrays([(w, 2.0, None), (w2, 1.0, None)])
-        bw, bd, _ = front_to_arrays([(x, 0.5, None)])
-        ow, od, i_idx, _ = cross_sorted_arrays(aw, ad, bw, bd)
-        assert ow.tolist() == [w + x] and od.tolist() == [1.0]
-        assert i_idx.tolist() == [1]
+        got, _ = product_front([(w, 2.0, "a"), (w2, 1.0, "b")], [(x, 0.5, "c")])
+        assert got == [(w + x, 1.0, ("b", "c"))]
 
 
 # ------------------------------------------------------------------ union
 
 
 class TestMergeArrays:
+    """Unions of fronts: concatenated in argument order, one filter."""
+
     @few
     @given(st.lists(fronts(max_size=8), max_size=4))
     def test_merge_sorted_fronts_matches(self, front_list):
         ref = merge_sorted_fronts(*front_list)
-        ws, ds, ps = [], [], []
-        for f in front_list:
-            w, d, p = front_to_arrays(f)
-            ws.append(w)
-            ds.append(d)
-            ps.append(p)
-        w2, d2, f_idx, e_idx = merge_sorted_fronts_arrays(ws, ds)
-        got = arrays_to_front(
-            w2, d2,
-            [ps[f][e] for f, e in zip(f_idx.tolist(), e_idx.tolist())],
-        )
-        assert got == ref
+        flat = [s for f in front_list for s in f]
+        w, d, p = front_to_arrays(flat)
+        assert filtered_front(w, d, p) == ref
 
     @few
     @given(
@@ -287,25 +279,9 @@ class TestMergeArrays:
     )
     def test_merge_shifted_matches(self, runs):
         ref, _ = merge_shifted([(off, f, None) for off, f in runs])
-        offs = np.array([off for off, _ in runs], dtype=np.float64)
-        ws, ds, ps = [], [], []
-        for _, f in runs:
-            w, d, p = front_to_arrays(f)
-            ws.append(w)
-            ds.append(d)
-            ps.append(p)
-        w2, d2, r_idx, e_idx = merge_shifted_arrays(offs, ws, ds)
-        got = arrays_to_front(
-            w2, d2,
-            [ps[r][e] for r, e in zip(r_idx.tolist(), e_idx.tolist())],
-        )
-        assert got == ref
-
-    def test_empty_inputs(self):
-        w, d, f_idx, e_idx = merge_sorted_fronts_arrays([], [])
-        assert w.shape == d.shape == f_idx.shape == e_idx.shape == (0,)
-        w, d, r_idx, e_idx = merge_shifted_arrays(np.empty(0), [], [])
-        assert w.shape == d.shape == r_idx.shape == e_idx.shape == (0,)
+        flat = [(w + off, d + off, p) for off, f in runs for w, d, p in f]
+        w, d, p = front_to_arrays(flat)
+        assert filtered_front(w, d, p) == ref
 
 
 # ------------------------------------------------------- segmented kernels

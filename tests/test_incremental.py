@@ -10,6 +10,7 @@ quality is asserted there.
 """
 
 import dataclasses
+import importlib
 import random
 
 import pytest
@@ -23,12 +24,14 @@ from repro.core.pareto_dw import (
     pareto_dw,
     pareto_dw_with_state,
 )
+from repro import obs
 from repro.engine import EngineSpec, build_engine
 from repro.exceptions import (
     InvalidNetError,
     ProtocolVersionError,
     SerializationError,
 )
+from repro.geometry.hanan import HananGrid
 from repro.geometry.net import Net, random_net
 from repro.incremental import (
     EXACT_TIERS,
@@ -47,6 +50,9 @@ from repro.incremental import (
 )
 from repro.routing.tree import RoutingTree
 from repro.serve.protocol import PROTOCOL_VERSION, check_version
+
+
+pareto_dw_module = importlib.import_module("repro.core.pareto_dw")
 
 
 def _objectives(front):
@@ -199,6 +205,84 @@ class TestNetDelta:
 
 # ------------------------------------------------------- DW state reuse
 
+#: Coordinate lines of the 5x5 lattice the edit-kind cases draw pins from.
+_LINES = (0.0, 250.0, 500.0, 750.0, 1000.0)
+
+
+def _case_net(degree, seed, ring):
+    """A degree-``degree`` net on the 5x5 lattice.
+
+    ``ring=True`` draws every pin from the lattice boundary, so Lemma 4
+    (circular splits) is active; otherwise pins may sit anywhere on it.
+    """
+    points = [
+        (x, y)
+        for x in _LINES
+        for y in _LINES
+        if not ring or x in (0.0, 1000.0) or y in (0.0, 1000.0)
+    ]
+    pins = random.Random(seed).sample(points, degree)
+    return Net.from_points(pins[0], pins[1:], name=f"case{seed}")
+
+
+def _reusing_edit(net, kind, rng):
+    """A ``kind`` edit of ``net`` that keeps its DW signature, or None."""
+    grid = HananGrid.of_net(net)
+    occupied = {(p.x, p.y) for p in net.pins}
+    vacancies = [
+        (x, y) for x in grid.xs for y in grid.ys if (x, y) not in occupied
+    ]
+    rng.shuffle(vacancies)
+    if kind == "remove":
+        candidates = [
+            NetDelta("remove", net=net.name, sink_index=len(net.sinks) - 1)
+        ]
+    elif kind == "move":
+        candidates = [
+            NetDelta("move", net=net.name, sink_index=si, point=p)
+            for p in vacancies
+            for si in range(len(net.sinks))
+        ]
+    else:  # add, source
+        candidates = [NetDelta(kind, net=net.name, point=p) for p in vacancies]
+    signature = dw_signature(net)
+    for delta in candidates:
+        if dw_signature(apply_delta(net, delta)) == signature:
+            return delta
+    return None
+
+
+def _reusing_case(kind, degree, ring):
+    """The first lattice net (by seed) with a signature-keeping ``kind`` edit."""
+    for seed in range(50):
+        net = _case_net(degree, seed, ring)
+        delta = _reusing_edit(net, kind, random.Random(seed))
+        if delta is not None:
+            return net, delta
+    raise AssertionError(f"no signature-keeping {kind} edit at degree {degree}")
+
+
+def _positional_masks(old, new):
+    """The masks the positional rule reuses: sinks at the same index and place."""
+    clean = 0
+    for i, (a, b) in enumerate(zip(old.sinks, new.sinks)):
+        if (a.x, a.y) == (b.x, b.y):
+            clean |= 1 << i
+    return {m for m in range(1, clean + 1) if m & ~clean == 0}
+
+
+#: (kind, degree before the edit): every edited net stays at degree 6..9.
+EDIT_CASES = [
+    (kind, degree)
+    for kind, degrees in (
+        ("move", (6, 7, 8, 9)),
+        ("source", (6, 7, 8, 9)),
+        ("add", (6, 7, 8)),
+        ("remove", (7, 8, 9)),
+    )
+    for degree in degrees
+]
+
 
 class TestDWStateReuse:
     def test_warm_solve_bit_identical_with_reuse(self):
@@ -240,6 +324,71 @@ class TestDWStateReuse:
         assert reuse.reused_masks == 0
         assert warm == pareto_dw(edited)
 
+    @pytest.mark.parametrize("ring", [False, True], ids=["lattice", "ring"])
+    @pytest.mark.parametrize("kind,degree", EDIT_CASES)
+    def test_warm_solve_equals_cold_per_edit_kind(
+        self, kind, degree, ring, monkeypatch
+    ):
+        net, delta = _reusing_case(kind, degree, ring)
+        edited = apply_delta(net, delta)
+        _cold, state, _r = pareto_dw_with_state(net)
+        installed = []
+        real = pareto_dw_module._pareto_dw_array_impl
+
+        def spy(n, *, warm=None, **kw):
+            installed.append(set(warm[1]) if warm is not None else set())
+            return real(n, warm=warm, **kw)
+
+        monkeypatch.setattr(pareto_dw_module, "_pareto_dw_array_impl", spy)
+        warm, new_state, reuse = pareto_dw_with_state(edited, state=state)
+        monkeypatch.undo()
+        # Trees and tie choices equal the dispatched cold solve; the
+        # objectives equal the enumerate-and-sort reference.
+        assert warm == pareto_dw(edited)
+        assert _objectives(warm) == _objectives(
+            pareto_dw(edited, kernels=False)
+        )
+        # Reuse is exactly the positional rule's mask set.
+        predicted = _positional_masks(net, edited)
+        assert installed == [predicted]
+        assert reuse.reused_masks == len(predicted) > 0
+        assert reuse.total_masks == (1 << len(edited.sinks)) - 1
+        # The retained state is complete: a second warm solve from it
+        # reuses every mask and still equals the cold front.
+        again, _s, full = pareto_dw_with_state(edited, state=new_state)
+        assert full.computed_masks == 0
+        assert again == warm
+
+    def test_small_degree_is_cold_and_retains_nothing(self):
+        big = _case_net(6, 3, ring=False)
+        _front, state, _r = pareto_dw_with_state(big)
+        small = apply_delta(
+            big, NetDelta("remove", net=big.name, sink_index=4)
+        )
+        assert small.degree < pareto_dw_module._ARRAY_MIN_DEGREE
+        for prior in (None, state):
+            front, new_state, reuse = pareto_dw_with_state(small, state=prior)
+            assert front == pareto_dw(small)
+            assert new_state is None
+            assert reuse.reused_masks == 0
+            assert reuse.computed_masks == (1 << len(small.sinks)) - 1
+
+    def test_retained_state_stays_bounded(self):
+        """200 grid-preserving edits: never above 2x a cold state's bytes."""
+        net = _lattice_net("bounded")
+        _f, state, _r = pareto_dw_with_state(net, with_trees=False)
+        rng = random.Random(11)
+        for _ in range(200):
+            delta = grid_preserving_move(net, rng)
+            assert delta is not None
+            net = apply_delta(net, delta)
+            _f, state, reuse = pareto_dw_with_state(
+                net, state=state, with_trees=False
+            )
+            assert reuse.reused_masks > 0
+            _f, cold, _r = pareto_dw_with_state(net, with_trees=False)
+            assert state.nbytes <= 2 * cold.nbytes
+
 
 # -------------------------------------------------- incremental engine
 
@@ -253,6 +402,45 @@ class TestIncrementalRouter:
     def test_capabilities_flag(self):
         assert self._engine().capabilities.incremental is True
         assert _fresh_engine().capabilities.incremental is False
+
+    def test_capabilities_follow_lambda_changes(self):
+        inner = _fresh_engine()
+        engine = IncrementalRouter(inner)
+        caps = engine.capabilities
+        assert caps is engine.capabilities  # built once, not per call
+        inner.config.lam = 7
+        assert engine.capabilities.exact_up_to == 7
+        assert engine.capabilities.incremental is True
+
+    def test_retained_bytes_gauge(self):
+        """``eco.retained_bytes`` is the sum of the sessions' DW state bytes."""
+        engine = self._engine()
+        nets = [_lattice_net("g0"), _lattice_net("g1")]
+        for net in nets:
+            engine.route(net)
+        obs.reset()
+        obs.enable()
+        try:
+            current = {net.name: net for net in nets}
+            rng = random.Random(4)
+            for name in ("g0", "g1", "g0"):
+                delta = grid_preserving_move(current[name], rng)
+                current[name] = apply_delta(current[name], delta)
+                assert engine.apply_delta(delta).tier == "dw"
+            gauge = obs.snapshot()["gauges"]["eco.retained_bytes"]
+        finally:
+            obs.disable()
+            obs.reset()
+        sessions = engine._sessions.values()
+        held = sum(s.dw_state.nbytes for s in sessions if s.dw_state)
+        assert gauge == held == engine.retained_bytes > 0
+        engine.forget("g0")
+        held = sum(s.dw_state.nbytes for s in sessions if s.dw_state)
+        assert engine.retained_bytes == held > 0
+        engine.route(current["g1"])  # a plain route drops the DW state
+        assert engine.retained_bytes == 0
+        engine.clear_sessions()
+        assert engine.retained_bytes == 0
 
     def test_unknown_net_raises(self):
         engine = self._engine()
