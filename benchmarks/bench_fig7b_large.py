@@ -30,10 +30,11 @@ def test_fig7b_large_nets(benchmark, suite):
         curves,
         title=f"Fig. 7(b) — large nets (degrees 10-50, {NUM_NETS} nets)",
     )
-    write_artifact("fig7b_large.txt", rendered)
-
     by_name = {c.method: c for c in curves}
     ours, salt, ysd = by_name["PatLabor"], by_name["SALT"], by_name["YSD"]
+    ratio = ours.total_runtime / salt.total_runtime
+    write_artifact("fig7b_large.txt", f"{rendered} (PatLabor/SALT: {ratio:.2f}x)")
+
     # PatLabor at least as tight as each baseline on average across the
     # budget grid (pointwise domination is not guaranteed at this scale,
     # matching the paper's Fig. 7(b) where curves cross near the ends).

@@ -39,7 +39,11 @@ def test_fig7c_degree100(benchmark, suite):
     rendered = render_curves(
         curves, title=f"Fig. 7(c) — {NUM_NETS} random degree-100 nets"
     )
-    write_artifact("fig7c_degree100.txt", rendered)
+    by_name = {c.method: c for c in curves}
+    ratio = by_name["PatLabor"].total_runtime / by_name["SALT"].total_runtime
+    write_artifact(
+        "fig7c_degree100.txt", f"{rendered} (PatLabor/SALT: {ratio:.2f}x)"
+    )
 
     # Shape (a): YSD's divide-and-conquer wastes wirelength.
     min_w = {
@@ -52,7 +56,6 @@ def test_fig7c_degree100(benchmark, suite):
     assert min_w["PatLabor"] <= min_w["YSD"] + 1e-9
     # Shape (b): at the loosest budget PatLabor's mean delay is no worse
     # than SALT's by more than a whisker.
-    by_name = {c.method: c for c in curves}
     assert (
         by_name["PatLabor"].mean_delay[-1]
         <= by_name["SALT"].mean_delay[-1] + 0.05

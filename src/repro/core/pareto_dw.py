@@ -26,8 +26,7 @@ the flags only change how much work is done (tests cross-check all
 configurations).
 
 Two exact engines share the DP; :func:`pareto_dw` picks one by degree
-(:data:`_ARRAY_MIN_DEGREE`), no public caller chooses (PatLabor's
-local-search sub-nets use the tuple kernels via :func:`_pareto_dw_on`).
+(:data:`_ARRAY_MIN_DEGREE`), no public caller chooses.
 From degree 6 up the array engine (:func:`_pareto_dw_array_impl`) batches each subset
 cardinality into budget-sized NumPy passes over
 :mod:`repro.core.frontier_array`. Below that the hot loops run on the

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..geometry.net import Net
 from ..geometry.point import Point, l1
@@ -26,7 +26,7 @@ from ..routing.refine import wirelength_refine
 from ..routing.tree import RoutingTree
 from .frontier import merge_sorted_fronts, pareto_filter_sorted
 from .pareto import Solution, clean_front
-from .pareto_dw import _pareto_dw_on, pareto_dw
+from .pareto_dw import pareto_dw
 from .policy import SelectionPolicy
 
 #: The paper's λ: nets with at most this many pins are solved exactly.
@@ -140,12 +140,6 @@ class PatLabor:
         Dispatch-tier counters (``patlabor.dispatch.*``) include the
         sub-nets local search solves through the same tiers.
         """
-        return self._exact_frontier(net, pareto_dw)
-
-    def _exact_frontier(
-        self, net: Net, dw: Callable[[Net], List[Solution]]
-    ) -> List[Solution]:
-        """:meth:`small_frontier`'s tiers, with ``dw`` as the DP tier."""
         if net.degree <= 3:
             from ..lut.table import _degree2_frontier, _degree3_frontier
 
@@ -158,7 +152,7 @@ class PatLabor:
             with span("lut.lookup"):
                 return self.lut.lookup(net)
         counter_add("patlabor.dispatch.dw")
-        return dw(net)
+        return pareto_dw(net)
 
     # -------------------------------------------------------- local search
 
@@ -227,13 +221,10 @@ class PatLabor:
             [net.sinks[i] for i in selection],
             name=f"{net.name}/ls",
         )
-        sub_front = self._exact_frontier(sub, _sub_net_dw)
+        sub_front = self.small_frontier(sub)
         out: List[Solution] = []
-        rest = [
-            net.sinks[i]
-            for i in range(len(net.sinks))
-            if i not in set(selection)
-        ]
+        chosen = set(selection)
+        rest = [s for i, s in enumerate(net.sinks) if i not in chosen]
         with span("patlabor.reassemble"):
             for idx, (_, _, sub_tree) in enumerate(sub_front):
                 full = reassemble(net, sub_tree, rest)
@@ -255,19 +246,6 @@ class PatLabor:
         return out
 
 
-def _sub_net_dw(net: Net) -> List[Solution]:
-    """The DP tier of local-search sub-nets: the tuple kernels.
-
-    Same frontier as :func:`pareto_dw`, whose array engine runs these
-    λ-pin sub-nets about 6x faster. They stay on the tuple kernels for
-    now: on the array engine the reassembly dominates local search, and
-    its geometry-dependent cost makes the ``batch_large`` benchmark
-    workload (32 nets per seed) vary about 18% between seeds, more than
-    its spread bound allows. ROADMAP.md has the follow-up.
-    """
-    return _pareto_dw_on(net, "tuple")
-
-
 def reassemble(
     net: Net, sub_tree: RoutingTree, rest: List[Point], mode: str = "wire"
 ) -> RoutingTree:
@@ -287,21 +265,15 @@ def reassemble(
         if p < 0:
             continue
         index_map[u] = builder.attach_to_node(sub_tree.points[u], index_map[p])
-    pending = list(rest)
     if mode == "wire":
-        while pending:
-            best_i = min(
-                range(len(pending)),
-                key=lambda i: builder.best_connection(pending[i])[0],
-            )
-            builder.attach(pending.pop(best_i))
+        builder.attach_cheapest_first(rest)
     elif mode == "arrival":
         # SALT-style shallow attachment: process pins farthest-first, and
         # give each the cheapest connection whose arrival stays within a
         # tight budget of its L1 bound (the source always qualifies, so
         # the result's delay matches the sub-tree's optimum / the bound).
         source = Point(float(net.source[0]), float(net.source[1]))
-        pending.sort(key=lambda p: -l1(source, p))
+        pending = sorted(rest, key=lambda p: -l1(source, p))
         for p in pending:
             arrivals = _builder_arrivals(builder)
             budget = (1.0 + ARRIVAL_SLACK) * l1(source, p)

@@ -25,14 +25,17 @@ class Segment:
 
     @property
     def length(self) -> float:
+        """L1 length of the segment."""
         return l1(self.a, self.b)
 
     @property
     def is_horizontal(self) -> bool:
+        """True when both ends share a y coordinate (zero length included)."""
         return self.a.y == self.b.y
 
     @property
     def is_vertical(self) -> bool:
+        """True when both ends share an x coordinate (zero length included)."""
         return self.a.x == self.b.x
 
 

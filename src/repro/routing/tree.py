@@ -127,6 +127,7 @@ class RoutingTree:
 
     @property
     def num_nodes(self) -> int:
+        """Number of nodes: pins plus Steiner points."""
         return len(self.points)
 
     @property

@@ -172,8 +172,9 @@ class RouteServer:
         }
         self.slow_requests = 0
         #: Flipped by the readiness task once every pool worker answered
-        #: its :func:`repro.serve.pool.worker_ready` probe; ``/readyz``
-        #: serves 503 until then.
+        #: its :func:`repro.serve.pool.worker_ready` probe, and cleared
+        #: when a route finds the pool broken; ``/readyz`` serves 503
+        #: whenever it is false.
         self.ready = False
         self.worker_info: List[Dict[str, Any]] = []
         self._executor: Optional[ProcessPoolExecutor] = None
@@ -497,6 +498,8 @@ class RouteServer:
             try:
                 results = await asyncio.gather(*futures)
             except BrokenProcessPool as exc:
+                # A broken executor never recovers: stop answering ready.
+                self.ready = False
                 raise ReproError(f"worker pool died: {exc}") from exc
         finally:
             self.queue_depth -= len(nets)

@@ -676,15 +676,15 @@ class TestEngineDispatch:
         pareto_dw(net, kernels=False)
         assert engine_calls == ["reference"]
 
-    def test_local_search_sub_nets_run_tuple_kernels(self, engine_calls):
-        # A degree-9 net routed directly runs the array engine; the 9-pin
-        # sub-net of a local-search step stays on the tuple kernels.
+    def test_local_search_sub_nets_run_array_engine(self, engine_calls):
+        # The 9-pin sub-net of a local-search step dispatches by degree
+        # like a degree-9 net routed directly: both run the array engine.
         router = PatLabor(config=PatLaborConfig(iterations=1, post_refine=False))
         router.route(random_net(9, rng=random.Random(8000), grid=9))
         assert engine_calls == ["array"]
         engine_calls.clear()
         router.route(random_net(14, rng=random.Random(8001), grid=9))
-        assert engine_calls == ["tuple"]
+        assert engine_calls == ["array"]
 
     def test_engine_counters_split_by_degree(self):
         # Fixed counts, not the constant: moving the crossover away from

@@ -1,6 +1,8 @@
 """Tests for the routing service (repro.serve): protocol and daemon."""
 
+import os
 import random
+import signal
 import tempfile
 import time
 import urllib.error
@@ -450,6 +452,20 @@ class TestDaemonLifecycle:
             c.shutdown()
         handle._thread.join(30)
         assert not handle._thread.is_alive()
+
+    def test_dead_worker_clears_readiness(self):
+        config = ServeConfig(host="127.0.0.1", port=0, workers=1, metrics_port=0)
+        with ServerThread(config) as handle:
+            daemon = handle.server
+            _wait_ready(daemon)
+            os.kill(daemon.worker_info[0]["pid"], signal.SIGKILL)
+            net = random_net(5, rng=random.Random(65), name="orphan")
+            with ServeClient(host="127.0.0.1", port=daemon.tcp_port) as c:
+                with pytest.raises(ServeError, match="worker pool died"):
+                    c.route([net])
+                assert c.stats()["ready"] is False
+            status, body, _ctype = _http_get(_metrics_url(daemon, "/readyz"))
+            assert (status, body) == (503, "not ready\n")
 
     def test_config_requires_an_endpoint(self):
         from repro.serve import RouteServer
