@@ -30,7 +30,7 @@ from ..core.pareto import Solution, clean_front
 from ..geometry.net import Net
 from ..geometry.point import Point, l1
 from ..routing.attach import TreeBuilder
-from ..routing.refine import apply_reattachment, best_reattachment
+from ..routing.refine import refine_passes
 from ..routing.tree import RoutingTree
 
 DEFAULT_WEIGHTS: Sequence[float] = (
@@ -100,29 +100,17 @@ def weighted_refine(
     max_passes: int = 3,
 ) -> RoutingTree:
     """Hill-climb reattachments on the scalarised objective."""
-    work = tree.copy()
-    for _ in range(max_passes):
-        improved = False
-        pls = work.path_lengths()
-        current = weighted_objective(*work.objective(), alpha, scales)
-        for v in range(1, len(work.points)):
-            cand = best_reattachment(work, v, pls, require_cheaper=False)
-            if cand is None:
-                continue
-            _, _, node, split_child, at = cand
-            snapshot = (list(work.points), list(work.parent))
-            apply_reattachment(work, v, node, split_child, at)
-            new = weighted_objective(*work.objective(), alpha, scales)
-            if new < current - 1e-12:
-                current = new
-                improved = True
-                pls = work.path_lengths()
-            else:
-                work.points, work.parent = snapshot
-                work._invalidate()
-        if not improved:
-            break
-    return work.compacted()
+    current = weighted_objective(*tree.objective(), alpha, scales)
+
+    def improves(work: RoutingTree) -> bool:
+        nonlocal current
+        new = weighted_objective(*work.objective(), alpha, scales)
+        if new < current - 1e-12:
+            current = new
+            return True
+        return False
+
+    return refine_passes(tree, max_passes, improves, require_cheaper=False)
 
 
 def ysd_single(net: Net, alpha: float) -> RoutingTree:
