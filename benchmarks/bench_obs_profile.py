@@ -25,6 +25,7 @@ import json
 
 from repro import Net, obs
 from repro.core.batch import route_batch
+from repro.engine import EngineSpec
 
 from conftest import RESULTS_DIR, write_artifact
 
@@ -71,7 +72,7 @@ def test_obs_profile(small_nets):
     obs.trace_enable()
     obs.events_enable()
     try:
-        result = route_batch(nets, use_cache=True)
+        result = route_batch(nets, EngineSpec(cache="translation"))
     finally:
         obs.disable()
         obs.trace_disable()

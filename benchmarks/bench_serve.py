@@ -41,7 +41,7 @@ from pathlib import Path
 from repro import obs
 from repro.engine import EngineSpec, build_engine
 from repro.geometry.net import random_net
-from repro.lut.default import default_table
+from repro.lut.default import DATA_FILE, load_table
 from repro.serve import ServeClient, ServeConfig, ServerThread
 
 from conftest import RESULTS_DIR, write_artifact
@@ -71,13 +71,9 @@ def _route_stream_cold(stream):
     fronts = {}
     t0 = time.perf_counter()
     for request in stream:
-        default_table.cache_clear()  # a new process has no parsed LUT
+        load_table.cache_clear()  # a new process has no parsed LUT
         engine = build_engine(
-            EngineSpec(
-                router="patlabor",
-                router_options={"lut": default_table()},
-                cache="symmetry",
-            )
+            EngineSpec(router="patlabor", lut=DATA_FILE, cache="symmetry")
         )
         for net in request:
             fronts[net.name] = [

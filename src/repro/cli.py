@@ -71,18 +71,15 @@ def _cmd_route(args: argparse.Namespace) -> int:
     else:
         rng = random.Random(args.seed)
         nets = [random_net(args.degree, rng=rng, name="random")]
-    options = {}
-    if args.method == "patlabor":
-        lut = None
-        if args.lut:
-            from .io.lut_io import load_lut
-
-            lut = load_lut(args.lut)
-        options = {"lut": lut, "config": PatLaborConfig(lam=args.lam)}
     router = build_engine(
         EngineSpec(
             router=args.method,
-            router_options=options,
+            router_options=(
+                {"config": PatLaborConfig(lam=args.lam)}
+                if args.method == "patlabor"
+                else {}
+            ),
+            lut=args.lut,
             cache=None if args.cache == "off" else args.cache,
         )
     )
@@ -168,11 +165,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_routers(args: argparse.Namespace) -> int:
-    from .engine import available_routers, create_router, router_entry
+    from .engine import EngineSpec, available_routers, build_engine, router_entry
 
     for name in available_routers():
         entry = router_entry(name)
-        caps = create_router(name).capabilities
+        caps = build_engine(EngineSpec(router=name)).capabilities
         notes = []
         if caps.exact_up_to is not None:
             notes.append(f"exact<={caps.exact_up_to}")
@@ -189,10 +186,10 @@ def _cmd_draw(args: argparse.Namespace) -> int:
     from .io.nets_format import load_nets
     from .viz.svg import pareto_curve_svg, save_svg, tree_svg
 
-    from .engine import build_engine
+    from .engine import EngineSpec, build_engine
 
     nets = load_nets(args.nets)
-    router = build_engine("patlabor")
+    router = build_engine(EngineSpec(router="patlabor"))
     net = nets[args.index]
     front = router.route(net)
     save_svg(
@@ -305,6 +302,7 @@ def _cmd_negotiate(args: argparse.Namespace) -> int:
 
 
 def _cmd_eco(args: argparse.Namespace) -> int:
+    import dataclasses
     import json as _json
     import time as _time
 
@@ -312,26 +310,14 @@ def _cmd_eco(args: argparse.Namespace) -> int:
     from .incremental.delta import apply_delta, load_deltas
     from .incremental.engine import EXACT_TIERS
     from .io.nets_format import load_nets
-    from .lut.default import default_table
+    from .lut.default import DATA_FILE
 
     nets = load_nets(args.nets)
     deltas = load_deltas(args.deltas)
-    options = {"lut": default_table()}
-    if args.lut:
-        from .io.lut_io import load_lut
-
-        options = {"lut": load_lut(args.lut)}
     spec = EngineSpec(
-        router="patlabor", router_options=options, cache="symmetry"
+        router="patlabor", lut=args.lut or str(DATA_FILE), cache="symmetry"
     )
-    engine = build_engine(
-        EngineSpec(
-            router="patlabor",
-            router_options=dict(options),
-            cache="symmetry",
-            incremental=True,
-        )
-    )
+    engine = build_engine(dataclasses.replace(spec, incremental=True))
     t0 = _time.perf_counter()
     for net in nets:
         engine.route(net)
@@ -402,6 +388,9 @@ def _cmd_eco(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from .engine import EngineSpec
+    from .engine.build import takes_lut
+    from .lut.default import DATA_FILE
     from .serve import RouteServer, ServeConfig
 
     if not args.socket and not args.host:
@@ -412,15 +401,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host or None,
         port=args.port,
         workers=args.workers,
-        method=args.method,
-        cache_mode=None if args.cache == "off" else args.cache,
-        cache_entries=args.cache_entries,
         store_path=args.store or None,
-        use_default_lut=not args.no_lut,
         telemetry=args.telemetry,
         metrics_host=args.metrics_host,
         metrics_port=args.metrics_port,
         slow_request_seconds=args.slow_ms / 1000.0,
+        engine=EngineSpec(
+            router=args.method,
+            lut=None if args.no_lut or not takes_lut(args.method)
+            else str(DATA_FILE),
+            cache=None if args.cache == "off" else args.cache,
+            cache_entries=args.cache_entries,
+        ),
     )
     server = RouteServer(config)
 
@@ -457,18 +449,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_warm(args: argparse.Namespace) -> int:
     from .core.batch import route_batch
-    from .core.patlabor import PatLaborConfig
+    from .engine import EngineSpec
     from .io.nets_format import load_nets
 
     nets = load_nets(args.nets)
     result = route_batch(
         nets,
-        config=PatLaborConfig(),
+        EngineSpec(router=args.method, cache=args.cache, cache_store=args.store),
         jobs=args.jobs,
-        use_cache=True,
-        method=args.method,
-        cache_mode=args.cache,
-        cache_store=args.store,
     )
     from .core.cache_store import PersistentStore
 

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..core.pareto import Solution
+from ..engine.build import SERVING_ENGINE, EngineSpec, build_engine
 from ..geometry.net import Net, random_net
 from ..routing.embedding import embed_edge
 from .model import Array, CapacityGrid, np
@@ -83,8 +84,9 @@ class NegotiatorConfig:
         rip-up baseline.
     engine:
         :class:`~repro.engine.build.EngineSpec` used to compute each
-        net's frontier once; ``None`` builds the default PatLabor stack
-        (shipped LUT + symmetry cache).
+        net's frontier once (default
+        :data:`~repro.engine.build.SERVING_ENGINE`: shipped LUT +
+        symmetry cache).
     """
 
     pres_fac_first: float = 0.5
@@ -94,7 +96,7 @@ class NegotiatorConfig:
     max_iterations: int = 40
     delay_slack: float = 0.25
     point_policy: Optional[str] = None
-    engine: Optional[Any] = None
+    engine: EngineSpec = SERVING_ENGINE
 
 
 @dataclass
@@ -304,18 +306,7 @@ class NegotiatedRouter:
     def _resolve_engine(self) -> Any:
         """The frontier source: injected engine or the configured stack."""
         if self._engine is None:
-            from ..engine.build import EngineSpec, build_engine
-
-            spec = self.config.engine
-            if spec is None:
-                from ..lut.default import default_table
-
-                spec = EngineSpec(
-                    router="patlabor",
-                    router_options={"lut": default_table()},
-                    cache="symmetry",
-                )
-            self._engine = build_engine(spec)
+            self._engine = build_engine(self.config.engine)
         return self._engine
 
     def prepare(self) -> List[_CompiledNet]:

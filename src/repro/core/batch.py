@@ -4,37 +4,44 @@ The paper's use case is "route millions of nets"; this module provides the
 throughput layer a production deployment needs:
 
 * :func:`route_batch` — route a net list, optionally across worker
-  processes (nets are independent), through any registered router
-  (``method=...``) with a translation- or symmetry-canonicalizing cache
-  in front (``cache_mode=...``).
+  processes (nets are independent), on the engine stack one
+  :class:`~repro.engine.EngineSpec` describes (any registered router,
+  any cache mode, an optional persistent store).
 * :class:`BatchResult` — per-net Pareto sets plus throughput statistics.
 
-Worker processes build their engine **once, at pool initialization** via
-:func:`repro.engine.build.build_engine` (a pool ``initializer`` stores it
-in a module global), so the engine — lookup tables, cache, RNG state —
-is never re-pickled per task: only nets and plain objective results
-cross process boundaries. With ``cache_store`` set, every worker shares
-one persistent disk tier, so canonical patterns solved by one worker (or
-a previous run) are disk hits for all the others.
+Parallel runs use the package's one worker pool
+(:func:`repro.serve.pool.start_pool`, the daemon's pool too): each worker
+builds its engine **once**, in the pool initializer, so the engine —
+lookup table, cache, RNG state — is never re-pickled per task: only nets
+and plain objective results cross process boundaries. With
+``cache_store`` set, every worker shares one persistent disk tier, so
+canonical patterns solved by one worker (or a previous run) are disk
+hits for all the others.
 
 When observability is enabled (:func:`repro.obs.enable`) the run is
 profiled end to end: per-net route times, per-worker throughput and queue
-wait, and the workers' own metric registries merged back into the parent
-process — all surfaced both in the global registry and in
-:attr:`BatchResult.metrics`.
+wait, and the workers' own metric registries — drained by every task and
+merged back into the parent process — all surfaced both in the global
+registry and in :attr:`BatchResult.metrics`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..engine.build import EngineSpec, build_engine
+from ..engine.protocol import Router
 from ..geometry.net import Net
 from .. import obs
 from ..obs import emit_event, span, timer_observe
 from .pareto import Solution
-from .patlabor import PatLaborConfig
+
+#: The engine :func:`route_batch` routes on by default: PatLabor behind a
+#: translation cache, with no lookup table (LUT fronts can differ from
+#: the exact Pareto-DW fronts in the last bits, ``docs/numerics.md`` §4).
+BATCH_ENGINE = EngineSpec(router="patlabor", cache="translation")
 
 
 @dataclass
@@ -52,48 +59,23 @@ class BatchResult:
 
     @property
     def nets_per_second(self) -> float:
+        """Routed nets per wall-clock second (0.0 for an empty run)."""
         return len(self.fronts) / self.seconds if self.seconds > 0 else 0.0
 
     @property
     def total_solutions(self) -> int:
+        """Pareto solutions summed over every net's front."""
         return sum(len(f) for f in self.fronts.values())
 
     @property
     def cache_hit_rate(self) -> float:
+        """Memory plus disk hits over all cache lookups (0.0 without any)."""
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
 
-def _build_batch_engine(
-    config: PatLaborConfig,
-    use_cache: bool,
-    method: str,
-    cache_mode: str,
-    cache_store: Optional[str] = None,
-):
-    """The per-process engine stack: validation, cache, observability.
-
-    Resolved through the :mod:`repro.engine` registry — ``method`` names
-    any registered router; ``config`` is forwarded to PatLabor only (the
-    other routers take no batch-level configuration).
-    """
-    from ..engine import EngineSpec, build_engine
-
-    options: Dict[str, object] = {}
-    if method == "patlabor":
-        options["config"] = config
-    return build_engine(
-        EngineSpec(
-            router=method,
-            router_options=options,
-            cache=cache_mode if use_cache else None,
-            cache_store=cache_store if use_cache else None,
-        )
-    )
-
-
 def _route_with(
-    router, nets: Sequence[Net]
+    router: Router, nets: Sequence[Net]
 ) -> Tuple[Dict[str, List[Solution]], int, int]:
     """Route ``nets`` through an assembled engine, counting cache deltas.
 
@@ -117,207 +99,89 @@ def _route_with(
     return fronts, hits, misses
 
 
-def _route_serial(
-    nets: Sequence[Net],
-    config: PatLaborConfig,
-    use_cache: bool,
-    method: str = "patlabor",
-    cache_mode: str = "translation",
-    cache_store: Optional[str] = None,
-) -> Tuple[Dict[str, List[Solution]], int, int]:
-    router = _build_batch_engine(config, use_cache, method, cache_mode, cache_store)
-    try:
-        return _route_with(router, nets)
-    finally:
-        close = getattr(router, "close", None)
-        if callable(close):
-            close()
+def _route_shard(nets: Sequence[Net], dispatched_at: float) -> Dict[str, Any]:
+    """Pool task: route one shard on the worker's resident engine.
 
-
-#: Pool-resident worker state, populated once per process by
-#: :func:`_init_worker` — the engine (and its lookup table / cache) lives
-#: here instead of being re-pickled inside every task tuple.
-_POOL_STATE: Dict[str, object] = {}
-
-
-def _init_worker(config_dict, use_cache, method, cache_mode, cache_store, obs_flags):
-    """Pool initializer: build the engine once per worker process.
-
-    Runs in the child before any task. The engine stack (with its lookup
-    table and cache tiers) is constructed here and kept in a module
-    global, so tasks only ship nets; on fork start methods the lookup
-    table pages loaded by the parent are inherited copy-on-write and the
-    per-worker build is effectively free.
+    Flushes the persistent store's lifetime counters (pool teardown ends
+    workers without running atexit hooks), then returns payload-free
+    fronts (objectives are what batch callers need; trees don't cross
+    process boundaries cheaply), the hit/miss deltas, and — when the
+    worker records telemetry — its stats and drained obs buffers.
     """
-    profiling, tracing, logging_events = obs_flags
-    registry = obs.get_registry()
-    collector = obs.get_trace_collector()
-    event_log = obs.get_event_log()
-    if profiling or tracing or logging_events:
-        # Fork inherits the parent's buffers; start clean so what is sent
-        # back covers exactly this worker's share.
-        registry.reset()
-        collector.clear()
-        event_log.clear()
-    if profiling:
-        registry.enable()
-    if tracing:
-        collector.enable()
-    if logging_events:
-        event_log.enable()
-    config = PatLaborConfig(**config_dict)
-    _POOL_STATE["engine"] = _build_batch_engine(
-        config, use_cache, method, cache_mode, cache_store
-    )
-    _POOL_STATE["obs_flags"] = obs_flags
+    from ..serve import pool
 
-
-def _worker(args):
-    """Process-pool worker: routes one shard on the pool-resident engine.
-
-    Returns payload-free fronts (trees don't cross process boundaries
-    cheaply; objectives are what batch callers need), plus its metrics
-    snapshot / trace events / log events when the parent has the
-    corresponding observability layer enabled. The engine itself comes
-    from :data:`_POOL_STATE` — built once in :func:`_init_worker`, never
-    shipped inside the task tuple.
-    """
-    nets, dispatched_at = args
-    profiling, tracing, logging_events = _POOL_STATE["obs_flags"]
     started_at = time.time()
-    registry = obs.get_registry()
-    collector = obs.get_trace_collector()
-    event_log = obs.get_event_log()
-    if profiling or tracing or logging_events:
-        # Drop initializer-time noise so what is sent back covers exactly
-        # this task's share.
-        registry.reset()
-        collector.clear()
-        event_log.clear()
     t0 = time.perf_counter()
-    engine = _POOL_STATE["engine"]
+    engine = pool.resident_engine()
     fronts, hits, misses = _route_with(engine, nets)
-    # Pool teardown terminates workers without running atexit hooks, so
-    # persist the store's lifetime counters while we still can.
     store = getattr(engine, "store", None)
     if store is not None:
         store.flush_stats()
-    slim = {
-        name: [(w, d, None) for w, d, _t in front]
-        for name, front in fronts.items()
+    out: Dict[str, Any] = {
+        "fronts": {
+            name: [(w, d, None) for w, d, _t in front]
+            for name, front in fronts.items()
+        },
+        "hits": hits,
+        "misses": misses,
+        "stats": None,
     }
-    stats = None
-    if profiling or tracing or logging_events:
+    if obs.enabled():
         elapsed = time.perf_counter() - t0
-        stats = {
-            "nets": len(slim),
+        out["stats"] = {
+            "nets": len(fronts),
             "seconds": elapsed,
-            "nets_per_second": len(slim) / elapsed if elapsed > 0 else 0.0,
+            "nets_per_second": len(fronts) / elapsed if elapsed > 0 else 0.0,
             "queue_wait_seconds": max(0.0, started_at - dispatched_at),
-            "snapshot": registry.snapshot(with_samples=True) if profiling else None,
-            "trace_events": collector.drain() if tracing else [],
-            "events": event_log.drain() if logging_events else [],
         }
-    return slim, hits, misses, stats
+        out["telemetry"] = pool.drain_worker_telemetry()
+    return out
 
 
 def route_batch(
-    nets: Sequence[Net],
-    *,
-    config: Optional[PatLaborConfig] = None,
-    jobs: int = 1,
-    use_cache: bool = True,
-    method: str = "patlabor",
-    cache_mode: str = "translation",
-    cache_store: Optional[str] = None,
+    nets: Sequence[Net], engine: EngineSpec = BATCH_ENGINE, *, jobs: int = 1
 ) -> BatchResult:
     """Route every net; returns per-net Pareto sets keyed by net name.
 
-    ``method`` names any router registered with :mod:`repro.engine`
-    (``"patlabor"``, ``"salt"``, ``"pareto-ks"``, ...); each worker
-    assembles its own engine stack from that name, so there is no
-    batch-local method table. ``cache_mode`` selects the cache's
-    canonicalization (``"translation"`` or ``"symmetry"``) and
-    ``cache_store`` optionally adds a persistent disk tier shared by
-    every worker (both only when ``use_cache`` is set; disk hits count
+    ``engine`` describes the stack every net is routed on (default
+    :data:`BATCH_ENGINE`): the router name, the cache mode, and an
+    optional persistent store shared by every worker (disk hits count
     into :attr:`BatchResult.cache_hits`).
 
-    With ``jobs > 1`` the nets are sharded across processes and the
-    returned solutions carry ``None`` payloads (objectives only); run
-    serially when the trees themselves are needed. Each worker builds its
-    engine exactly once, in the pool initializer — tasks carry nets, not
-    engine state. Workers inherit whichever observability layers are
-    enabled in the parent — metrics registry, Chrome-trace capture,
-    structured event log — and ship their buffers back for merging, so
+    With ``jobs > 1`` the nets are sharded across the processes of
+    :func:`repro.serve.pool.start_pool` and the returned solutions carry
+    ``None`` payloads (objectives only); run serially when the trees
+    themselves are needed. Each worker builds its engine exactly once, in
+    the pool initializer — tasks carry nets, not engine state. When any
+    observability layer is enabled in the parent — metrics registry,
+    Chrome-trace capture, structured event log — the workers record too,
+    and every task ships its drained buffers back for merging, so
     cross-process runs still produce one registry, one trace, and one
     chronological event stream.
     """
-    config = config or PatLaborConfig()
     profiling = obs.enabled()
     tracing = obs.trace_enabled()
     logging_events = obs.events_enabled()
     t0 = time.perf_counter()
+    workers: List[Dict[str, float]] = []
     with span("batch.route_batch"):
         if not nets:
             # Nothing to route: skip pool setup entirely. Ratio metrics
             # (cache_hit_rate, nets_per_second) read 0.0 on this path.
-            result = BatchResult(fronts={}, seconds=time.perf_counter() - t0)
-            if profiling:
-                result.metrics = _batch_metrics(result, workers=[])
-            return result
-        if jobs <= 1:
-            fronts, hits, misses = _route_serial(
-                nets, config, use_cache, method, cache_mode, cache_store
+            fronts: Dict[str, List[Solution]] = {}
+            hits = misses = 0
+        elif jobs <= 1:
+            router = build_engine(engine)
+            try:
+                fronts, hits, misses = _route_with(router, nets)
+            finally:
+                close = getattr(router, "close", None)
+                if callable(close):
+                    close()
+        else:
+            fronts, hits, misses, workers = _route_parallel(
+                nets, engine, jobs, profiling or tracing or logging_events
             )
-            result = BatchResult(
-                fronts=fronts,
-                seconds=time.perf_counter() - t0,
-                cache_hits=hits,
-                cache_misses=misses,
-            )
-            if profiling:
-                result.metrics = _batch_metrics(result, workers=None)
-            if logging_events:
-                _emit_batch_event(result, jobs=1)
-            return result
-
-        import multiprocessing
-        from dataclasses import asdict
-
-        shards: List[List[Net]] = [[] for _ in range(jobs)]
-        for i, net in enumerate(nets):
-            shards[i % jobs].append(net)
-        dispatched_at = time.time()
-        obs_flags = (profiling, tracing, logging_events)
-        initargs = (
-            asdict(config), use_cache, method, cache_mode, cache_store,
-            obs_flags,
-        )
-        payload = [(shard, dispatched_at) for shard in shards if shard]
-        fronts: Dict[str, List[Solution]] = {}
-        hits = misses = 0
-        workers: List[Dict[str, float]] = []
-        registry = obs.get_registry()
-        collector = obs.get_trace_collector()
-        event_log = obs.get_event_log()
-        with multiprocessing.Pool(
-            processes=jobs, initializer=_init_worker, initargs=initargs
-        ) as pool:
-            for slim, h, m, stats in pool.map(_worker, payload):
-                fronts.update(slim)
-                hits += h
-                misses += m
-                if stats is not None:
-                    snapshot = stats.pop("snapshot")
-                    if snapshot is not None:
-                        registry.merge_snapshot(snapshot)
-                    collector.extend(stats.pop("trace_events"))
-                    event_log.extend(stats.pop("events"))
-                    timer_observe(
-                        "batch.queue_wait_seconds", stats["queue_wait_seconds"]
-                    )
-                    timer_observe("batch.worker_seconds", stats["seconds"])
-                    workers.append(stats)
     result = BatchResult(
         fronts=fronts,
         seconds=time.perf_counter() - t0,
@@ -326,9 +190,47 @@ def route_batch(
     )
     if profiling:
         result.metrics = _batch_metrics(result, workers=workers)
-    if logging_events:
-        _emit_batch_event(result, jobs=jobs)
+    if logging_events and nets:
+        _emit_batch_event(result, jobs=max(1, jobs))
     return result
+
+
+def _route_parallel(
+    nets: Sequence[Net], engine: EngineSpec, jobs: int, telemetry: bool
+) -> Tuple[Dict[str, List[Solution]], int, int, List[Dict[str, float]]]:
+    """Shard ``nets`` round-robin over a ``jobs``-worker pool; merge back.
+
+    Returns the fronts, the summed hit/miss deltas, and one stats entry
+    per task; each task's drained telemetry is folded into whichever
+    parent obs layers are enabled.
+    """
+    from ..serve import pool
+
+    shards = [list(nets[i::jobs]) for i in range(jobs) if nets[i::jobs]]
+    dispatched_at = [time.time()] * len(shards)
+    spec = pool.WorkerSpec(engine=engine, telemetry=telemetry)
+    fronts: Dict[str, List[Solution]] = {}
+    hits = misses = 0
+    workers: List[Dict[str, float]] = []
+    with pool.start_pool(spec, len(shards)) as executor:
+        for out in executor.map(_route_shard, shards, dispatched_at):
+            fronts.update(out["fronts"])
+            hits += out["hits"]
+            misses += out["misses"]
+            stats = out["stats"]
+            if stats is None:
+                continue
+            drained = out["telemetry"]
+            if obs.enabled():
+                obs.get_registry().merge_snapshot(drained["snapshot"])
+            if obs.trace_enabled():
+                obs.get_trace_collector().extend(drained["trace"])
+            if obs.events_enabled():
+                obs.get_event_log().extend(drained["events"])
+            timer_observe("batch.queue_wait_seconds", stats["queue_wait_seconds"])
+            timer_observe("batch.worker_seconds", stats["seconds"])
+            workers.append(stats)
+    return fronts, hits, misses, workers
 
 
 def _emit_batch_event(result: BatchResult, jobs: int) -> None:
@@ -347,7 +249,7 @@ def _emit_batch_event(result: BatchResult, jobs: int) -> None:
 
 
 def _batch_metrics(
-    result: BatchResult, workers: Optional[List[Dict[str, float]]]
+    result: BatchResult, workers: List[Dict[str, float]]
 ) -> Dict[str, object]:
     """The headline profile numbers attached to :attr:`BatchResult.metrics`."""
     obs.counter_add("batch.nets", len(result.fronts))
@@ -358,5 +260,5 @@ def _batch_metrics(
         "cache_hit_rate": result.cache_hit_rate,
         "cache_hits": result.cache_hits,
         "cache_misses": result.cache_misses,
-        "workers": workers if workers is not None else [],
+        "workers": workers,
     }

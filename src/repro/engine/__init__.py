@@ -12,6 +12,9 @@ observability — is middleware composed around that protocol by
     engine = build_engine(EngineSpec(router="patlabor", cache="symmetry"))
     front = engine.route(net)          # validated, cached, instrumented
 
+    # the serving stack: shipped lookup table behind a symmetry cache
+    served = build_engine(EngineSpec(lut=DATA_FILE, cache="symmetry"))
+
 Resolution by name (what ``eval.runner``, ``core.batch``, and the CLI
 use instead of hand-built method dicts)::
 
@@ -44,7 +47,7 @@ from .registry import (
     router_entry,
 )
 from .middleware import ObservedRouter, RouterMiddleware, ValidatingRouter
-from .build import CACHE_MODES, EngineSpec, build_engine
+from .build import CACHE_MODES, SERVING_ENGINE, EngineSpec, build_engine
 from . import adapters as _adapters  # noqa: F401  (populates the registry)
 from .adapters import FunctionRouter, single_tree_router
 
@@ -63,6 +66,7 @@ __all__ = [
     "RouterCapabilities",
     "RouterEntry",
     "RouterMiddleware",
+    "SERVING_ENGINE",
     "ValidatingRouter",
     "available_routers",
     "build_engine",

@@ -17,20 +17,28 @@ exactly the accounting the batch benchmarks assert.
 
 from __future__ import annotations
 
+import inspect
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
+from ..lut.default import DATA_FILE, load_table
 from .middleware import ObservedRouter, ValidatingRouter
 from .protocol import Router
-from .registry import create_router
+from .registry import create_router, router_entry
 
 #: Cache canonicalization modes accepted by :class:`EngineSpec.cache`.
 CACHE_MODES = (None, "translation", "symmetry")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineSpec:
     """Declarative description of one engine stack.
+
+    The one description every entry point builds from: the CLI, batch
+    routing, the daemon's pool workers and ECO sessions, and the
+    negotiator. Frozen and free of live objects, so a spec pickles
+    cheaply into worker processes and can be shared as a default.
 
     Attributes
     ----------
@@ -38,7 +46,14 @@ class EngineSpec:
         Registry name of the innermost router (``"patlabor"``,
         ``"salt"``, ...).
     router_options:
-        Keyword arguments for the router's registered factory.
+        Keyword arguments for the router's registered factory. A
+        lookup table is armed through :attr:`lut`, never a ``"lut"``
+        option here.
+    lut:
+        Path of a lookup-table JSON to arm the router with (only routers
+        whose factory takes a ``lut`` accept one); the shipped table is
+        :data:`repro.lut.default.DATA_FILE`. Tables are parsed once per
+        process and shared by every engine naming the same file.
     cache:
         ``None`` (no cache), ``"translation"`` (source-relative keys, the
         historical behaviour), or ``"symmetry"`` (translation plus the
@@ -68,6 +83,7 @@ class EngineSpec:
 
     router: str = "patlabor"
     router_options: Dict[str, Any] = field(default_factory=dict)
+    lut: Optional[str] = None
     cache: Optional[str] = None
     cache_entries: int = 100_000
     cache_store: Optional[str] = None
@@ -77,13 +93,26 @@ class EngineSpec:
     incremental: bool = False
 
 
+#: The serving stack: PatLabor armed with the shipped degree-4..6 table
+#: behind a symmetry cache of 100k entries. The default engine of the
+#: daemon (:class:`repro.serve.ServeConfig`), its pool workers
+#: (:class:`repro.serve.WorkerSpec`) and the congestion negotiator.
+SERVING_ENGINE = EngineSpec(router="patlabor", lut=str(DATA_FILE), cache="symmetry")
+
+
+def takes_lut(router: str) -> bool:
+    """Whether the router registered as ``router`` accepts a lookup table."""
+    return "lut" in inspect.signature(router_entry(router).factory).parameters
+
+
 def build_engine(spec: Union[EngineSpec, str, None] = None) -> Router:
     """Assemble the middleware stack described by ``spec``.
 
     ``spec`` may be a full :class:`EngineSpec`, a bare router name
     (defaults for everything else), or ``None`` (a plain PatLabor
     engine). Raises ``KeyError`` for unregistered router names and
-    ``ValueError`` for unknown cache modes.
+    ``ValueError`` for unknown cache modes and for a lookup table given
+    to a router that takes none or passed as a ``"lut"`` router option.
     """
     if spec is None:
         spec = EngineSpec()
@@ -98,7 +127,17 @@ def build_engine(spec: Union[EngineSpec, str, None] = None) -> Router:
             "cache_store requires a cache mode; set EngineSpec.cache to "
             "'translation' or 'symmetry'"
         )
-    engine: Router = create_router(spec.router, **spec.router_options)
+    if "lut" in spec.router_options:
+        raise ValueError(
+            "arm a lookup table through EngineSpec.lut (a JSON path), "
+            "not router_options['lut']"
+        )
+    options = dict(spec.router_options)
+    if spec.lut is not None:
+        if not takes_lut(spec.router):
+            raise ValueError(f"router {spec.router!r} takes no lookup table")
+        options["lut"] = load_table(os.path.abspath(spec.lut))
+    engine: Router = create_router(spec.router, **options)
     if spec.observe:
         engine = ObservedRouter(engine)
     if spec.cache is not None:

@@ -356,8 +356,9 @@ def generate_degree_parallel(
     Only the parent-side wall time is profiled (``lut.gen_degree_<n>_seconds``);
     worker-internal counters stay in the workers.
     """
-    import multiprocessing
+    import os
     import time as _time
+    from concurrent.futures import ProcessPoolExecutor
 
     if jobs == 1:
         return generate_degree(n, prune_mode=prune_mode, limit=limit)
@@ -369,8 +370,11 @@ def generate_degree_parallel(
     workload = [(perm, src, prune_mode) for perm, src in patterns]
     t0 = _time.perf_counter()
     with span("lut.generate_degree_parallel"):
-        with multiprocessing.Pool(processes=jobs) as pool:
-            results = pool.map(_solve_worker, workload)
+        workers = jobs or os.cpu_count() or 1
+        # ~4 chunks per worker, as the standard library pool map chunks.
+        chunksize = max(1, -(-len(workload) // (4 * workers)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_solve_worker, workload, chunksize=chunksize))
     if _obs_enabled():
         counter_add("lut.patterns_solved", len(results))
         timer_observe(f"lut.gen_degree_{n}_seconds", _time.perf_counter() - t0)

@@ -1,108 +1,138 @@
-"""Worker-pool side of the routing service: one resident engine per worker.
+"""The package's one worker pool: a resident engine per worker process.
 
-The daemon dispatches net payloads to a ``ProcessPoolExecutor`` whose
-workers run the functions in this module. The engine — router, lookup
-table, cache tiers — is built **exactly once per worker**, inside
-:func:`init_worker` (the pool initializer), and parked in a module
-global. Tasks then carry only the net payload; nothing heavy is ever
+Both process pools — the daemon's (:mod:`repro.serve.server`) and
+:func:`repro.core.batch.route_batch`'s — are the ``ProcessPoolExecutor``
+:func:`start_pool` makes. The engine — router, lookup table, cache
+tiers — is built **exactly once per worker**, inside :func:`init_worker`
+(the pool initializer), from a :class:`WorkerSpec`, and parked in a
+module global. Tasks then carry only net payloads; nothing heavy is ever
 re-pickled per request.
 
-The lookup table is additionally pre-loaded in the *parent* before the
-pool is created (:func:`preload_shared_state`), so on fork start methods
-every worker inherits the parsed table copy-on-write and ``init_worker``
-finds it already cached; on spawn methods each worker loads it once from
-disk. Either way: once per worker, never per task.
+:func:`start_pool` parses the spec's lookup table in the *parent* before
+the pool exists, so on fork start methods every worker inherits the
+parsed table copy-on-write and ``init_worker`` finds it already cached;
+on spawn methods each worker loads it once from disk. Either way: once
+per worker, never per task.
 
-Every worker resolves its router through the standard
-:func:`repro.engine.build.build_engine` middleware stack, so serve
-traffic gets the same validation, canonicalizing cache (optionally
-backed by the shared persistent store), and observability as every other
-entry point.
+Every worker shares one ``multiprocessing.Barrier``, which is what lets
+:func:`broadcast` reach each worker exactly once (readiness probes,
+telemetry drains, store flushes).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from concurrent.futures import Future, ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, TypeVar
 
 from .. import obs
-from ..engine.build import EngineSpec, build_engine
+from ..engine.build import SERVING_ENGINE, EngineSpec, build_engine
 from ..engine.protocol import Router, route_select
+from ..lut.default import load_table
 from .protocol import net_from_payload, result_to_payload
+
+if TYPE_CHECKING:
+    from multiprocessing.synchronize import Barrier
+
+T = TypeVar("T")
+
+#: Seconds a broadcast task waits at the barrier for the other workers.
+BROADCAST_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything a worker needs to assemble its engine stack.
+    """Everything a worker needs: its engine and whether to record telemetry.
 
     A frozen, pickle-friendly description shipped once through the pool
-    initializer (never per task). ``use_default_lut`` arms PatLabor with
-    the shipped degree-4..6 table; ``store_path`` attaches the shared
-    persistent cache tier; ``telemetry`` turns the worker's own obs
-    registry, event log, and trace collector on so the daemon can drain
-    per-worker metrics (:func:`drain_worker_telemetry`) at shutdown.
+    initializer (never per task). ``telemetry`` turns the worker's own
+    obs registry, event log, and trace collector on, so the parent can
+    merge what the worker drains (:func:`drain_worker_telemetry`). The
+    zero-argument spec is :data:`repro.engine.SERVING_ENGINE`: PatLabor
+    with the shipped lookup table behind a symmetry cache.
     """
 
-    method: str = "patlabor"
-    cache_mode: Optional[str] = "symmetry"
-    cache_entries: int = 100_000
-    store_path: Optional[str] = None
-    use_default_lut: bool = True
+    engine: EngineSpec = SERVING_ENGINE
     telemetry: bool = False
-    router_options: Dict[str, Any] = field(default_factory=dict)
 
     def build(self) -> Router:
         """Assemble the engine stack this spec describes."""
-        options: Dict[str, Any] = dict(self.router_options)
-        if self.use_default_lut and self.method == "patlabor":
-            from ..lut.default import default_table
-
-            options.setdefault("lut", default_table())
-        return build_engine(
-            EngineSpec(
-                router=self.method,
-                router_options=options,
-                cache=self.cache_mode,
-                cache_entries=self.cache_entries,
-                cache_store=self.store_path,
-            )
-        )
+        return build_engine(self.engine)
 
 
 #: The worker-resident engine, built once by :func:`init_worker`.
 _ENGINE: Optional[Router] = None
 
-
-def preload_shared_state(spec: WorkerSpec) -> None:
-    """Load fork-shareable read-only state in the parent process.
-
-    Called by the server before creating the pool: parsing the ~2 MB
-    lookup-table JSON here means fork-started workers inherit the parsed
-    table copy-on-write instead of re-reading it, and the first request
-    never stalls behind a per-worker load.
-    """
-    if spec.use_default_lut and spec.method == "patlabor":
-        from ..lut.default import default_table
-
-        default_table()
+#: The barrier every worker of this pool shares (see :func:`broadcast`).
+_BARRIER: Optional["Barrier"] = None
 
 
-def init_worker(spec: WorkerSpec) -> None:
+def start_pool(spec: WorkerSpec, workers: int) -> ProcessPoolExecutor:
+    """A pool of ``workers`` processes, each running :func:`init_worker`."""
+    if spec.engine.lut is not None:
+        # Parse in the parent: fork-started workers inherit the table.
+        load_table(os.path.abspath(spec.engine.lut))
+    context = multiprocessing.get_context()
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=context,
+        initializer=init_worker,
+        initargs=(spec, context.Barrier(workers)),
+    )
+
+
+def init_worker(spec: WorkerSpec, barrier: "Barrier") -> None:
     """Pool initializer: build this worker's engine once, park it globally.
 
-    With ``spec.telemetry`` set, the worker's process-local obs registry,
-    event log, and trace collector are enabled too, so per-worker numbers
-    exist for the daemon to fold back (histogram merges are associative,
-    so the fold order across workers never changes the daemon's totals).
+    A forked worker inherits the parent's obs buffers and flags, and
+    building the engine may record too; both are cleared here, so what
+    the worker later drains covers exactly its own tasks. The obs layers
+    are then switched to ``spec.telemetry``.
     """
-    global _ENGINE
+    global _ENGINE, _BARRIER
+    _BARRIER = barrier
+    _ENGINE = spec.build()
+    obs.reset()
     if spec.telemetry:
         obs.enable()
         obs.events_enable()
         obs.trace_enable()
-    _ENGINE = spec.build()
+    else:
+        obs.disable()
+        obs.events_disable()
+        obs.trace_disable()
+
+
+def resident_engine() -> Router:
+    """The engine :func:`init_worker` built in this worker process."""
+    if _ENGINE is None:  # pragma: no cover - initializer always ran
+        raise RuntimeError("worker pool used before init_worker")
+    return _ENGINE
+
+
+def broadcast(
+    executor: ProcessPoolExecutor, fn: Callable[[], T], workers: int
+) -> List["Future[T]"]:
+    """Run ``fn`` exactly once on each of the pool's ``workers`` workers.
+
+    All tasks are submitted before any result is awaited, and each waits
+    at the pool's barrier before running ``fn``: a worker parked at the
+    barrier cannot take a second task, so the barrier only trips once
+    every worker holds one. Call from one thread at a time. A worker that
+    stays busy past :data:`BROADCAST_TIMEOUT_S` breaks the barrier, and
+    the tasks fail with ``threading.BrokenBarrierError``.
+    """
+    return [executor.submit(_at_barrier, fn) for _ in range(workers)]
+
+
+def _at_barrier(fn: Callable[[], T]) -> T:
+    """Broadcast task body: meet every other worker, then run ``fn``."""
+    assert _BARRIER is not None
+    _BARRIER.wait(BROADCAST_TIMEOUT_S)
+    return fn()
 
 
 def route_payload(
@@ -130,9 +160,7 @@ def route_payload(
     congestion negotiator uses, applied worker-side so the whole front
     never has to cross the wire just to pick one tree.
     """
-    if _ENGINE is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker pool used before init_worker")
-    engine = _ENGINE
+    engine = resident_engine()
     net = net_from_payload(payload)
     chosen: Optional[int] = None
     mem0 = int(getattr(engine, "hits", 0))
@@ -165,10 +193,9 @@ def route_payload(
 def worker_ready() -> Dict[str, Any]:
     """Readiness probe body: proof this worker's initializer completed.
 
-    The daemon submits one of these per worker after pool creation; the
-    returned dict doubles as the evidence behind ``/readyz`` (pid shows
-    which worker answered, store flags show the persistent tier is
-    attached and not degraded).
+    The daemon broadcasts this after pool creation; the returned dicts
+    are the evidence behind ``/readyz`` (pid shows which worker answered,
+    store flags show the persistent tier is attached and not degraded).
     """
     store = getattr(_ENGINE, "store", None) if _ENGINE is not None else None
     return {
@@ -180,16 +207,19 @@ def worker_ready() -> Dict[str, Any]:
 
 
 def drain_worker_telemetry() -> Dict[str, Any]:
-    """This worker's obs state, serialised for a daemon-side merge.
+    """This worker's obs state, serialised for a merge in the parent.
 
     Returns the registry snapshot (with raw timer samples), the buffered
-    structured events, and the buffered trace events; the worker's
-    buffers are cleared so a later drain ships only new data. Harmless
-    (all empty) when the worker runs without telemetry.
+    structured events, and the buffered trace events, and empties all
+    three, so a later drain ships only new data. Harmless (all empty)
+    when the worker runs without telemetry.
     """
+    registry = obs.get_registry()
+    snapshot = registry.snapshot(with_samples=True)
+    registry.reset()
     return {
         "pid": os.getpid(),
-        "snapshot": obs.get_registry().snapshot(with_samples=True),
+        "snapshot": snapshot,
         "events": obs.drain_events(),
         "trace": obs.get_trace_collector().drain(),
     }

@@ -50,11 +50,12 @@ import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, cast
 
 from .. import obs
+from ..engine.build import SERVING_ENGINE, EngineSpec, build_engine
 from ..engine.protocol import resolve_point_policy
 from ..exceptions import ReproError
 from . import pool
@@ -97,6 +98,12 @@ class ServeConfig:
     :attr:`RouteServer.tcp_port` — how tests and the smoke job avoid
     collisions).
 
+    ``engine`` is the stack every pool worker and every ECO session
+    builds (default: :data:`repro.engine.SERVING_ENGINE`, PatLabor with
+    the shipped lookup table behind a symmetry cache). ``store_path``
+    attaches the shared persistent cache tier to the pool workers only;
+    set it here, not as ``engine.cache_store``.
+
     ``metrics_port`` (when not None) binds the HTTP telemetry sidecar —
     ``/metrics``, ``/healthz``, ``/readyz`` — on ``metrics_host``;
     ``metrics_port=0`` binds an ephemeral port (read it back from
@@ -109,28 +116,12 @@ class ServeConfig:
     host: Optional[str] = None
     port: int = 0
     workers: int = 2
-    method: str = "patlabor"
-    cache_mode: Optional[str] = "symmetry"
-    cache_entries: int = 100_000
     store_path: Optional[str] = None
-    use_default_lut: bool = True
     telemetry: bool = False
     metrics_host: str = "127.0.0.1"
     metrics_port: Optional[int] = None
     slow_request_seconds: float = 1.0
-    router_options: Dict[str, Any] = field(default_factory=dict)
-
-    def worker_spec(self) -> pool.WorkerSpec:
-        """The pool-side description derived from this config."""
-        return pool.WorkerSpec(
-            method=self.method,
-            cache_mode=self.cache_mode,
-            cache_entries=self.cache_entries,
-            store_path=self.store_path,
-            use_default_lut=self.use_default_lut,
-            telemetry=self.telemetry,
-            router_options=dict(self.router_options),
-        )
+    engine: EngineSpec = SERVING_ENGINE
 
 
 class RouteServer:
@@ -145,7 +136,13 @@ class RouteServer:
     def __init__(self, config: ServeConfig) -> None:
         if config.socket_path is None and config.host is None:
             raise ValueError("ServeConfig needs a socket_path and/or a host")
+        if config.engine.cache_store is not None:
+            raise ValueError(
+                "set ServeConfig.store_path, not engine.cache_store: the "
+                "store belongs to the pool workers, not ECO sessions"
+            )
         self.config = config
+        self._workers = max(1, config.workers)
         self.started_at = 0.0
         self.requests = 0
         self.nets = 0
@@ -199,15 +196,13 @@ class RouteServer:
         """Create the worker pool and bind the configured endpoints."""
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        spec = self.config.worker_spec()
-        # Parse the LUT in the parent first: fork-started workers then
-        # inherit it copy-on-write and initializers are near-instant.
-        pool.preload_shared_state(spec)
-        self._executor = ProcessPoolExecutor(
-            max_workers=max(1, self.config.workers),
-            initializer=pool.init_worker,
-            initargs=(spec,),
+        spec = pool.WorkerSpec(
+            engine=dataclasses.replace(
+                self.config.engine, cache_store=self.config.store_path
+            ),
+            telemetry=self.config.telemetry,
         )
+        self._executor = pool.start_pool(spec, self._workers)
         if self.config.socket_path is not None:
             self._servers.append(
                 await asyncio.start_unix_server(
@@ -239,20 +234,21 @@ class RouteServer:
     async def _await_pool_ready(self) -> None:
         """Probe the pool until every worker's initializer has completed.
 
-        Submits one :func:`repro.serve.pool.worker_ready` task per worker
-        and gathers the answers. ``/readyz`` flips to 200 only after the
-        gather resolves — i.e. after the pool has actually executed work
-        post-initialization — and only if each answer shows a healthy
-        store when one is configured. A broken pool leaves the daemon
+        Broadcasts :func:`repro.serve.pool.worker_ready` (one probe per
+        worker, never two on one) and gathers the answers. ``/readyz``
+        flips to 200 only after the gather resolves — i.e. after the pool
+        has actually executed work post-initialization — and only if
+        each answer shows a healthy store when one is configured. A broken pool leaves the daemon
         permanently not-ready (the right probe verdict for it).
         """
         assert self._loop is not None and self._executor is not None
         try:
-            probes = [
-                self._loop.run_in_executor(self._executor, pool.worker_ready)
-                for _ in range(max(1, self.config.workers))
-            ]
-            info = list(await asyncio.gather(*probes))
+            probes = pool.broadcast(
+                self._executor, pool.worker_ready, self._workers
+            )
+            info = await asyncio.gather(
+                *[asyncio.wrap_future(probe) for probe in probes]
+            )
         except (BrokenProcessPool, RuntimeError, asyncio.CancelledError):
             return
         self.worker_info = info
@@ -298,6 +294,9 @@ class RouteServer:
             await server.wait_closed()
         self._servers.clear()
         if self._ready_task is not None:
+            # Let the readiness broadcast finish: a cancelled probe would
+            # leave its barrier short of one worker.
+            await asyncio.wait([self._ready_task], timeout=pool.BROADCAST_TIMEOUT_S)
             self._ready_task.cancel()
             self._ready_task = None
         if self._metrics_endpoint is not None:
@@ -309,10 +308,10 @@ class RouteServer:
                 # registries (histogram merges are associative, so the
                 # drain order across workers is immaterial).
                 try:
-                    for _ in range(max(1, self.config.workers)):
-                        drained = self._executor.submit(
-                            pool.drain_worker_telemetry
-                        ).result(timeout=10)
+                    for future in pool.broadcast(
+                        self._executor, pool.drain_worker_telemetry, self._workers
+                    ):
+                        drained = future.result(timeout=2 * pool.BROADCAST_TIMEOUT_S)
                         obs.get_registry().merge_snapshot(drained["snapshot"])
                         obs.get_event_log().extend(drained["events"])
                         obs.get_trace_collector().extend(drained["trace"])
@@ -321,8 +320,10 @@ class RouteServer:
             # Best-effort: ask workers to flush their persistent-store
             # statistics now (their atexit hooks cover stragglers).
             try:
-                for _ in range(max(1, self.config.workers)):
-                    self._executor.submit(pool.flush_worker).result(timeout=10)
+                for future in pool.broadcast(
+                    self._executor, pool.flush_worker, self._workers
+                ):
+                    future.result(timeout=2 * pool.BROADCAST_TIMEOUT_S)
             except Exception:
                 pass
             self._executor.shutdown(wait=True)
@@ -495,12 +496,12 @@ class RouteServer:
                 )
                 for index, payload in enumerate(nets)
             ]
-            try:
-                results = await asyncio.gather(*futures)
-            except BrokenProcessPool as exc:
-                # A broken executor never recovers: stop answering ready.
-                self.ready = False
-                raise ReproError(f"worker pool died: {exc}") from exc
+            results = await asyncio.gather(*futures)
+        except BrokenProcessPool as exc:
+            # A broken executor never recovers: stop answering ready.
+            # (Submitting to a pool already known broken raises here too.)
+            self.ready = False
+            raise ReproError(f"worker pool died: {exc}") from exc
         finally:
             self.queue_depth -= len(nets)
         self.nets += len(results)
@@ -522,15 +523,15 @@ class RouteServer:
     def _eco_router(self) -> "IncrementalRouter":
         """A fresh session engine for one ECO session.
 
-        Built from the same spec the pool workers use, minus the
-        persistent store — the store is flock single-writer and belongs
-        to the pool workers; session engines live privately inside the
-        daemon process.
+        Built from :attr:`ServeConfig.engine`, the spec the pool workers
+        use minus the persistent store — the store is flock single-writer
+        and belongs to the pool workers; session engines live privately
+        inside the daemon process.
         """
-        from ..incremental.engine import IncrementalRouter
-
-        spec = dataclasses.replace(self.config.worker_spec(), store_path=None)
-        return IncrementalRouter(spec.build())
+        return cast(
+            "IncrementalRouter",
+            build_engine(dataclasses.replace(self.config.engine, incremental=True)),
+        )
 
     async def _op_eco(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """One ECO request: seed a session (``nets``) or apply a ``delta``.
@@ -673,8 +674,8 @@ class RouteServer:
             "queue_depth": self.queue_depth,
             "queue_depth_max": self.queue_depth_max,
             "store_path": self.config.store_path,
-            "method": self.config.method,
-            "cache_mode": self.config.cache_mode,
+            "method": self.config.engine.router,
+            "cache_mode": self.config.engine.cache,
             "latency_ms": {
                 "request": self.request_hist.as_summary(),
                 **{

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.batch import BatchResult, route_batch
 from repro.core.patlabor import PatLaborConfig
+from repro.engine import EngineSpec
 from repro.eval.design_flow import (
     DesignFlowConfig,
     route_design,
@@ -36,12 +37,12 @@ class TestRouteBatch:
         renamed = []
         for i, n in enumerate(tripled):
             renamed.append(Net(pins=n.pins, name=f"m{i}"))
-        result = route_batch(renamed, jobs=1, use_cache=True)
+        result = route_batch(renamed, EngineSpec(cache="translation"), jobs=1)
         assert result.cache_hits >= len(nets)
 
     def test_no_cache_mode(self):
         nets = workload(count=2)
-        result = route_batch(nets, jobs=1, use_cache=False)
+        result = route_batch(nets, EngineSpec(cache=None), jobs=1)
         assert result.cache_hits == 0 and result.cache_misses == 0
 
     def test_parallel_matches_serial_objectives(self):
@@ -63,7 +64,12 @@ class TestRouteBatch:
     def test_custom_config_propagates(self):
         nets = [random_net(12, rng=random.Random(5), name="big")]
         result = route_batch(
-            nets, config=PatLaborConfig(iterations=1), jobs=1
+            nets,
+            EngineSpec(
+                router_options={"config": PatLaborConfig(iterations=1)},
+                cache="translation",
+            ),
+            jobs=1,
         )
         assert result.fronts["big"]
 

@@ -235,14 +235,19 @@ class TestConcurrentStoreWriters:
 
     def test_route_batch_workers_share_a_store(self, tmp_path):
         from repro.core.batch import route_batch
+        from repro.engine import EngineSpec
 
         db = str(tmp_path / "batch.sqlite")
         rng = random.Random(404)
         nets = [random_net(4, rng=rng, name=f"n{i}") for i in range(12)]
-        cold = route_batch(nets, jobs=2, cache_mode="symmetry", cache_store=db)
+        cold = route_batch(
+            nets, EngineSpec(cache="symmetry", cache_store=db), jobs=2
+        )
         assert len(cold.fronts) == 12
         # A second pool over the same store: every net is a store hit.
-        warm = route_batch(nets, jobs=2, cache_mode="symmetry", cache_store=db)
+        warm = route_batch(
+            nets, EngineSpec(cache="symmetry", cache_store=db), jobs=2
+        )
         assert warm.cache_hit_rate == 1.0
         for name, front in warm.fronts.items():
             assert [(w, d) for w, d, _ in front] == [

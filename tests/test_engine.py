@@ -178,6 +178,46 @@ class TestMiddleware:
             build_engine(EngineSpec(router="patlabor", cache="bogus"))
 
 
+class TestEngineSpecLut:
+    """``EngineSpec.lut`` is the one way to arm a lookup table."""
+
+    def test_shipped_path_arms_the_default_table_object(self):
+        from repro.lut.default import DATA_FILE, default_table
+
+        engine = build_engine(
+            EngineSpec(lut=DATA_FILE, validate=False, observe=False)
+        )
+        assert isinstance(engine, PatLabor)
+        assert engine.lut is default_table()
+
+    def test_every_spelling_of_a_path_shares_one_table(self):
+        import os
+
+        from repro.lut.default import DATA_FILE
+
+        tables = {
+            id(build_engine(EngineSpec(lut=lut, validate=False, observe=False)).lut)
+            for lut in (DATA_FILE, str(DATA_FILE), os.path.relpath(DATA_FILE))
+        }
+        assert len(tables) == 1
+
+    def test_lut_on_a_tableless_router_is_rejected(self):
+        from repro.lut.default import DATA_FILE
+
+        with pytest.raises(ValueError, match="takes no lookup table"):
+            build_engine(EngineSpec(router="salt", lut=DATA_FILE))
+
+    def test_lut_router_option_is_rejected(self):
+        from repro.lut.default import default_table
+
+        with pytest.raises(ValueError, match="EngineSpec.lut"):
+            build_engine(EngineSpec(router_options={"lut": default_table()}))
+
+    def test_spec_is_frozen(self):
+        with pytest.raises(AttributeError):
+            EngineSpec().cache = "symmetry"
+
+
 class TestSymmetryCacheTransparency:
     """Property: the canonicalizing cache is invisible to callers.
 

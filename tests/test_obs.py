@@ -18,6 +18,7 @@ import pytest
 from repro import obs
 from repro.core.batch import route_batch
 from repro.core.patlabor import PatLabor, PatLaborConfig
+from repro.engine import EngineSpec
 from repro.geometry.net import random_net
 
 
@@ -217,14 +218,14 @@ class TestEmptyBatchRatios:
         assert empty.total_solutions == 0
 
     def test_route_batch_empty_nets(self):
-        result = route_batch([], use_cache=True)
+        result = route_batch([], EngineSpec(cache="translation"))
         assert result.fronts == {}
         assert result.cache_hit_rate == 0.0
         assert result.nets_per_second == 0.0
 
     def test_route_batch_empty_nets_profiled_and_parallel(self):
         obs.enable()
-        result = route_batch([], jobs=4, use_cache=True)
+        result = route_batch([], EngineSpec(cache="translation"), jobs=4)
         obs.disable()
         assert result.metrics is not None
         assert result.metrics["cache_hit_rate"] == 0.0
@@ -281,10 +282,10 @@ class TestTransparency:
     def test_batch_results_identical_and_metrics_attached(self):
         rng = random.Random(8)
         nets = [random_net(5, rng=rng, name=f"n{i}") for i in range(6)]
-        plain = route_batch(nets, use_cache=True)
+        plain = route_batch(nets, EngineSpec(cache="translation"))
         assert plain.metrics is None
         obs.enable()
-        profiled = route_batch(nets, use_cache=True)
+        profiled = route_batch(nets, EngineSpec(cache="translation"))
         obs.disable()
         assert profiled.metrics is not None
         assert profiled.metrics["nets"] == len(nets)

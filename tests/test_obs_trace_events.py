@@ -17,6 +17,7 @@ from repro import obs
 from repro.core.batch import route_batch
 from repro.core.pareto_ks import pareto_ks
 from repro.core.patlabor import PatLabor
+from repro.engine import EngineSpec
 from repro.geometry.net import random_net
 
 
@@ -141,7 +142,7 @@ class TestPipelineEvents:
     def test_batch_done_event(self):
         obs.events_enable()
         nets = [random_net(5, rng=random.Random(7), name=f"b{i}") for i in range(3)]
-        result = route_batch(nets, use_cache=True)
+        result = route_batch(nets, EngineSpec(cache="translation"))
         (event,) = [
             e for e in obs.get_event_log().events() if e["kind"] == "batch_done"
         ]
@@ -179,7 +180,7 @@ class TestChromeTrace:
         obs.trace_enable()
         rng = random.Random(11)
         nets = [random_net(6, rng=rng, name=f"p{i}") for i in range(8)]
-        route_batch(nets, jobs=2, use_cache=False)
+        route_batch(nets, EngineSpec(cache=None), jobs=2)
         payload = obs.chrome_trace()
         assert obs.validate_chrome_trace(payload) == []
         xs = [e for e in payload["traceEvents"] if e.get("ph") == "X"]
@@ -200,7 +201,7 @@ class TestChromeTrace:
         obs.events_enable()
         rng = random.Random(12)
         nets = [random_net(5, rng=rng, name=f"w{i}") for i in range(6)]
-        route_batch(nets, jobs=2, use_cache=False)
+        route_batch(nets, EngineSpec(cache=None), jobs=2)
         events = obs.get_event_log().events()
         routed = [e for e in events if e["kind"] == "net_routed"]
         assert {e["net"] for e in routed} == {f"w{i}" for i in range(6)}

@@ -493,3 +493,95 @@ class TestDaemonLifecycle:
             with ServeClient(host="127.0.0.1", port=second.server.tcp_port) as c:
                 tiers = list(c.route_tiers([net]))
         assert tiers == ["store"]
+
+
+class TestWorkerSpec:
+    def test_default_is_patlabor_with_shipped_lut_behind_symmetry_cache(self):
+        from repro.core.cache import CachedRouter
+        from repro.core.patlabor import PatLabor
+        from repro.lut.default import default_table
+        from repro.serve import WorkerSpec
+
+        layer = WorkerSpec().build()
+        while not isinstance(layer, CachedRouter):
+            layer = layer.inner
+        assert layer.canonicalize == "symmetry"
+        assert layer.max_entries == 100_000
+        router = layer.router
+        while not isinstance(router, PatLabor):
+            router = router.inner
+        assert router.lut is default_table()
+
+    def test_pickled_spec_carries_no_table(self):
+        import pickle
+
+        from repro.serve import WorkerSpec
+
+        data = pickle.dumps(WorkerSpec())
+        assert b"LookupTable" not in data
+        assert len(data) < 2048
+        assert pickle.loads(data) == WorkerSpec()
+
+
+def _wait_pool_ready(server, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not server.ready:
+        if time.monotonic() > deadline:
+            raise TimeoutError("pool never became ready")
+        time.sleep(0.02)
+
+
+class TestWorkerPoolTelemetry:
+    def test_forked_workers_do_not_re_report_parent_metrics(self):
+        from repro import obs
+
+        obs.reset()
+        obs.enable()
+        try:
+            obs.counter_add("probe.parent_only", 5)
+            config = ServeConfig(
+                host="127.0.0.1", port=0, workers=1, telemetry=True
+            )
+            with ServerThread(config) as handle:
+                with ServeClient(
+                    host="127.0.0.1", port=handle.server.tcp_port
+                ) as c:
+                    c.route([random_net(4, rng=random.Random(96), name="p")])
+            counters = obs.get_registry().snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert counters["probe.parent_only"] == 5
+        assert counters["serve.nets"] == 1
+
+    def test_broadcasts_reach_every_worker_exactly_once(self):
+        """Readiness probes and telemetry drains each hit both workers:
+        two distinct pids answer, and every routed net's worker-side
+        sample is merged exactly once (several starts, since a broadcast
+        landing twice on one worker depends on scheduling)."""
+        from repro import obs
+
+        nets = [
+            random_net(4 + i % 3, rng=random.Random(300 + i), name=f"x{i}")
+            for i in range(12)
+        ]
+        obs.reset()
+        try:
+            for _ in range(3):
+                config = ServeConfig(
+                    host="127.0.0.1", port=0, workers=2, telemetry=True
+                )
+                with ServerThread(config) as handle:
+                    _wait_pool_ready(handle.server)
+                    pids = [w["pid"] for w in handle.server.worker_info]
+                    with ServeClient(
+                        host="127.0.0.1", port=handle.server.tcp_port
+                    ) as c:
+                        c.route(nets)
+                timers = obs.get_registry().timers
+                merged = timers["serve.worker_net_seconds"].count
+                obs.reset()
+                assert len(pids) == 2 and len(set(pids)) == 2
+                assert merged == len(nets)
+        finally:
+            obs.reset()
