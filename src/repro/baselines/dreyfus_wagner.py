@@ -41,7 +41,7 @@ def steiner_min_tree(net: Net, max_terminals: int = DEFAULT_MAX_TERMINALS) -> Ro
     nodes = [v for v in grid.nodes() if v not in corner]
     col = {v: i for i, v in enumerate(nodes)}
     flat = [grid.flat_index(v) for v in nodes]
-    dist = np.asarray(grid.distance_matrix())[np.ix_(flat, flat)]
+    dist = grid.distance_array()[np.ix_(flat, flat)]
     node_ix = np.array([v[0] for v in nodes])
     node_iy = np.array([v[1] for v in nodes])
     term_ix = np.array([t[0] for t in terms])

@@ -23,7 +23,10 @@ Pruning (paper, Section V-A):
 
 The frontier returned is exact regardless of which pruning flags are set;
 the flags only change how much work is done (tests cross-check all
-configurations).
+configurations). Beyond the paper, :func:`pareto_dw` also bounds the
+array engine by two heuristic incumbent trees (:func:`_incumbent_bound`),
+dropping labels no full tree can carry onto the front — again without
+changing the frontier.
 
 Two exact engines share the DP; :func:`pareto_dw` picks one by degree
 (:data:`_ARRAY_MIN_DEGREE`), no public caller chooses.
@@ -89,6 +92,18 @@ _CANDIDATE_BUDGET = 8192
 #: only drops elements the filter would drop anyway).
 _PRUNE_MIN = 1024
 
+#: :func:`pareto_dw` bounds array-engine solves from this degree up. At
+#: degree 6 the incumbent trees and bound tables (~0.9 ms) cost more
+#: than the pruning saves (``docs/performance.md``, "Bounded DW").
+_BOUND_MIN_DEGREE = 7
+
+#: Relative margin of the incumbent bound: a label is dropped only when
+#: an incumbent beats its lower bound by more than this factor in both
+#: objectives. Accumulated rounding of the sums involved is ~1e-14
+#: relative, so the margin keeps every drop a strict dominance
+#: (``docs/numerics.md`` §9).
+_BOUND_MARGIN = 1e-9
+
 
 @dataclass
 class DWStats:
@@ -103,6 +118,10 @@ class DWStats:
     solutions built (reference: every shifted candidate; kernels: only
     dominance survivors). Their sum is the "candidate tuples allocated"
     headline that ``benchmarks/bench_pareto_kernels.py`` tracks.
+
+    ``bound_pruned`` counts what the incumbent bound of a bounded
+    array-engine solve dropped: merge rows, closure sources and closure
+    candidates (always 0 unbounded).
     """
 
     grid_nodes: int = 0
@@ -115,6 +134,7 @@ class DWStats:
     closure_allocations: int = 0
     max_front_size: int = 0
     subsets: int = 0
+    bound_pruned: int = 0
 
 
 # Backpointer payloads: small tagged tuples, shared structurally.
@@ -244,6 +264,10 @@ def pareto_dw(
     objectives, payload tie choices and the shared work counters; only
     the work done differs. The engine that ran is counted as
     ``dw.engine.array`` / ``dw.engine.tuple`` when observability is on.
+    From degree :data:`_BOUND_MIN_DEGREE` up the array engine also runs
+    *bounded*: two heuristic trees of ``net`` (:func:`_incumbent_trees`)
+    let it drop DP labels that no full tree can carry onto the front. The frontier — trees included
+    — is unchanged; the work counters shrink (``docs/numerics.md`` §9).
 
     ``kernels=False`` runs the enumerate-and-sort reference at every
     degree instead (counted as ``dw.engine.reference``) — the returned
@@ -267,7 +291,116 @@ def pareto_dw(
         with_trees=with_trees,
         max_degree=max_degree,
         stats=stats,
+        bound=net.degree >= _BOUND_MIN_DEGREE,
     )
+
+
+def _incumbent_trees(net: Net) -> List[RoutingTree]:
+    """The trees a bounded solve measures DP labels against.
+
+    Both ends of the front, cheaply: the CL arborescence (every sink on
+    a shortest path, so its delay is the L1 bound) and greedy Steiner
+    growth from the source (light wire). Together ~0.7 ms at degree 9.
+    """
+    from ..baselines.rsma import rsma
+    from ..routing.attach import grow_from_source
+
+    return [rsma(net), grow_from_source(net)]
+
+
+def _grid_objective(
+    tree: RoutingTree, grid: HananGrid, dist: Any
+) -> Optional[Tuple[float, float]]:
+    """``tree.objective()`` re-measured in the DP's own metric.
+
+    Every edge length is a :meth:`~repro.geometry.hanan.HananGrid.\
+distance_array` entry — the same floats the DP sums — so an incumbent
+    and the labels it bounds differ only by summation order, never by
+    how coordinates were rounded. ``None`` when a tree point is off the
+    grid (that tree then bounds nothing).
+    """
+    try:
+        flat = [grid.flat_index(grid.node_of(p)) for p in tree.points]
+    except KeyError:
+        return None
+    parent = tree.parent
+    arrival = [0.0] * len(flat)
+    wire = 0.0
+    for u in tree.topological_order():
+        p = parent[u]
+        if p >= 0:
+            edge = float(dist[flat[p], flat[u]])
+            wire += edge
+            arrival[u] = arrival[p] + edge
+    return wire, max(arrival[1 : tree.net.degree])
+
+
+def _incumbent_bound(
+    grid: HananGrid, dist: Any, node_flat: Any, incumbents: Sequence[RoutingTree]
+) -> Tuple[Optional[Callable[[Any, Any], Any]], Any, Any]:
+    """Drop test and label lower bounds of a bounded array-engine solve.
+
+    A label ``(w, d)`` of front ``(Q, v)`` only grows into full trees
+    whose wirelength is at least ``w + lb_w[Q, v]`` and whose delay is
+    at least ``d + lb_d[v]``:
+
+    * ``lb_w[Q, v]`` — half-perimeter of the bounding box of ``v``, the
+      sinks outside ``Q`` and the source (a tree joining them needs that
+      much wire);
+    * ``lb_d[v]`` — distance from the source to ``v`` (every sink below
+      ``v`` is reached through it).
+
+    Both are consistent — no extension or merge lowers a descendant's
+    bound — so a label whose bound an incumbent beats in both
+    objectives by more than :data:`_BOUND_MARGIN` never reaches the
+    front, and neither does anything built from it. Returns ``(beyond,
+    lb_w, lb_d)``; ``beyond(bw, bd)`` is that test, elementwise, and is
+    ``None`` when no incumbent lies on the grid. Coordinates are the
+    prefix sums the distances are differences of, read off
+    ``dist`` itself, and ``lb_w`` is built for every mask at once from a
+    sink-membership bit matrix.
+    """
+    import numpy as np
+
+    scale = 1.0 + _BOUND_MARGIN
+    thresholds: List[Tuple[float, float]] = []
+    for tree in incumbents:
+        objective = _grid_objective(tree, grid, dist)
+        if objective is not None:
+            thresholds.append((objective[0] * scale, objective[1] * scale))
+    ny = grid.ny
+    # Node (0, 0) sits at prefix coordinate 0 on both axes, so its
+    # distance to (ix, 0) is px[ix] and to (0, iy) is py[iy], exactly.
+    px = dist[0, ::ny]
+    py = dist[0, :ny]
+    pins = grid.pin_nodes()
+    sink_x = px[[ix for ix, _ in pins[1:]]]
+    sink_y = py[[iy for _, iy in pins[1:]]]
+    src_x, src_y = px[pins[0][0]], py[pins[0][1]]
+    k = len(pins) - 1
+    outside = (np.arange(1 << k)[:, None] >> np.arange(k) & 1) == 0
+    inf = np.inf
+    lo_x = np.minimum(np.where(outside, sink_x, inf).min(axis=1), src_x)[:, None]
+    hi_x = np.maximum(np.where(outside, sink_x, -inf).max(axis=1), src_x)[:, None]
+    lo_y = np.minimum(np.where(outside, sink_y, inf).min(axis=1), src_y)[:, None]
+    hi_y = np.maximum(np.where(outside, sink_y, -inf).max(axis=1), src_y)[:, None]
+    vx = px[node_flat // ny]
+    vy = py[node_flat % ny]
+    lb_w = (np.maximum(hi_x, vx) - np.minimum(lo_x, vx)) + (
+        np.maximum(hi_y, vy) - np.minimum(lo_y, vy)
+    )
+    lb_d = dist[grid.flat_index(pins[0]), node_flat]
+    if not thresholds:
+        return None, lb_w, lb_d
+
+    def beyond(bw: Any, bd: Any) -> Any:
+        hit = None
+        for tw, td in thresholds:
+            h = (tw < bw) & (td < bd)
+            hit = h if hit is None else hit | h
+        return hit
+
+    return beyond, lb_w, lb_d
 
 
 def _pareto_dw_on(
@@ -282,11 +415,13 @@ def _pareto_dw_on(
     stats: Optional[DWStats] = None,
     warm: Optional[Tuple["DWState", Sequence[int]]] = None,
     retain: Optional[List[Tuple[Any, ...]]] = None,
+    bound: bool = False,
 ) -> List[Solution]:
     """:func:`pareto_dw` on a given ``engine``: ``"tuple"``, ``"array"``
     or ``"reference"`` (same frontier on each), with its counters, span
     and ``dw_solve`` event. ``warm`` / ``retain`` are the array engine's
-    ECO hooks (see :func:`_pareto_dw_array_impl`)."""
+    ECO hooks and ``bound=True`` its incumbent bound (see
+    :func:`_pareto_dw_array_impl`); the other engines ignore ``bound``."""
     n = net.degree
     if n > max_degree:
         raise DegreeTooLargeError(n, max_degree)
@@ -311,7 +446,11 @@ def _pareto_dw_on(
     with span("dw.solve"):
         if engine == "array":
             result = _pareto_dw_array_impl(
-                net, warm=warm, retain=retain, **flags
+                net,
+                warm=warm,
+                retain=retain,
+                incumbents=_incumbent_trees(net) if bound else None,
+                **flags,
             )
         else:
             result = _pareto_dw_impl(net, kernels=engine == "tuple", **flags)
@@ -344,6 +483,8 @@ def _flush_dw_stats(stats: DWStats, engine: str) -> None:
     counter_add("dw.merge_candidates", stats.merge_candidates)
     counter_add("dw.closure_allocations", stats.closure_allocations)
     counter_add("dw.pruned_corner_nodes", stats.pruned_corner_nodes)
+    if stats.bound_pruned:
+        counter_add("dw.bound_pruned", stats.bound_pruned)
     gauge_max("dw.max_front_size", stats.max_front_size)
 
 
@@ -580,6 +721,7 @@ def _pareto_dw_array_impl(
     stats: Optional[DWStats],
     warm: Optional[Tuple["DWState", Sequence[int]]] = None,
     retain: Optional[List[Tuple[Any, ...]]] = None,
+    incumbents: Optional[Sequence[RoutingTree]] = None,
 ) -> List[Solution]:
     """The array-native DP engine :func:`pareto_dw` runs from degree 6 up.
 
@@ -613,6 +755,13 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
     compacted to what is still reachable (:func:`_compact_tables`).
     Neither changes a computed value — an installed front is the one
     the skipped work would have produced (``docs/numerics.md`` §5).
+
+    ``incumbents``, when given, are real trees of ``net`` that bound the
+    search (:func:`_incumbent_bound`): merge rows, merged closure
+    sources and closure candidates whose lower bound an incumbent
+    strictly beats are dropped. The final frontier is unchanged, but
+    the ``(mask, node)`` fronts below it are not, so a bounded solve
+    neither installs nor retains state (``docs/numerics.md`` §9).
     """
     import numpy as np
 
@@ -649,10 +798,14 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
     node_ix = np.array([ix for ix, _ in nodes], dtype=np.int64)
     node_iy = np.array([iy for _, iy in nodes], dtype=np.int64)
     # Node-indexed distance matrix, gathered from the same float values
-    # grid.dist() produces (bit-identical by the distance_matrix contract).
-    dmat = np.asarray(grid.distance_matrix(), dtype=np.float64)[
-        np.ix_(node_flat, node_flat)
-    ]
+    # grid.dist() produces (bit-identical by the distance_array contract).
+    dist = grid.distance_array()
+    dmat = dist[np.ix_(node_flat, node_flat)]
+    beyond: Optional[Callable[[Any, Any], Any]] = None
+    if incumbents is not None:
+        if warm is not None or retain is not None:
+            raise ValueError("a bounded solve neither installs nor retains state")
+        beyond, lb_w, lb_d = _incumbent_bound(grid, dist, node_flat, incumbents)
 
     # --- element store: struct-of-arrays backpointers, appended per batch.
     # kind 0 = leaf(sink node index), 1 = ext(child, u * num_nodes + v),
@@ -781,6 +934,14 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
             )[cblock]
             dom = (w_at < c_w) | ((w_at == c_w) & (min_d < c_d))
             dom |= (d_at < c_d) | ((d_at == c_d) & (min_w < c_w))
+            if beyond is not None:
+                hit = beyond(
+                    c_w + lb_w[masks.take(mask_of_e), c0:c1],
+                    c_d + lb_d[c0:c1],
+                )
+                if stats is not None:
+                    stats.bound_pruned += int(np.count_nonzero(hit & ~dom))
+                dom |= hit
             sel = np.flatnonzero(~dom)
             w_c = c_w.ravel().take(sel)
             d_c = c_d.ravel().take(sel)
@@ -955,10 +1116,34 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
         v_all = bb_all[segrow]
         c1 = CNT[q1_all, v_all]
         c2 = CNT[q2_all, v_all]
-        if stats is not None:
-            stats.merge_transitions += int(((c1 > 0) & (c2 > 0)).sum())
         cnts = c1 * c2
-        rows = (c1, c2, PTR[q1_all, v_all], PTR[q2_all, v_all], cnts, segrow, v_all)
+        live = np.flatnonzero(cnts)
+        if stats is not None:
+            stats.merge_transitions += live.shape[0]
+        p1 = PTR[q1_all, v_all]
+        p2 = PTR[q2_all, v_all]
+        if beyond is not None:
+            # Each row's ideal corner bounds every product it would
+            # build: least w = the two fronts' first w, least d = the
+            # max of their last d (fronts are w-ascending, d-descending).
+            _, sw, sd = _slots()
+            a1, a2, v_l = p1.take(live), p2.take(live), v_all.take(live)
+            hit = beyond(
+                sw.take(a1) + sw.take(a2) + lb_w[mask_vals[mask_of_row[live]], v_l],
+                np.maximum(
+                    sd.take(a1 + c1.take(live) - 1), sd.take(a2 + c2.take(live) - 1)
+                )
+                + lb_d.take(v_l),
+            )
+            if stats is not None:
+                stats.bound_pruned += int(np.count_nonzero(hit))
+            live = live[~hit]
+        # Rows without products (an empty or dropped factor) add nothing
+        # to any segment; leaving them out changes no batch cut.
+        rows = tuple(
+            col.take(live) for col in (c1, c2, p1, p2, cnts, segrow, v_all)
+        )
+        cnts, segrow = rows[4], rows[5]
         # Greedy batch cuts on segment boundaries: each batch takes the
         # longest run of segments whose products fit the budget.
         seg_cum = np.cumsum(
@@ -1021,6 +1206,36 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
         src_ptr = np.concatenate(([0], cum[bb_ends]))
         return src_ptr, src_eids, src_vis, src_w, src_d
 
+    def _bound_sources(
+        masks: List[int],
+        src_ptr: Any,
+        src_eids: Any,
+        src_vis: Any,
+        src_w: Any,
+        src_d: Any,
+    ) -> Tuple[Any, Any, Any, Any, Any]:
+        """``_merge``'s closure inputs without the merged points the
+        incumbent bound drops (same layout, blocks shrunk in place)."""
+        block = np.repeat(np.arange(len(masks)), np.diff(src_ptr))
+        mask_of_e = np.array(masks, dtype=np.int64)[block]
+        hit = beyond(
+            src_w + lb_w[mask_of_e, src_vis], src_d + lb_d.take(src_vis)
+        )
+        n_hit = int(np.count_nonzero(hit))
+        if not n_hit:
+            return src_ptr, src_eids, src_vis, src_w, src_d
+        if stats is not None:
+            stats.bound_pruned += n_hit
+        keep = ~hit
+        kept = np.bincount(block[keep], minlength=len(masks))
+        return (
+            np.concatenate(([0], np.cumsum(kept))),
+            src_eids[keep],
+            src_vis[keep],
+            src_w[keep],
+            src_d[keep],
+        )
+
     # --- singletons: one leaf element per sink, closed over all nodes.
     leaves = [si for si in range(num_sinks) if (1 << si) not in reused]
     if leaves:
@@ -1078,10 +1293,13 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
             mask_rows.append((mask, submasks, bb))
         if not mask_rows:
             continue
+        masks = [m for m, _, _ in mask_rows]
         with span("dw.merge"):
             merged = _merge(mask_rows)
+            if beyond is not None:
+                merged = _bound_sources(masks, *merged)
         with span("dw.closure"):
-            _closure([m for m, _, _ in mask_rows], *merged)
+            _closure(masks, *merged)
         if stats is not None:
             stats.subsets += len(mask_rows)
 

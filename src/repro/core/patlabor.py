@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..geometry.net import Net
 from ..geometry.point import Point, l1
@@ -179,6 +179,13 @@ class PatLabor:
                 iters = max(1, n // self.config.lam)
 
             attempted: Set[AttemptKey] = set()
+            # A step's additions depend only on its selection, and a
+            # selection recurs whenever the worst tree changes but the
+            # policy picks the same pins. Keyed in selection order: the
+            # order is the sub-net's sink order, which decides the exact
+            # solve's tie choices, so only an equal sequence is the same
+            # step.
+            expansions: Dict[Tuple[int, ...], List[Solution]] = {}
             for _ in range(iters):
                 counter_add("patlabor.local_search.iterations")
                 worst = max(front, key=lambda s: s[1])
@@ -196,10 +203,16 @@ class PatLabor:
                 with span("patlabor.expand"):
                     # The maintained front is always sorted; only the new
                     # candidates need filtering before the linear union.
-                    additions = self._expand(net, selection)
-                    front = merge_sorted_fronts(
-                        front, pareto_filter_sorted(additions)
-                    )
+                    step = tuple(selection)
+                    additions = expansions.get(step)
+                    if additions is None:
+                        additions = pareto_filter_sorted(
+                            self._expand(net, selection)
+                        )
+                        expansions[step] = additions
+                    else:
+                        counter_add("patlabor.local_search.reused_expansions")
+                    front = merge_sorted_fronts(front, additions)
                 if len(front) > self.config.max_front:
                     # Truncate by wirelength but always keep the min-delay
                     # endpoint — dropping it would unanchor the fast end.

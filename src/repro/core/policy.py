@@ -45,6 +45,7 @@ class PolicyParams:
             raise PolicyError(f"policy weights must be nonnegative: {self}")
 
     def as_array(self) -> np.ndarray:
+        """The weights as a length-4 array ``[a1, a2, a3, a4]``."""
         return np.array([self.a1, self.a2, self.a3, self.a4])
 
 

@@ -14,10 +14,13 @@ these gaps.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
 
 from .net import Net
 from .point import Point, PointLike
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 GridNode = Tuple[int, int]
 """A Hanan-grid node addressed by column and row index ``(ix, iy)``."""
@@ -103,16 +106,14 @@ class HananGrid:
         """Row index of a node in :meth:`distance_matrix` (``ix * ny + iy``)."""
         return node[0] * self.ny + node[1]
 
-    def distance_matrix(self) -> List[List[float]]:
-        """Dense all-pairs L1 node distances, indexed by :meth:`flat_index`.
+    def distance_array(self) -> "np.ndarray":
+        """Dense all-pairs L1 node distances as an ``(n, n)`` float64 array,
+        indexed by :meth:`flat_index` (``n = nx · ny``).
 
-        ``distance_matrix()[flat_index(a)][flat_index(b)] == dist(a, b)``
+        ``distance_array()[flat_index(a), flat_index(b)] == dist(a, b)``
         bit-for-bit: both compute ``|px_a - px_b| + |py_a - py_b|`` over
-        the same prefix sums with the same IEEE operations. The matrix is
-        built with one NumPy broadcast and returned as nested Python lists
-        so hot loops pay plain ``list`` indexing instead of a per-pair
-        method call — Pareto-DW's closure performs ~2M such lookups per
-        profile run.
+        the same prefix sums with the same IEEE operations, here in one
+        NumPy broadcast. The array engines index it directly.
 
         Memory is ``(nx · ny)²`` floats — at the exact DP's degree ceiling
         (12 pins) that is at most ``144² ≈ 20k`` entries.
@@ -125,7 +126,17 @@ class HananGrid:
         dy = np.abs(py[:, None] - py[None, :])  # (ny, ny)
         full = dx[:, None, :, None] + dy[None, :, None, :]
         n = self.nx * self.ny
-        return full.reshape(n, n).tolist()
+        return full.reshape(n, n)
+
+    def distance_matrix(self) -> List[List[float]]:
+        """:meth:`distance_array` as nested Python lists (same floats).
+
+        ``distance_matrix()[flat_index(a)][flat_index(b)] == dist(a, b)``.
+        Hot Python loops index lists faster than a NumPy array or a
+        per-pair method call — Pareto-DW's tuple-kernel closure performs
+        ~2M such lookups per profile run.
+        """
+        return self.distance_array().tolist()
 
     def neighbors(self, node: GridNode) -> Iterator[GridNode]:
         """The up-to-four orthogonal neighbours of a node."""

@@ -43,6 +43,17 @@ class TestDistances:
             for b in g.nodes():
                 assert abs(g.dist(a, b) - l1(g.point(a), g.point(b))) < 1e-9
 
+    def test_distance_array_is_dist_bit_for_bit(self):
+        net = random_net(7, rng=random.Random(5))
+        g = HananGrid.of_net(net)
+        arr = g.distance_array()
+        assert arr.shape == (g.num_nodes, g.num_nodes)
+        assert arr.dtype.name == "float64"
+        for a in g.nodes():
+            for b in g.nodes():
+                assert arr[g.flat_index(a), g.flat_index(b)] == g.dist(a, b)
+        assert g.distance_matrix() == arr.tolist()
+
     def test_gap_vector_sums_to_span(self):
         net = random_net(5, rng=random.Random(3))
         g = HananGrid.of_net(net)

@@ -205,3 +205,78 @@ class TestAttemptKeyDedup:
         del junk
         b = PatLabor(config=PatLaborConfig(seed=0)).route(net)
         assert [(w, d) for w, d, _ in a] == [(w, d) for w, d, _ in b]
+
+
+class TestExpansionReuse:
+    """A local-search step whose selection recurs reuses its additions."""
+
+    @staticmethod
+    def unmemoized(router, net, selections):
+        """The search loop re-expanding every step: the memo's oracle."""
+        from repro.baselines.rsmt import rsmt
+        from repro.core.frontier import merge_sorted_fronts, pareto_filter_sorted
+        from repro.core.pareto import clean_front
+
+        seed_tree = rsmt(net)
+        w, d = seed_tree.objective()
+        front = [(w, d, seed_tree)]
+        for selection in selections:
+            additions = pareto_filter_sorted(router._expand(net, selection))
+            front = merge_sorted_fronts(front, additions)
+            if len(front) > router.config.max_front:
+                front = front[: router.config.max_front - 1] + [front[-1]]
+        return clean_front(front)
+
+    def test_one_solve_per_distinct_selection(self, monkeypatch):
+        from repro import obs
+        from repro.core import patlabor as patlabor_module
+        from repro.eval.benchmarks import synth_net
+
+        # Found by search: this net's local search repeats a selection.
+        net = synth_net(27, random.Random(9))
+        solves = []
+        selections = []
+        real_dw = patlabor_module.pareto_dw
+        real_select = SelectionPolicy.select
+
+        def dw_spy(sub, **kw):
+            solves.append(tuple(sub.sinks))
+            return real_dw(sub, **kw)
+
+        real_shuffled = patlabor_module._shuffled_selection
+
+        def select_spy(self, net_, tree, k):
+            picked = real_select(self, net_, tree, k)
+            selections.append(list(picked))
+            return picked
+
+        def shuffled_spy(net_, k, rng):
+            # A repeated move is replaced by a random selection.
+            picked = real_shuffled(net_, k, rng)
+            selections[-1] = list(picked)
+            return picked
+
+        monkeypatch.setattr(patlabor_module, "pareto_dw", dw_spy)
+        monkeypatch.setattr(SelectionPolicy, "select", select_spy)
+        monkeypatch.setattr(patlabor_module, "_shuffled_selection", shuffled_spy)
+        router = PatLabor()
+        obs.reset()
+        obs.enable()
+        try:
+            front = router.route(net)
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+        distinct = {tuple(s) for s in selections}
+        assert len(solves) == len(set(solves)) == len(distinct)
+        reused = len(selections) - len(distinct)
+        assert reused >= 1
+        assert counters["patlabor.local_search.reused_expansions"] == reused
+
+        monkeypatch.undo()
+        want = self.unmemoized(PatLabor(), net, selections)
+        assert [(w, d) for w, d, _ in front] == [(w, d) for w, d, _ in want]
+        assert [(t.points, t.edges()) for _, _, t in front] == [
+            (t.points, t.edges()) for _, _, t in want
+        ]
