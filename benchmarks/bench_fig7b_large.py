@@ -3,8 +3,8 @@
 Paper: PatLabor tightest; ~11.6% slower than SALT (Pareto-set merging
 cost) but much faster than YSD. No exact frontier exists at these sizes,
 so curves are compared directly. Required shape: PatLabor's averaged
-curve at or below both baselines for most of the budget range, with the
-wirelength endpoint anchored by its RSMT seed.
+curve at or below SALT's at every budget of the grid and below YSD's on
+average, with the wirelength endpoint anchored by its RSMT seed.
 
 Timed kernel: PatLabor on one degree-~20 net.
 """
@@ -35,11 +35,12 @@ def test_fig7b_large_nets(benchmark, suite):
     ratio = ours.total_runtime / salt.total_runtime
     write_artifact("fig7b_large.txt", f"{rendered} (PatLabor/SALT: {ratio:.2f}x)")
 
-    # PatLabor at least as tight as each baseline on average across the
-    # budget grid (pointwise domination is not guaranteed at this scale,
-    # matching the paper's Fig. 7(b) where curves cross near the ends).
+    # PatLabor's mean delay at or below SALT's at every budget on the
+    # grid (the paper's claim), and at least as tight as YSD on average
+    # across it.
+    for d_ours, d_salt in zip(ours.mean_delay, salt.mean_delay):
+        assert d_ours <= d_salt + 1e-9
     mean = lambda c: sum(c.mean_delay) / len(c.mean_delay)  # noqa: E731
-    assert mean(ours) <= mean(salt) + 1e-9
     assert mean(ours) <= mean(ysd) + 1e-9
     # Wirelength endpoint: PatLabor's lightest tree ~ the RSMT reference.
     first_budget_delay = ours.mean_delay[0]

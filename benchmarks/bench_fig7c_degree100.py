@@ -4,8 +4,11 @@ Paper: 100 uniform-random degree-100 nets; PatLabor ties SALT at the
 low-wirelength end and is tighter at high wirelength; YSD's
 divide-and-conquer is poor at wirelength minimisation. Scaled to
 ``NUM_NETS`` nets (pure-Python PatLabor needs seconds per degree-100
-net). Required shape: (a) YSD's lightest tree is heavier than PatLabor's,
-(b) PatLabor matches or beats SALT's delay at loose wirelength budgets.
+net). PatLabor runs the paper's configuration, ``PatLaborConfig()``:
+floor(n / lambda) = 11 local-search iterations with SALT-style
+post-processing, as Fig. 7(b) does. Required shape: (a) YSD's lightest
+tree is heavier than PatLabor's, (b) PatLabor's mean delay is at or
+below SALT's at every wirelength budget of the grid.
 
 Timed kernel: one PatLabor route of a degree-100 net.
 """
@@ -24,7 +27,7 @@ NUM_NETS = 4  # paper: 100 — scaled for pure Python
 
 def test_fig7c_degree100(benchmark, suite):
     nets = suite.degree100_nets(count=NUM_NETS)
-    router = PatLabor(config=PatLaborConfig(iterations=8, post_refine=False))
+    router = PatLabor(config=PatLaborConfig())
     methods = {
         "PatLabor": router.route,
         "SALT": lambda n: salt_sweep(n, epsilons=(0.0, 0.1, 0.25, 0.5, 1.0, 2.0)),
@@ -54,12 +57,10 @@ def test_fig7c_degree100(benchmark, suite):
         for name in methods
     }
     assert min_w["PatLabor"] <= min_w["YSD"] + 1e-9
-    # Shape (b): at the loosest budget PatLabor's mean delay is no worse
-    # than SALT's by more than a whisker.
-    assert (
-        by_name["PatLabor"].mean_delay[-1]
-        <= by_name["SALT"].mean_delay[-1] + 0.05
-    )
+    # Shape (b): PatLabor's mean delay is at or below SALT's at every
+    # budget on the grid (the paper's claim).
+    for ours, theirs in zip(by_name["PatLabor"].mean_delay, by_name["SALT"].mean_delay):
+        assert ours <= theirs + 1e-9
 
     net = nets[0]
     benchmark.pedantic(lambda: router.route(net), rounds=1, iterations=1)

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..geometry.net import Net
 from ..geometry.point import Point, l1
 from ..obs import counter_add, gauge_max, span
+from ..routing.arraytree import ArrayTree
 from ..routing.attach import TreeBuilder
 from ..routing.refine import wirelength_refine
 from ..routing.tree import RoutingTree
@@ -287,13 +288,11 @@ def reassemble(
         # the result's delay matches the sub-tree's optimum / the bound).
         source = Point(float(net.source[0]), float(net.source[1]))
         pending = sorted(rest, key=lambda p: -l1(source, p))
+        live = ArrayTree(builder.points, builder.parent)
         for p in pending:
-            arrivals = _builder_arrivals(builder)
+            pt = Point(float(p[0]), float(p[1]))
             budget = (1.0 + ARRIVAL_SLACK) * l1(source, p)
-            node, split_child, at = _cheapest_within_budget(
-                builder, arrivals, p, budget
-            )
-            _apply_builder_attachment(builder, p, node, split_child, at)
+            live.attach(pt, *live.cheapest_within(pt, budget))
     else:
         raise ValueError(f"unknown reassembly mode {mode!r}")
     return builder.finish(net)
@@ -302,79 +301,6 @@ def reassemble(
 #: Per-sink arrival slack of the shallow reassembly variant: 2% over the
 #: L1 bound buys substantial wire sharing at negligible delay cost.
 ARRIVAL_SLACK = 0.02
-
-
-def _builder_arrivals(builder: TreeBuilder) -> List[float]:
-    """Source→node path length per builder node.
-
-    Traverses root-outward (edge splits make node indices non-topological,
-    so index order must not be trusted).
-    """
-    n = len(builder.points)
-    children: List[List[int]] = [[] for _ in range(n)]
-    for idx in range(1, n):
-        children[builder.parent[idx]].append(idx)
-    arrivals = [0.0] * n
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for c in children[u]:
-            arrivals[c] = arrivals[u] + l1(builder.points[u], builder.points[c])
-            stack.append(c)
-    return arrivals
-
-
-def _cheapest_within_budget(
-    builder: TreeBuilder, arrivals: List[float], p: Point, budget: float
-) -> Tuple[int, Optional[int], Point]:
-    """Cheapest attachment of ``p`` whose arrival meets ``budget``.
-
-    The source (arrival = L1 bound) always qualifies, so a feasible
-    candidate is guaranteed. Returns ``(node, split_child, attach_point)``.
-    """
-    from ..geometry.bbox import BBox, project_onto
-
-    pt = Point(float(p[0]), float(p[1]))
-    best = None  # (cost, arrival, node, split_child, at)
-    for u, pu in enumerate(builder.points):
-        cost = l1(pu, pt)
-        arrival = arrivals[u] + cost
-        if arrival <= budget + 1e-9:
-            if best is None or (cost, arrival) < (best[0], best[1]):
-                best = (cost, arrival, u, None, pu)
-    for child, parent in builder.edges():
-        a, b = builder.points[child], builder.points[parent]
-        box = BBox(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
-        q = project_onto(pt, box)
-        if q == a or q == b:
-            continue
-        cost = l1(q, pt)
-        arrival = arrivals[parent] + l1(builder.points[parent], q) + cost
-        if arrival <= budget + 1e-9 and (
-            best is None or (cost, arrival) < (best[0], best[1])
-        ):
-            best = (cost, arrival, parent, child, q)
-    assert best is not None, "source attachment always meets the budget"
-    return best[2], best[3], best[4]
-
-
-def _apply_builder_attachment(
-    builder: TreeBuilder,
-    p: Point,
-    node: int,
-    split_child: Optional[int],
-    at: Point,
-) -> int:
-    """Attach ``p`` under the chosen node / split edge of a builder."""
-    target = node
-    if split_child is not None:
-        grand = builder.parent[split_child]
-        steiner = len(builder.points)
-        builder.points.append(at)
-        builder.parent.append(grand)
-        builder.parent[split_child] = steiner
-        target = steiner
-    return builder.attach_to_node(p, target)
 
 
 #: Dedup key of one local-search move: the expanded tree's objective pair

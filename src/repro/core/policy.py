@@ -112,17 +112,38 @@ class SelectionPolicy:
     def select(
         self, net: Net, tree: RoutingTree, k: int
     ) -> List[int]:
-        """Indices of the ``k`` sinks to rebuild (greedy argmax score)."""
+        """Indices of the ``k`` sinks to rebuild (greedy argmax score).
+
+        Scores are :func:`pin_features` combined with the weights. The
+        features that depend on the selection are kept up to date as pins
+        are picked (the nearest selected pin and the selection's bounding
+        box) rather than recomputed per candidate; they are the same
+        values, since ``min`` and ``max`` are exact.
+        """
         alpha = self.params_for(net.degree)
-        delays = tree.sink_delays()
+        scale = max(net.bbox().half_perimeter, 1e-12)
+        sinks = net.sinks
+        base = [
+            alpha.a1 * (l1(net.source, p) / scale) + alpha.a2 * (d / scale)
+            for p, d in zip(sinks, tree.sink_delays())
+        ]
+        nearest = [float("inf")] * len(sinks)
+        xlo = ylo = float("inf")
+        xhi = yhi = -float("inf")
         selected: List[int] = []
-        remaining = set(range(len(net.sinks)))
+        remaining = set(range(len(sinks)))
         while remaining and len(selected) < k:
             scored = []
             for i in remaining:
-                f1, f2, f3, f4 = pin_features(net, tree, i, selected, delays)
-                s = alpha.a1 * f1 + alpha.a2 * f2 - alpha.a3 * f3 - alpha.a4 * f4
-                scored.append((s, i))
+                if selected:
+                    x, y = sinks[i]
+                    f3 = nearest[i] / scale
+                    f4 = (
+                        (max(x, xhi) - min(x, xlo)) + (max(y, yhi) - min(y, ylo))
+                    ) / scale
+                else:
+                    f3 = f4 = 0.0
+                scored.append((base[i] - alpha.a3 * f3 - alpha.a4 * f4, i))
             scored.sort(reverse=True)
             if self.rng is not None and len(scored) > 1:
                 # Small exploration: occasionally take the runner-up.
@@ -131,6 +152,11 @@ class SelectionPolicy:
                 pick = scored[0][1]
             selected.append(pick)
             remaining.discard(pick)
+            q = sinks[pick]
+            for i in remaining:
+                nearest[i] = min(nearest[i], l1(sinks[i], q))
+            xlo, xhi = min(xlo, q.x), max(xhi, q.x)
+            ylo, yhi = min(ylo, q.y), max(yhi, q.y)
         return selected
 
 
