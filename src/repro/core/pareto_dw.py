@@ -50,8 +50,10 @@ equivalence tests and the old-vs-new kernel benchmark
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Tuple
 
 from ..exceptions import DegreeTooLargeError
 from ..geometry.hanan import GridNode, HananGrid
@@ -83,7 +85,9 @@ _ARRAY_MIN_DEGREE = 6
 #: Bounds the engine's transient working set (about 150 bytes per
 #: candidate) independently of the degree; batches are cut between
 #: ``(mask, node)`` segments, which are filtered independently, so the
-#: budget changes no front, tie choice or shared work counter.
+#: budget changes no front, tie choice or shared work counter. It also
+#: bounds the cells of each live-row cube chunk (:func:`_live_merge_rows`),
+#: hence the merge rows one chunk materializes.
 _CANDIDATE_BUDGET = 8192
 
 #: Below this many candidates a batch skips the strict-dominance
@@ -93,7 +97,7 @@ _CANDIDATE_BUDGET = 8192
 _PRUNE_MIN = 1024
 
 #: :func:`pareto_dw` bounds array-engine solves from this degree up. At
-#: degree 6 the incumbent trees and bound tables (~0.9 ms) cost more
+#: degree 6 the incumbent trees (~0.2–0.3 ms) and bound tables cost more
 #: than the pruning saves (``docs/performance.md``, "Bounded DW").
 _BOUND_MIN_DEGREE = 7
 
@@ -237,6 +241,100 @@ def _splits_for_mask(
     return submasks
 
 
+def _split_table(
+    num_sinks: int, size: int, boundary_rank: Optional[List[int]] = None
+) -> Tuple[Any, Any]:
+    """``(masks, sub)``: the ``size``-sink masks, ascending, and their splits.
+
+    Row ``i`` of ``sub`` holds the :func:`_splits_for_mask` splits of
+    ``masks[i]``, in order, padded with submask 0 (its fronts are always
+    empty). Read-only; :func:`_shared_split_table` caches the tables
+    without ``boundary_rank``, which depend on ``(num_sinks, size)`` only.
+    """
+    import numpy as np
+
+    masks = [m for m in range(1 << num_sinks) if bin(m).count("1") == size]
+    rows = [
+        _splits_for_mask(
+            m, [i for i in range(num_sinks) if m >> i & 1], size, boundary_rank, None
+        )
+        for m in masks
+    ]
+    sub = np.zeros((len(rows), max(map(len, rows))), dtype=np.int64)
+    for i, row in enumerate(rows):
+        sub[i, : len(row)] = row
+    table = np.array(masks, dtype=np.int64), sub
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+#: One entry per ``(num_sinks, size)``, so the degree ceiling bounds it.
+_shared_split_table = functools.lru_cache(maxsize=None)(_split_table)
+
+
+@functools.lru_cache(maxsize=None)
+def _sink_membership(num_sinks: int) -> Any:
+    """Read-only ``(2**num_sinks, num_sinks)`` bools: is sink ``i`` in mask ``m``."""
+    import numpy as np
+
+    member = (np.arange(1 << num_sinks)[:, None] >> np.arange(num_sinks) & 1) == 1
+    member.setflags(write=False)
+    return member
+
+
+def _mask_box(member: Any, xs: Any, ys: Any) -> Tuple[Any, ...]:
+    """``(lo_x, hi_x, lo_y, hi_y)`` columns: the bounding box of each
+    row's members of ``member`` (empty rows give ``inf`` / ``-inf``)."""
+    import numpy as np
+
+    def extent(vals: Any) -> Tuple[Any, Any]:
+        lo = np.where(member, vals, np.inf).min(axis=1)
+        return lo[:, None], np.where(member, vals, -np.inf).max(axis=1)[:, None]
+
+    return (*extent(xs), *extent(ys))
+
+
+def _live_merge_rows(
+    CNT: Any, PTR: Any, masks: Any, sub: Any, box: Optional[Any], budget: int
+) -> Iterator[Tuple[Any, ...]]:
+    """The merge rows of one cardinality whose two factor fronts exist.
+
+    Row ``(m, v, s)`` merges fronts ``(q1, v)`` and ``(masks[m] ^ q1, v)``,
+    ``q1 = sub[m, s]``; it is live when both are non-empty and, given
+    ``box`` (Lemma 3), ``box[m, v]`` puts node ``v`` in the mask's box.
+    The nonzeros of one boolean cube per chunk, in ``(mask, node,
+    split)`` order, are the live rows in reference bucket order
+    (``docs/numerics.md`` §5). A chunk — whole masks, or column blocks of
+    one mask's nodes — has at most ``budget`` cells unless one ``(mask,
+    node)`` has more splits. Yields ``(m, v, q1, c1, c2, p1, p2)`` per
+    chunk, with the factors' ``CNT`` and ``PTR`` entries.
+    """
+    import numpy as np
+
+    live = CNT > 0
+    n_masks, n_splits = sub.shape
+    n_nodes = CNT.shape[1]
+    cols = min(n_nodes, max(1, budget // n_splits))
+    step = max(1, budget // (n_splits * cols))
+    for m0 in range(0, n_masks, step):
+        q1s = sub[m0 : m0 + step]
+        q2s = masks[m0 : m0 + step, None] ^ q1s
+        for n0 in range(0, n_nodes, cols):
+            block = live[:, n0 : n0 + cols]
+            cube = block[q1s]
+            cube &= block[q2s]
+            if box is not None:
+                cube &= box[m0 : m0 + step, None, n0 : n0 + cols]
+            m, v, s = np.nonzero(cube.transpose(0, 2, 1))
+            q1 = q1s[m, s]
+            v += n0
+            f1 = q1 * n_nodes + v
+            f2 = q2s[m, s] * n_nodes + v
+            cnt, ptr = CNT.take(f1), PTR.take(f1)
+            yield m + m0, v, q1, cnt, CNT.take(f2), ptr, PTR.take(f2)
+
+
 def pareto_dw(
     net: Net,
     *,
@@ -300,7 +398,7 @@ def _incumbent_trees(net: Net) -> List[RoutingTree]:
 
     Both ends of the front, cheaply: the CL arborescence (every sink on
     a shortest path, so its delay is the L1 bound) and greedy Steiner
-    growth from the source (light wire). Together ~0.7 ms at degree 9.
+    growth from the source (light wire). Together ~0.2–0.4 ms at degree 6–9.
     """
     from ..baselines.rsma import rsma
     from ..routing.attach import grow_from_source
@@ -377,13 +475,12 @@ def _incumbent_bound(
     sink_x = px[[ix for ix, _ in pins[1:]]]
     sink_y = py[[iy for _, iy in pins[1:]]]
     src_x, src_y = px[pins[0][0]], py[pins[0][1]]
-    k = len(pins) - 1
-    outside = (np.arange(1 << k)[:, None] >> np.arange(k) & 1) == 0
-    inf = np.inf
-    lo_x = np.minimum(np.where(outside, sink_x, inf).min(axis=1), src_x)[:, None]
-    hi_x = np.maximum(np.where(outside, sink_x, -inf).max(axis=1), src_x)[:, None]
-    lo_y = np.minimum(np.where(outside, sink_y, inf).min(axis=1), src_y)[:, None]
-    hi_y = np.maximum(np.where(outside, sink_y, -inf).max(axis=1), src_y)[:, None]
+    # Every box holds the sinks outside the mask and the source (last).
+    outside = ~_sink_membership(len(pins) - 1)
+    boxed = np.c_[outside, np.ones(outside.shape[0], dtype=bool)]
+    lo_x, hi_x, lo_y, hi_y = _mask_box(
+        boxed, np.append(sink_x, src_x), np.append(sink_y, src_y)
+    )
     vx = px[node_flat // ny]
     vy = py[node_flat % ny]
     lb_w = (np.maximum(hi_x, vx) - np.minimum(lo_x, vx)) + (
@@ -730,10 +827,11 @@ def _pareto_dw_array_impl(
     subset cardinality is batched into a few vectorized passes, each
     holding at most :data:`_CANDIDATE_BUDGET` candidates:
 
-    * **merge phase** — the ``(mask, split, node)`` cross products of one
-      cardinality are enumerated with :func:`~repro.core.frontier_array.\
-ragged_product_indices` and filtered by segmented exact sweeps, one
-      segment per ``(mask, node)`` bucket;
+    * **merge phase** — the live ``(mask, node, split)`` rows of one
+      cardinality (:func:`_live_merge_rows`) expand into cross products
+      (:func:`~repro.core.frontier_array.ragged_product_indices`),
+      filtered by segmented exact sweeps, one segment per ``(mask,
+      node)`` bucket;
     * **closure phase** — every merged front is extended to every grid
       node via broadcasts against the distance matrix and filtered the
       same way, reusing source elements for identity extensions exactly
@@ -794,9 +892,8 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
     num_nodes = len(nodes)
     ny = grid.ny
     node_index = {v: vi for vi, v in enumerate(nodes)}
-    node_flat = np.array([ix * ny + iy for ix, iy in nodes], dtype=np.int64)
-    node_ix = np.array([ix for ix, _ in nodes], dtype=np.int64)
-    node_iy = np.array([iy for _, iy in nodes], dtype=np.int64)
+    node_ix, node_iy = np.array(nodes, dtype=np.int64).T
+    node_flat = node_ix * ny + node_iy
     # Node-indexed distance matrix, gathered from the same float values
     # grid.dist() produces (bit-identical by the distance_array contract).
     dist = grid.distance_array()
@@ -985,7 +1082,7 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
                 stats.max_front_size = top
 
     def _closure(
-        masks: List[int],
+        masks: Any,
         src_ptr: Any,
         src_eids: Any,
         src_vis: Any,
@@ -1004,7 +1101,6 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
         n_src = src_vis.shape[0]
         if stats is not None:
             stats.closure_extensions += n_src * (num_nodes - 1)
-        masks_arr = np.array(masks, dtype=np.int64)
         m0 = 0
         while m0 < len(masks):
             rows = e_list[m0]
@@ -1017,7 +1113,7 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
                 cols = max(1, min(num_nodes, budget // rows))
                 for c0 in range(0, num_nodes, cols):
                     _closure_batch(
-                        masks_arr[m0:m1],
+                        masks[m0:m1],
                         src_ptr[m0 : m1 + 1] - r0,
                         src_eids[r0:r1],
                         src_vis[r0:r1],
@@ -1033,14 +1129,11 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
     ) -> Tuple[Any, Any, Any, Any, Any]:
         """Merge products of rows ``r0:r1`` = segments ``s0:s1``, filtered.
 
-        Returns ``(seg_counts, src_eids, src_vis, src_w, src_d)`` of the
+        Returns ``(src_key, src_eids, src_vis, src_w, src_d)`` of the
         survivors, grouped by segment in segment order, and appends one
         merge element per survivor.
         """
-        c1, c2, st1, st2, cnts, segrow, v_all = (
-            col[r0:r1] for col in rows
-        )
-        n_seg = s1 - s0
+        c1, c2, st1, st2, cnts, seg, key = (col[r0:r1] for col in rows)
         fe, sw, sd = _slots()
         _, i_a, i_b = ragged_product_indices(c1, c2, st1, st2, rows=False)
         # Merged pair: w adds, d maxes (in place over the fresh gathers).
@@ -1056,9 +1149,9 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
         # aggregate per-row product counts, and survivors recover their
         # segment / row ids by binary search instead of a full-length
         # expansion (exact: counts stay far below 2**53).
-        local = segrow - s0
+        local = seg - s0
         if n_cand >= _PRUNE_MIN:
-            sizes = np.bincount(local, weights=cnts, minlength=n_seg).astype(
+            sizes = np.bincount(local, weights=cnts, minlength=s1 - s0).astype(
                 np.int64
             )
             seg_cum = np.cumsum(sizes)
@@ -1075,166 +1168,83 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
             seg_c = np.repeat(local, cnts)
         sidx = segmented_pareto_filter(seg_c, w_c, d_c)
         picked = sel.take(sidx) if sel is not None else sidx
-        s_w = w_c.take(sidx)
-        s_d = d_c.take(sidx)
         elem_base = _append_elems(2, fe[i_a[picked]], fe[i_b[picked]])
         src_eids = elem_base + np.arange(sidx.shape[0], dtype=np.int64)
-        seg_counts = np.bincount(seg_c.take(sidx), minlength=n_seg)
         row_of = np.searchsorted(np.cumsum(cnts), picked, side="right")
-        return seg_counts, src_eids, v_all[row_of], s_w, s_d
+        src_key = key.take(row_of)
+        return src_key, src_eids, src_key % num_nodes, w_c.take(sidx), d_c.take(sidx)
 
-    def _merge_group(
-        group: List[Tuple[int, List[int], Any]],
-    ) -> List[Tuple[Any, Any, Any, Any, Any]]:
-        """Merge the rows of ``group``, in batches of at most ``budget`` products.
-
-        ``group`` holds ``(mask, submasks, bbox_node_indices)`` entries
-        whose rows fit the budget. Returns the ``_merge_rows`` outputs of
-        every batch, in segment order.
-        """
-        # Row grid construction, vectorized across the group: one row per
-        # (mask, bbox node, split), node-major within each mask so the
-        # products of one (mask, node) bucket land contiguously in split
-        # order — the reference enumeration order.
-        ns_arr = np.array([len(sm) for _, sm, _ in group], dtype=np.int64)
-        nb_arr = np.array([bb.shape[0] for _, _, bb in group], dtype=np.int64)
-        rows_per_mask = ns_arr * nb_arr
-        total_rows = int(rows_per_mask.sum())
-        seg_base = int(nb_arr.sum())
-        sub_all = np.array([q for _, sm, _ in group for q in sm], dtype=np.int64)
-        bb_all = np.concatenate([bb for _, _, bb in group])
-        sub_starts = np.concatenate(([0], np.cumsum(ns_arr)[:-1]))
-        row_starts = np.concatenate(([0], np.cumsum(rows_per_mask)[:-1]))
-        bb_starts = np.concatenate(([0], np.cumsum(nb_arr)[:-1]))
-        mask_of_row = np.repeat(np.arange(len(group), dtype=np.int64), rows_per_mask)
-        pos = np.arange(total_rows, dtype=np.int64) - row_starts[mask_of_row]
-        ns_rep = ns_arr[mask_of_row]
-        q1_all = sub_all[sub_starts[mask_of_row] + pos % ns_rep]
-        mask_vals = np.array([mask for mask, _, _ in group], dtype=np.int64)
-        q2_all = mask_vals[mask_of_row] ^ q1_all
-        segrow = bb_starts[mask_of_row] + pos // ns_rep
-        v_all = bb_all[segrow]
-        c1 = CNT[q1_all, v_all]
-        c2 = CNT[q2_all, v_all]
-        cnts = c1 * c2
-        live = np.flatnonzero(cnts)
+    def _unbeaten(bw: Any, bd: Any, cols: Tuple[Any, ...]) -> List[Any]:
+        """``cols`` without the entries whose lower bounds ``(bw, bd)`` an
+        incumbent beats (counted as ``bound_pruned``)."""
+        hit = beyond(bw, bd)
         if stats is not None:
-            stats.merge_transitions += live.shape[0]
-        p1 = PTR[q1_all, v_all]
-        p2 = PTR[q2_all, v_all]
-        if beyond is not None:
-            # Each row's ideal corner bounds every product it would
-            # build: least w = the two fronts' first w, least d = the
-            # max of their last d (fronts are w-ascending, d-descending).
-            _, sw, sd = _slots()
-            a1, a2, v_l = p1.take(live), p2.take(live), v_all.take(live)
-            hit = beyond(
-                sw.take(a1) + sw.take(a2) + lb_w[mask_vals[mask_of_row[live]], v_l],
-                np.maximum(
-                    sd.take(a1 + c1.take(live) - 1), sd.take(a2 + c2.take(live) - 1)
-                )
-                + lb_d.take(v_l),
-            )
-            if stats is not None:
-                stats.bound_pruned += int(np.count_nonzero(hit))
-            live = live[~hit]
-        # Rows without products (an empty or dropped factor) add nothing
-        # to any segment; leaving them out changes no batch cut.
-        rows = tuple(
-            col.take(live) for col in (c1, c2, p1, p2, cnts, segrow, v_all)
-        )
-        cnts, segrow = rows[4], rows[5]
-        # Greedy batch cuts on segment boundaries: each batch takes the
-        # longest run of segments whose products fit the budget.
-        seg_cum = np.cumsum(
-            np.bincount(segrow, weights=cnts, minlength=seg_base).astype(np.int64)
-        )
-        seg_row = np.searchsorted(segrow, np.arange(seg_base + 1)).tolist()
-        pieces: List[Tuple[Any, Any, Any, Any, Any]] = []
-        s0 = 0
-        while s0 < seg_base:
-            done = int(seg_cum[s0 - 1]) if s0 else 0
-            s1 = int(np.searchsorted(seg_cum, done + budget, side="right"))
-            s1 = max(s1, s0 + 1)
-            pieces.append(_merge_rows(seg_row[s0], seg_row[s1], s0, s1, rows))
-            s0 = s1
-        return pieces
+            stats.bound_pruned += int(np.count_nonzero(hit))
+        kept = np.flatnonzero(~hit)
+        return [col.take(kept) for col in cols]
 
-    def _merge(
-        mask_rows: List[Tuple[int, List[int], Any]],
-    ) -> Tuple[Any, Any, Any, Any, Any]:
+    def _merge(masks: Any, sub: Any, box: Optional[Any]) -> Tuple[Any, ...]:
         """All split merges of one cardinality, in budget-sized batches.
 
-        ``mask_rows`` holds ``(mask, submasks, bbox_node_indices)`` per
-        mask. Returns the merged fronts as closure inputs:
-        ``(src_ptr, src_eids, src_vis, src_w, src_d)`` with one block
-        per mask (in ``mask_rows`` order), each ordered by node then
-        front position. Consecutive masks are grouped while their rows
-        fit the budget; a mask with more rows is split between its bbox
-        nodes. Every ``(mask, node)`` segment is merged and filtered in
-        one batch.
+        Takes the cardinality's :func:`_split_table` rows and Lemma-3
+        ``box`` (or ``None``); returns the closure inputs ``(src_ptr,
+        src_eids, src_vis, src_w, src_d)``, one block per mask ordered by
+        node then front position, less what the incumbent bound drops.
+        Batches are cut between ``(mask, node)`` segments.
         """
-        pieces: List[Tuple[Any, Any, Any, Any, Any]] = []
-        group: List[Tuple[int, List[int], Any]] = []
-        group_rows = 0
-        for mask, submasks, bb in mask_rows:
-            step = max(1, budget // len(submasks))
-            for b0 in range(0, bb.shape[0], step):
-                part = bb[b0 : b0 + step]
-                rows = len(submasks) * part.shape[0]
-                if group and group_rows + rows > budget:
-                    pieces.extend(_merge_group(group))
-                    group, group_rows = [], 0
-                group.append((mask, submasks, part))
-                group_rows += rows
-        if group:
-            pieces.extend(_merge_group(group))
-        empty_i = np.empty(0, dtype=np.int64)
-        if not pieces:
-            return (
-                np.zeros(len(mask_rows) + 1, dtype=np.int64),
-                empty_i,
-                empty_i,
-                np.empty(0),
-                np.empty(0),
-            )
-        seg_counts, src_eids, src_vis, src_w, src_d = (
+        empty = np.empty(0, dtype=np.int64)
+        pieces: List[Tuple[Any, ...]] = [(empty,) * 3 + (np.empty(0),) * 2]
+        for m, v, _, c1, c2, p1, p2 in _live_merge_rows(
+            CNT, PTR, masks, sub, box, budget
+        ):
+            if stats is not None:
+                stats.merge_transitions += m.shape[0]
+            key = m * num_nodes + v
+            if beyond is not None:
+                # Each row's ideal corner bounds every product it would
+                # build: least w = the two fronts' first w, least d = the
+                # max of their last d (fronts are w-ascending, d-descending).
+                _, sw, sd = _slots()
+                c1, c2, p1, p2, key = _unbeaten(
+                    sw.take(p1) + sw.take(p2) + lb_w[masks.take(m), v],
+                    np.maximum(sd.take(p1 + c1 - 1), sd.take(p2 + c2 - 1))
+                    + lb_d.take(v),
+                    (c1, c2, p1, p2, key),
+                )
+            n_rows = key.shape[0]
+            if not n_rows:
+                continue
+            # Segments are the runs of equal (mask, node). Greedy batch
+            # cuts on segment boundaries: each batch takes the longest
+            # run of segments whose products fit the budget.
+            cnts = c1 * c2
+            first = np.ones(n_rows, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            seg = np.cumsum(first) - 1
+            seg_row = np.append(np.flatnonzero(first), n_rows)
+            seg_cum = np.cumsum(cnts)[seg_row[1:] - 1]
+            rows = (c1, c2, p1, p2, cnts, seg, key)
+            seg_row = seg_row.tolist()
+            n_seg = len(seg_row) - 1
+            s0 = 0
+            while s0 < n_seg:
+                done = int(seg_cum[s0 - 1]) if s0 else 0
+                s1 = int(np.searchsorted(seg_cum, done + budget, side="right"))
+                s1 = max(s1, s0 + 1)
+                pieces.append(_merge_rows(seg_row[s0], seg_row[s1], s0, s1, rows))
+                s0 = s1
+        src_key, src_eids, src_vis, src_w, src_d = (
             np.concatenate(col) for col in zip(*pieces)
         )
-        cum = np.concatenate(([0], np.cumsum(seg_counts)))
-        bb_ends = np.cumsum([bb.shape[0] for _, _, bb in mask_rows])
-        src_ptr = np.concatenate(([0], cum[bb_ends]))
+        src_m = src_key // num_nodes
+        if beyond is not None:
+            src_m, src_eids, src_vis, src_w, src_d = _unbeaten(
+                src_w + lb_w[masks.take(src_m), src_vis],
+                src_d + lb_d.take(src_vis),
+                (src_m, src_eids, src_vis, src_w, src_d),
+            )
+        src_ptr = np.searchsorted(src_m, np.arange(masks.shape[0] + 1))
         return src_ptr, src_eids, src_vis, src_w, src_d
-
-    def _bound_sources(
-        masks: List[int],
-        src_ptr: Any,
-        src_eids: Any,
-        src_vis: Any,
-        src_w: Any,
-        src_d: Any,
-    ) -> Tuple[Any, Any, Any, Any, Any]:
-        """``_merge``'s closure inputs without the merged points the
-        incumbent bound drops (same layout, blocks shrunk in place)."""
-        block = np.repeat(np.arange(len(masks)), np.diff(src_ptr))
-        mask_of_e = np.array(masks, dtype=np.int64)[block]
-        hit = beyond(
-            src_w + lb_w[mask_of_e, src_vis], src_d + lb_d.take(src_vis)
-        )
-        n_hit = int(np.count_nonzero(hit))
-        if not n_hit:
-            return src_ptr, src_eids, src_vis, src_w, src_d
-        if stats is not None:
-            stats.bound_pruned += n_hit
-        keep = ~hit
-        kept = np.bincount(block[keep], minlength=len(masks))
-        return (
-            np.concatenate(([0], np.cumsum(kept))),
-            src_eids[keep],
-            src_vis[keep],
-            src_w[keep],
-            src_d[keep],
-        )
 
     # --- singletons: one leaf element per sink, closed over all nodes.
     leaves = [si for si in range(num_sinks) if (1 << si) not in reused]
@@ -1248,7 +1258,7 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
                 0, leaf_vis, np.zeros(n_leaves, dtype=np.int64)
             )
             _closure(
-                [1 << si for si in leaves],
+                1 << np.array(leaves, dtype=np.int64),
                 np.arange(n_leaves + 1, dtype=np.int64),
                 leaf_base + np.arange(n_leaves, dtype=np.int64),
                 leaf_vis,
@@ -1259,49 +1269,37 @@ ragged_product_indices` and filtered by segmented exact sweeps, one
             stats.subsets += n_leaves
 
     # --- larger subsets, one batched merge + closure pass per cardinality.
-    masks_by_size: List[List[int]] = [[] for _ in range(num_sinks + 1)]
-    for mask in range(1, full + 1):
-        masks_by_size[bin(mask).count("1")].append(mask)
-
-    all_vi = np.arange(num_nodes, dtype=np.int64)
-    bbox_cache: Dict[Tuple[int, int, int, int], Any] = {}
+    box_all = None
+    if lemma3:
+        lo_x, hi_x, lo_y, hi_y = _mask_box(
+            _sink_membership(num_sinks), *np.array(sink_nodes).T
+        )
+        box_all = (node_ix >= lo_x) & (node_ix <= hi_x)
+        box_all &= (node_iy >= lo_y) & (node_iy <= hi_y)
+    reused_arr = np.array(sorted(reused), dtype=np.int64)
     for size in range(2, num_sinks + 1):
-        mask_rows: List[Tuple[int, List[int], Any]] = []
-        for mask in masks_by_size[size]:
-            if mask in reused:
+        if boundary_rank is None:
+            masks, sub = _shared_split_table(num_sinks, size)
+        else:
+            masks, sub = _split_table(num_sinks, size, boundary_rank)
+        if reused:
+            fresh = ~np.isin(masks, reused_arr)
+            masks, sub = masks[fresh], sub[fresh]
+            if not masks.size:
                 continue
-            bits = [i for i in range(num_sinks) if mask >> i & 1]
-            if lemma3:
-                ixs = [sink_nodes[i][0] for i in bits]
-                iys = [sink_nodes[i][1] for i in bits]
-                key = (min(ixs), max(ixs), min(iys), max(iys))
-                bb = bbox_cache.get(key)
-                if bb is None:
-                    bxlo, bxhi, bylo, byhi = key
-                    bb = np.nonzero(
-                        (node_ix >= bxlo)
-                        & (node_ix <= bxhi)
-                        & (node_iy >= bylo)
-                        & (node_iy <= byhi)
-                    )[0]
-                    bbox_cache[key] = bb
-                if stats is not None:
-                    stats.merge_skipped_lemma3 += num_nodes - bb.shape[0]
-            else:
-                bb = all_vi
-            submasks = _splits_for_mask(mask, bits, size, boundary_rank, stats)
-            mask_rows.append((mask, submasks, bb))
-        if not mask_rows:
-            continue
-        masks = [m for m, _, _ in mask_rows]
+        box = box_all[masks] if box_all is not None else None
+        if stats is not None:
+            stats.subsets += masks.shape[0]
+            # Pad entries are 0; a mask without Lemma 4 has every split.
+            stats.splits_saved_lemma4 += int(
+                ((1 << (size - 1)) - 1) * masks.shape[0] - np.count_nonzero(sub)
+            )
+            if box is not None:
+                stats.merge_skipped_lemma3 += int(box.size - np.count_nonzero(box))
         with span("dw.merge"):
-            merged = _merge(mask_rows)
-            if beyond is not None:
-                merged = _bound_sources(masks, *merged)
+            merged = _merge(masks, sub, box)
         with span("dw.closure"):
             _closure(masks, *merged)
-        if stats is not None:
-            stats.subsets += len(mask_rows)
 
     # --- materialize the final frontier's payload tuples (tiny: one walk
     # per surviving solution) so downstream consumers see the exact same

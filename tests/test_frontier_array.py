@@ -621,6 +621,25 @@ class TestCandidateBudget:
             # Over budget only when one (mask, node) segment alone is.
             assert len(seg) <= self.BUDGET or len(set(seg.tolist())) == 1
 
+    def test_merge_rows_respect_the_budget(self, tiny_budget, monkeypatch):
+        # The live-row cube is chunked too: a chunk materializes at most
+        # the budget's worth of rows unless one (mask, node) alone has more.
+        chunks = []
+        real = pareto_dw_module._live_merge_rows
+
+        def spy(CNT, PTR, masks, sub, box, budget):
+            for rows in real(CNT, PTR, masks, sub, box, budget):
+                chunks.append(rows)
+                yield rows
+
+        monkeypatch.setattr(pareto_dw_module, "_live_merge_rows", spy)
+        net = random_net(9, rng=random.Random(4009), grid=9, span=90.0)
+        assert_engines_agree(net)
+        assert len(chunks) > 50
+        assert sum(len(m) for m, *_ in chunks) > 10 * self.BUDGET
+        for m, v, *_ in chunks:
+            assert len(m) <= self.BUDGET or len(set(zip(m, v))) == 1
+
     def test_one_mask_splits_between_bbox_nodes(self, monkeypatch):
         # A 3-pin net merges one mask only (both sinks): at a budget of
         # one product its bbox nodes must land in separate merge batches.
