@@ -2,16 +2,7 @@
 
 from .batch import BatchResult, route_batch
 from .cache import CachedRouter, translation_key
-from .frontier import (
-    assert_sorted_front,
-    cross_merge_sorted,
-    cross_sorted,
-    is_sorted_front,
-    merge_shifted,
-    merge_sorted_fronts,
-    pareto_filter_sorted,
-    shift_sorted,
-)
+from .frontier import merge_sorted_fronts, pareto_filter_sorted
 from .pareto import (
     Solution,
     attains_frontier,
@@ -48,19 +39,14 @@ __all__ = [
     "PolicyParams",
     "SelectionPolicy",
     "Solution",
-    "assert_sorted_front",
     "attains_frontier",
     "count_on_frontier",
     "cross",
-    "cross_merge_sorted",
-    "cross_sorted",
     "dominates",
     "epsilon_indicator",
     "hypervolume",
     "is_pareto_front",
-    "is_sorted_front",
     "merge_fronts",
-    "merge_shifted",
     "merge_sorted_fronts",
     "objectives",
     "pareto_dw",
@@ -72,7 +58,6 @@ __all__ = [
     "reassemble",
     "route_batch",
     "shift",
-    "shift_sorted",
     "train_policy",
     "translation_key",
     "weakly_dominates",

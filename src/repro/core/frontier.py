@@ -1,343 +1,44 @@
-"""Sorted-front Pareto kernels: linear-time algebra over maintained-sorted fronts.
+"""Sorted-front Pareto algebra: union and filter in linear time.
 
-The DP inner loops of this library (Pareto-DW closures and merges, the
-PatLabor local search, the KS combine) all operate on Pareto fronts. The
-generic :func:`repro.core.pareto.pareto_filter` re-derives sortedness on
-every call — enumerate candidates, sort, sweep — which costs
-``O(k log k)`` per bucket and allocates every candidate tuple even when
-it is immediately dominated.
+A **sorted front** is a sequence of ``(w, d, payload)`` solutions with
+``w`` strictly ascending and ``d`` strictly descending — exactly the
+shape :func:`repro.core.pareto.pareto_filter` outputs. The generic
+filter re-derives that order on every call (enumerate, sort, sweep);
+the two operators here exploit it instead:
 
-This module instead treats sortedness as an *invariant*: a **sorted
-front** is a sequence of ``(w, d, payload)`` solutions with ``w``
-strictly ascending and ``d`` strictly descending — exactly the shape
-``pareto_filter`` outputs. Every kernel here consumes sorted fronts and
-produces sorted fronts, so a DP that starts from singleton fronts never
-needs to sort again:
-
-* :func:`cross_sorted` — the paper's ``S ⊕ S'`` merge product in
-  ``O(a + b)`` by a synchronized two-pointer sweep. The product of two
-  fronts of sizes ``a`` and ``b`` has at most ``a + b - 1`` non-dominated
-  points (paper, Section IV-A), and the sweep emits exactly those without
-  materializing the ``a · b`` candidate list.
-* :func:`cross_merge_sorted` — the same product stream fused with a
-  Pareto union into an accumulated front, so product points that are
-  dominated by earlier splits are never allocated at all.
 * :func:`merge_sorted_fronts` — Pareto union of several sorted fronts by
-  a fold of two-pointer union merges.
-* :func:`merge_shifted` — union of *shifted* sorted fronts (the closure
-  bucket of Pareto-DW), materializing a solution tuple only when it
-  survives dominance, with a whole-run skip for runs the accumulated
-  front already dominates.
-* :func:`shift_sorted` — the paper's ``S + x``; adding a constant to both
-  objectives preserves the invariant, so shifted runs feed straight into
-  the merges with no re-filtering.
+  a fold of two-pointer union merges;
 * :func:`pareto_filter_sorted` — drop-in ``pareto_filter`` that detects
   already-sorted input with one linear scan and skips the sort.
-* :func:`assert_sorted_front` — debug-only invariant check (compiled out
-  under ``python -O``).
 
-Everything is a plain two-pointer loop over tuples — no ``heapq``, no
-generators, no per-candidate key objects. Profiling the Pareto-DW hot
-path showed heap/generator machinery costing more than the naive
-enumerate-and-sort it replaced; fold-of-two-way-merges is both the
-asymptotic and the constant-factor winner because final fronts stay
-small (the paper's ``a + b - 1`` bound caps growth per merge).
-
-All kernels are exact: they return bit-identical ``(w, d)`` frontiers to
-the enumerate-and-sort reference implementations (like the paper's
-Lemmas 2–4, they change the work done, never the result). That includes
-floating-point tie collapse: IEEE addition is monotone but not
-*strictly* monotone, so two distinct ``w`` values can round to the same
-sum after ``w1 + w2`` or ``w + offset`` — sort-and-sweep collapses such
-collisions to the smaller-delay point, and the kernels replicate that by
-replacing the last emitted point when a new point lands on the same
-``w`` (equal-``d`` collisions fall out of the strict dominance sweep). Tie handling —
-which payload survives among solutions with identical objectives —
-matches the reference's first-encountered rule for the union merges;
-``cross_sorted``/``cross_merge_sorted`` may pick a different
-(objective-equal) payload when two index pairs produce the exact same
-product point. See ``tests/test_frontier_kernels.py`` for the
-equivalence property tests and ``docs/performance.md`` for the
-complexity arguments.
+Both are plain two-pointer loops over tuples — no ``heapq``, no
+generators, no per-candidate key objects — and both are exact: they
+return what ``pareto_filter`` returns over the concatenated input,
+objectives *and* payloads, because ties resolve to the first-encountered
+solution in both. PatLabor's local search, the KS combine, the
+brute-force oracle, the lookup-table build and the generic operators of
+:mod:`repro.core.pareto` use them.
+Pareto-DW does not: below degree 6 its buckets are small enough for
+enumerate-and-sort, and from degree 6 up it runs on
+:mod:`repro.core.frontier_array` (``docs/performance.md``). See
+``tests/test_frontier_kernels.py`` for the equivalence property tests.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 Objective = Tuple[float, float]
 Solution = Tuple[float, float, Any]
 
-#: One input run of :func:`merge_shifted`: ``(offset, front, tag)``.
-#: The run contributes ``(w + offset, d + offset, payload)`` for every
-#: solution of ``front``. ``tag`` is opaque context handed to the
-#: caller's ``rewrap(tag, solution)`` to build the surviving payload;
-#: ``tag=None`` keeps the original payload, and the combination
-#: ``offset == 0.0 and tag is None`` reuses the original tuples without
-#: allocating.
-ShiftedRun = Tuple[float, Sequence[Solution], Any]
-
 __all__ = [
     "Objective",
-    "ShiftedRun",
     "Solution",
-    "assert_sorted_front",
-    "cross_merge_sorted",
-    "cross_sorted",
-    "is_sorted_front",
-    "merge_shifted",
     "merge_sorted_fronts",
     "pareto_filter_sorted",
-    "shift_sorted",
 ]
 
 _INF = float("inf")
-
-
-def is_sorted_front(solutions: Sequence[Solution]) -> bool:
-    """True when ``solutions`` holds the sorted-front invariant.
-
-    The invariant is *strict* on both objectives — ``w`` strictly
-    ascending and ``d`` strictly descending — which is exactly the shape
-    of a minimal Pareto front sorted by wirelength (two solutions sharing
-    either objective would dominate one another).
-    """
-    prev_w, prev_d = -_INF, _INF
-    for s in solutions:
-        if s[0] <= prev_w or s[1] >= prev_d:
-            return False
-        prev_w, prev_d = s[0], s[1]
-    return True
-
-
-def assert_sorted_front(
-    solutions: Sequence[Solution], label: str = "front"
-) -> Sequence[Solution]:
-    """Debug-only invariant check; returns ``solutions`` unchanged.
-
-    Raises :class:`AssertionError` naming ``label`` when the sorted-front
-    invariant is violated. The check is compiled out under ``python -O``,
-    so it can guard kernel entry points in tests without taxing
-    production runs.
-    """
-    assert is_sorted_front(solutions), (
-        f"{label} violates the sorted-front invariant "
-        f"(w strictly ascending, d strictly descending): "
-        f"{[(s[0], s[1]) for s in solutions]!r}"
-    )
-    return solutions
-
-
-def shift_sorted(
-    solutions: Sequence[Solution],
-    x: float,
-    rewrap: Optional[Callable[[Solution], Any]] = None,
-) -> List[Solution]:
-    """The paper's ``S + x`` over a sorted front, preserving the invariant.
-
-    Adding the same constant to both objectives of every solution keeps
-    ``w`` strictly ascending and ``d`` strictly descending, so the result
-    feeds directly into :func:`merge_sorted_fronts` / :func:`cross_sorted`
-    with no re-filtering. ``rewrap`` optionally rebuilds the payload from
-    the original solution (e.g. to record a DP extension edge).
-
-    Exactness caveat: rounding can collapse two distinct shifted values
-    onto the same float, so the output is the *Pareto front* of the
-    shifted set — identical to shift-then-``pareto_filter`` — which on
-    collision drops the dominated point instead of emitting both.
-    """
-    out: List[Solution] = []
-    for s in solutions:
-        w = s[0] + x
-        d = s[1] + x
-        if out:
-            last = out[-1]
-            if d >= last[1]:
-                # d collided on rounding; the earlier (smaller-w) point
-                # weakly dominates, exactly as sort + sweep would keep it.
-                continue
-            if w == last[0]:
-                # w collided: same w, strictly smaller d — replace.
-                out.pop()
-        out.append((w, d, rewrap(s) if rewrap is not None else s[2]))
-    return out
-
-
-def cross_sorted(
-    s1: Sequence[Solution],
-    s2: Sequence[Solution],
-    combine: Optional[Callable[[Any, Any], Any]] = None,
-) -> List[Solution]:
-    """The paper's ``S ⊕ S'`` merge product of two sorted fronts in O(a+b).
-
-    Walks both fronts with synchronized pointers over the
-    ``(w1 + w2, max(d1, d2))`` structure: the pair ``(0, 0)`` is the
-    minimum-wirelength product point; from any emitted point, the only way
-    to strictly lower the combined delay is to advance the *binding* side
-    (the one contributing the max — both on a tie), which yields the next
-    non-dominated point directly. Every advance strictly increases ``w``
-    and strictly decreases ``d``, so the output is a sorted front of at
-    most ``a + b - 1`` points and the ``a · b`` candidate list is never
-    materialized.
-
-    ``combine`` merges the two payloads (default: the pair ``(p1, p2)``).
-    Exactly the non-dominated subset of the full product is returned; when
-    several index pairs hit the same ``(w, d)`` point the surviving
-    payload may differ from the enumerate-and-sort reference (which keeps
-    the first in enumeration order) — objectives never do.
-    """
-    if not s1 or not s2:
-        return []
-    a, b = len(s1), len(s2)
-    i = j = 0
-    w1, d1, p1 = s1[0]
-    w2, d2, p2 = s2[0]
-    out: List[Solution] = []
-    while True:
-        payload = combine(p1, p2) if combine is not None else (p1, p2)
-        w = w1 + w2
-        if out and out[-1][0] == w:
-            # Rounding collapsed two sums onto one w; the later stream
-            # point has strictly smaller d and dominates — replace.
-            out[-1] = (w, d1 if d1 >= d2 else d2, payload)
-        else:
-            out.append((w, d1 if d1 >= d2 else d2, payload))
-        if d1 > d2:
-            i += 1
-            if i == a:
-                break
-            w1, d1, p1 = s1[i]
-        elif d2 > d1:
-            j += 1
-            if j == b:
-                break
-            w2, d2, p2 = s2[j]
-        else:
-            i += 1
-            j += 1
-            if i == a or j == b:
-                break
-            w1, d1, p1 = s1[i]
-            w2, d2, p2 = s2[j]
-    return out
-
-
-def cross_merge_sorted(
-    acc: Sequence[Solution],
-    s1: Sequence[Solution],
-    s2: Sequence[Solution],
-    combine: Optional[Callable[[Any, Any], Any]] = None,
-) -> Tuple[List[Solution], int]:
-    """Pareto union of ``acc`` with the ``s1 ⊕ s2`` product, fused.
-
-    The DP merge loop of Pareto-DW folds one product per split into a
-    running front. Doing that as ``cross_sorted`` + union would first
-    materialize every product point and then drop the dominated ones;
-    this kernel instead advances the :func:`cross_sorted` two-pointer
-    stream *inside* the union merge, so a product point dominated by
-    ``acc`` (an earlier split, preferred on ties like ``pareto_filter``'s
-    first-encountered rule) is discarded before its tuple or payload is
-    ever built.
-
-    Returns ``(front, allocated)`` where ``allocated`` counts the product
-    solution tuples actually materialized — the currency of the
-    ``dw.merge_candidates`` counter. ``acc`` must be a sorted front; its
-    surviving tuples are reused, never copied.
-    """
-    if not s1 or not s2:
-        return list(acc), 0
-    a, b = len(s1), len(s2)
-    la = len(acc)
-    i = j = k = 0
-    w1, d1, p1 = s1[0]
-    w2, d2, p2 = s2[0]
-    wp = w1 + w2
-    dp = d1 if d1 >= d2 else d2
-    live = True
-    out: List[Solution] = []
-    best_d = _INF
-    allocated = 0
-    while live and k < la:
-        sa = acc[k]
-        wa = sa[0]
-        if wa < wp or (wa == wp and sa[1] <= dp):
-            if sa[1] < best_d:
-                out.append(sa)
-                best_d = sa[1]
-            k += 1
-            continue
-        if dp < best_d:
-            payload = combine(p1, p2) if combine is not None else (p1, p2)
-            if out and out[-1][0] == wp:
-                # w collided on rounding: same w, strictly smaller d.
-                out[-1] = (wp, dp, payload)
-            else:
-                out.append((wp, dp, payload))
-            allocated += 1
-            best_d = dp
-        if d1 > d2:
-            i += 1
-            if i == a:
-                live = False
-            else:
-                w1, d1, p1 = s1[i]
-        elif d2 > d1:
-            j += 1
-            if j == b:
-                live = False
-            else:
-                w2, d2, p2 = s2[j]
-        else:
-            i += 1
-            j += 1
-            if i == a or j == b:
-                live = False
-            else:
-                w1, d1, p1 = s1[i]
-                w2, d2, p2 = s2[j]
-        if live:
-            wp = w1 + w2
-            dp = d1 if d1 >= d2 else d2
-    while live:
-        # acc is exhausted: drain the remaining product stream.
-        if dp < best_d:
-            payload = combine(p1, p2) if combine is not None else (p1, p2)
-            if out and out[-1][0] == wp:
-                # w collided on rounding: same w, strictly smaller d.
-                out[-1] = (wp, dp, payload)
-            else:
-                out.append((wp, dp, payload))
-            allocated += 1
-            best_d = dp
-        if d1 > d2:
-            i += 1
-            if i == a:
-                break
-            w1, d1, p1 = s1[i]
-        elif d2 > d1:
-            j += 1
-            if j == b:
-                break
-            w2, d2, p2 = s2[j]
-        else:
-            i += 1
-            j += 1
-            if i == a or j == b:
-                break
-            w1, d1, p1 = s1[i]
-            w2, d2, p2 = s2[j]
-        wp = w1 + w2
-        dp = d1 if d1 >= d2 else d2
-    while k < la:
-        # The product stream is exhausted: the tail of acc has strictly
-        # descending d, so everything after the first survivor survives.
-        sa = acc[k]
-        k += 1
-        if sa[1] < best_d:
-            out.append(sa)
-            out.extend(acc[k:])
-            break
-    return out, allocated
 
 
 def _union2(a: Sequence[Solution], b: Sequence[Solution]) -> List[Solution]:
@@ -408,151 +109,12 @@ def _wd_key(s: Solution) -> Objective:
     return (s[0], s[1])
 
 
-def merge_shifted(
-    runs: Sequence[ShiftedRun],
-    rewrap: Optional[Callable[[Any, Solution], Any]] = None,
-) -> Tuple[List[Solution], int]:
-    """Pareto union of shifted sorted fronts, allocating only survivors.
-
-    This is the closure-bucket kernel of Pareto-DW: each run is a source
-    front shifted by an extension distance (see :data:`ShiftedRun`).
-    Runs fold into the accumulated front through a two-pointer union
-    that computes shifted keys on the fly, so a dominated candidate is
-    rejected *before* its solution tuple (or payload, built by
-    ``rewrap(tag, solution)``) ever exists. A run whose best corner
-    ``(w_min, d_min)`` is already weakly dominated by the accumulated
-    front's last point is skipped wholesale without touching its
-    elements. The enumerate-and-sort reference materializes every
-    shifted candidate first; this kernel materializes at most the
-    candidates that survive *some* prefix union.
-
-    Returns ``(front, allocated)`` where ``allocated`` counts solution
-    tuples materialized from the runs (reused identity-run tuples are
-    free) — the currency of the ``dw.closure_allocations`` counter.
-    Ties resolve to the earlier run — identical to ``pareto_filter``
-    over the concatenated materialized bucket.
-    """
-    acc: Optional[List[Solution]] = None
-    allocated = 0
-    for off, cands, tag in runs:
-        if not cands:
-            continue
-        if acc is None:
-            if tag is None and off == 0.0:
-                acc = list(cands)
-            else:
-                wrap = rewrap if tag is not None else None
-                acc = []
-                for s in cands:
-                    w = s[0] + off
-                    d = s[1] + off
-                    if acc:
-                        last = acc[-1]
-                        if d >= last[1]:
-                            # d collided on rounding: weakly dominated.
-                            continue
-                        if w == last[0]:
-                            # w collided: strictly smaller d — replace.
-                            acc.pop()
-                    if wrap is not None:
-                        acc.append((w, d, wrap(tag, s)))
-                    else:
-                        acc.append((w, d, s[2]))
-                    allocated += 1
-            continue
-        last = acc[-1]
-        if last[0] <= cands[0][0] + off and last[1] <= cands[-1][1] + off:
-            # acc's last point (max w, min d on acc) weakly dominates the
-            # run's best corner, hence every point of the run.
-            continue
-        acc, n = _union_shifted(acc, off, cands, tag, rewrap)
-        allocated += n
-    return (acc if acc is not None else []), allocated
-
-
-def _union_shifted(
-    a: List[Solution],
-    off: float,
-    b: Sequence[Solution],
-    tag: Any,
-    rewrap: Optional[Callable[[Any, Solution], Any]],
-) -> Tuple[List[Solution], int]:
-    """Union of sorted front ``a`` with run ``b`` shifted by ``off``."""
-    la, lb = len(a), len(b)
-    wrap = rewrap if tag is not None else None
-    zero = off == 0.0
-    i = j = 0
-    sa = a[0]
-    sb = b[0]
-    wb = sb[0] + off
-    db = sb[1] + off
-    out: List[Solution] = []
-    best_d = _INF
-    allocated = 0
-    while True:
-        if sa[0] < wb or (sa[0] == wb and sa[1] <= db):
-            if sa[1] < best_d:
-                out.append(sa)
-                best_d = sa[1]
-            i += 1
-            if i == la:
-                while True:
-                    if db < best_d:
-                        if wrap is not None:
-                            new = (wb, db, wrap(tag, sb))
-                        elif zero:
-                            new = sb
-                        else:
-                            new = (wb, db, sb[2])
-                        if out and out[-1][0] == wb:
-                            out[-1] = new
-                        else:
-                            out.append(new)
-                        allocated += 1
-                        best_d = db
-                    j += 1
-                    if j == lb:
-                        return out, allocated
-                    sb = b[j]
-                    wb = sb[0] + off
-                    db = sb[1] + off
-            sa = a[i]
-        else:
-            if db < best_d:
-                if wrap is not None:
-                    new = (wb, db, wrap(tag, sb))
-                elif zero:
-                    new = sb
-                else:
-                    new = (wb, db, sb[2])
-                if out and out[-1][0] == wb:
-                    # w collided on rounding: same w, strictly smaller d.
-                    out[-1] = new
-                else:
-                    out.append(new)
-                allocated += 1
-                best_d = db
-            j += 1
-            if j == lb:
-                while i < la:
-                    sa = a[i]
-                    i += 1
-                    if sa[1] < best_d:
-                        out.append(sa)
-                        out.extend(a[i:])
-                        break
-                return out, allocated
-            sb = b[j]
-            wb = sb[0] + off
-            db = sb[1] + off
-
-
 def pareto_filter_sorted(solutions: Iterable[Solution]) -> List[Solution]:
     """``Pareto(S)`` with a sorted-input fast path; always exact.
 
     One linear scan checks whether the input is already in ``(w, d)``
-    lexicographic order — true for every front maintained by the kernels
-    above, and for any subsequence of one. Sorted input goes straight to
+    lexicographic order — true for every sorted front, and for any
+    subsequence of one. Sorted input goes straight to
     the dominance sweep (``O(k)``); anything else falls back to the
     stable sort + sweep of ``pareto_filter`` (``O(k log k)``). Output and
     tie handling are identical to ``pareto_filter`` in both cases.

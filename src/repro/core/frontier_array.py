@@ -1,15 +1,17 @@
-"""Array-native sorted-front Pareto kernels (the array engine's batch layer).
+"""Array-native Pareto fronts (the array engine's batch layer).
 
-The pure-Python kernels of :mod:`repro.core.frontier` spend most of their
-time in CPython tuple/loop overhead: profiling the Pareto-DW hot path at
-degree 9 shows ~200k two-pointer kernel calls per net over fronts of at
-most six points. This module re-expresses the same algebra over
-contiguous NumPy arrays — each front is a pair ``(w[], d[])`` of float64
-arrays plus a parallel payload sequence — so whole *batches* of fronts
-are filtered with two stable sorts and one cumulative-minimum sweep
-instead of hundreds of thousands of interpreter iterations.
+The tuple operators of :mod:`repro.core.pareto` spend most of their
+time in CPython tuple/loop overhead once a DP has many fronts to filter:
+a degree-9 Pareto-DW solve filters one merge and one closure bucket per
+(sink subset, grid node), tens of thousands of small buckets. This module re-expresses the
+same algebra over contiguous NumPy arrays — each front is a pair
+``(w[], d[])`` of float64 arrays plus a parallel payload sequence — so
+whole *batches* of fronts are filtered with two stable sorts and one
+cumulative-minimum sweep instead of hundreds of thousands of
+interpreter iterations.
 
-The pure-Python kernels stay the bit-identical oracle. Every function here is **exact**, not approximately
+The enumerate-and-sort tuple operators stay the bit-identical oracle.
+Every function here is **exact**, not approximately
 equal — see ``docs/numerics.md`` for the contract. The three properties
 that make bit-identity possible:
 
@@ -30,12 +32,12 @@ filters *many* fronts (one per segment) in a single vectorized pass.
 This is what the array engine of :func:`repro.core.pareto_dw.pareto_dw`
 (degree 6 and up) builds on: it filters the merge and closure buckets of
 one subset cardinality in budget-sized segmented passes. A single front
-is simply one segment, so the tuple kernels' filter, shift, cross and
-union operations are each one segmented call (``tests/test_frontier_array.py``
-checks every one against its tuple kernel).
+is simply one segment, so the tuple operators' filter, shift, cross
+and union are each one segmented call (``tests/test_frontier_array.py``
+checks every one against ``pareto_filter``, ``shift`` and ``cross``).
 
 Empty and single-point fronts follow the same conventions as the tuple
-kernels: an empty input yields no survivors, and a single-point front
+operators: an empty input yields no survivors, and a single-point front
 trivially satisfies the sorted-front invariant and always survives
 filtering alone.
 

@@ -14,11 +14,12 @@ evaluation harness (hypervolume, multiplicative epsilon indicator,
 frontier coverage) live here too.
 
 The functions here are the *generic* operators: they accept arbitrary
-solution sets and re-derive sortedness when needed. The hot DP loops use
-the sorted-front kernels of :mod:`repro.core.frontier` instead, which
-keep sortedness as an invariant (see ``docs/performance.md``); the
-operators here route through :func:`~repro.core.frontier.pareto_filter_sorted`
-where that fast path applies without changing results.
+solution sets and re-derive sortedness when needed. They are also the
+tuple Pareto-DW's operators — enumerate a bucket, then one
+:func:`pareto_filter` — and the oracles of the array engine's tests
+(``docs/numerics.md``). Where the input may already be sorted they
+route through :func:`~repro.core.frontier.pareto_filter_sorted`, which
+skips the sort without changing results.
 """
 
 from __future__ import annotations

@@ -32,20 +32,15 @@ Two exact engines share the DP; :func:`pareto_dw` picks one by degree
 (:data:`_ARRAY_MIN_DEGREE`), no public caller chooses.
 From degree 6 up the array engine (:func:`_pareto_dw_array_impl`) batches each subset
 cardinality into budget-sized NumPy passes over
-:mod:`repro.core.frontier_array`. Below that the hot loops run on the
-sorted-front tuple kernels of :mod:`repro.core.frontier`: every DP front is maintained sorted
-(``w`` ascending, ``d`` strictly descending), merge transitions use the
-O(a+b) two-pointer product of
-:func:`~repro.core.frontier.cross_sorted` — fused with the split union
-via :func:`~repro.core.frontier.cross_merge_sorted` so dominated product
-points are never allocated — closure buckets are per-source shifted runs
-merged lazily by :func:`~repro.core.frontier.merge_shifted`, and node
-distances come from
-one precomputed :meth:`~repro.geometry.hanan.HananGrid.distance_matrix`
-per grid. ``kernels=False`` selects the original enumerate-and-sort
-reference implementation — same frontiers, more work — kept for the
-equivalence tests and the old-vs-new kernel benchmark
-(``benchmarks/bench_pareto_kernels.py``).
+:mod:`repro.core.frontier_array`. Below that the tuple DP
+(:func:`_pareto_dw_impl`) keeps every front as a list of ``(w, d,
+payload)`` tuples: each merge and closure bucket is enumerated in full
+and reduced by one :func:`~repro.core.pareto.pareto_filter`. At those
+degrees the buckets are small enough that enumerate-and-sort beats the
+array engine's fixed per-pass cost, and also beats streaming
+two-pointer merges (``docs/performance.md``, "Removed: the sorted-front
+tuple kernels"). ``kernels=False`` runs the tuple DP at every degree —
+the oracle of the equivalence tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -67,7 +62,6 @@ from ..obs import (
     span,
 )
 from ..routing.tree import RoutingTree
-from .frontier import ShiftedRun, cross_merge_sorted, cross_sorted, merge_shifted
 from .pareto import Solution, clean_front, pareto_filter
 
 #: Hard ceiling on exact enumeration; above this the caller should be using
@@ -75,7 +69,7 @@ from .pareto import Solution, clean_front, pareto_filter
 DEFAULT_MAX_DEGREE = 12
 
 #: :func:`pareto_dw` runs the array engine at this degree and above, the
-#: tuple kernels below it: the array engine's fixed per-pass NumPy cost
+#: tuple DP below it: the array engine's fixed per-pass NumPy cost
 #: only pays off once a cardinality holds enough candidates.
 #: ``benchmarks/bench_pareto_kernels.py`` measures the crossover degree
 #: (``kernels.crossover_degree``) on the ICCAD-15-like sweep.
@@ -111,17 +105,18 @@ _BOUND_MARGIN = 1e-9
 
 @dataclass
 class DWStats:
-    """Work counters for ablation and kernel benchmarks (Lemmas 2–4, kernels).
+    """Work counters for ablation and kernel benchmarks (Lemmas 2–4, engines).
 
     ``closure_extensions`` counts extension candidates *considered* and is
-    identical between the kernel and reference paths; the two allocation
-    counters measure what each path actually materializes:
-    ``merge_candidates`` is the number of merge-product solution tuples
-    built (reference: ``a · b`` per transition; kernels: at most
-    ``a + b - 1``) and ``closure_allocations`` the number of closure-bucket
-    solutions built (reference: every shifted candidate; kernels: only
-    dominance survivors). Their sum is the "candidate tuples allocated"
-    headline that ``benchmarks/bench_pareto_kernels.py`` tracks.
+    identical between the two engines; the two allocation counters
+    measure what each engine actually materializes: ``merge_candidates``
+    is the number of merge-product candidates built (tuple DP: ``a · b``
+    per transition; array engine: the products of the rows the
+    incumbent bound keeps) and ``closure_allocations`` the number of
+    closure-bucket candidates built (tuple DP: every shifted candidate;
+    array engine: the extension survivors it stores). Their sum is the
+    "candidate tuples allocated" figure that
+    ``benchmarks/bench_pareto_kernels.py`` reports.
 
     ``bound_pruned`` counts what the incumbent bound of a bounded
     array-engine solve dropped: merge rows, closure sources and closure
@@ -211,7 +206,7 @@ def _splits_for_mask(
 ) -> List[int]:
     """The split submasks every DP path enumerates for ``mask``.
 
-    Shared by the tuple, kernel and array engines so the enumeration
+    Shared by the tuple and array engines so the enumeration
     order — which decides payload survival on exact ties — is identical
     across engines. With Lemma 4 active (``boundary_rank`` given
     and covering the mask's sinks) only circularly-consecutive splits are
@@ -358,7 +353,7 @@ def pareto_dw(
     (every DP front in contiguous ``(w[], d[])`` arrays, one subset
     cardinality filtered in budget-sized segmented passes — see
     :mod:`repro.core.frontier_array` and ``docs/numerics.md``), smaller
-    nets the sorted-front tuple kernels. Both are bit-identical —
+    nets the enumerate-and-sort tuple DP. Both are bit-identical —
     objectives, payload tie choices and the shared work counters; only
     the work done differs. The engine that ran is counted as
     ``dw.engine.array`` / ``dw.engine.tuple`` when observability is on.
@@ -367,19 +362,13 @@ def pareto_dw(
     let it drop DP labels that no full tree can carry onto the front. The frontier — trees included
     — is unchanged; the work counters shrink (``docs/numerics.md`` §9).
 
-    ``kernels=False`` runs the enumerate-and-sort reference at every
-    degree instead (counted as ``dw.engine.reference``) — the returned
-    frontier is identical; it exists as the oracle of the equivalence
-    tests and benchmarks.
+    ``kernels=False`` runs the tuple DP at every degree instead (counted
+    as ``dw.engine.tuple``) — the returned frontier is identical; it
+    exists as the oracle of the equivalence tests and benchmarks.
 
     Raises :class:`DegreeTooLargeError` when ``net.degree > max_degree``.
     """
-    if not kernels:
-        engine = "reference"
-    elif net.degree >= _ARRAY_MIN_DEGREE:
-        engine = "array"
-    else:
-        engine = "tuple"
+    engine = "array" if kernels and net.degree >= _ARRAY_MIN_DEGREE else "tuple"
     return _pareto_dw_on(
         net,
         engine,
@@ -514,11 +503,11 @@ def _pareto_dw_on(
     retain: Optional[List[Tuple[Any, ...]]] = None,
     bound: bool = False,
 ) -> List[Solution]:
-    """:func:`pareto_dw` on a given ``engine``: ``"tuple"``, ``"array"``
-    or ``"reference"`` (same frontier on each), with its counters, span
-    and ``dw_solve`` event. ``warm`` / ``retain`` are the array engine's
-    ECO hooks and ``bound=True`` its incumbent bound (see
-    :func:`_pareto_dw_array_impl`); the other engines ignore ``bound``."""
+    """:func:`pareto_dw` on a given ``engine``, ``"tuple"`` or ``"array"``
+    (same frontier on each), with its counters, span and ``dw_solve``
+    event. ``warm`` / ``retain`` are the array engine's ECO hooks and
+    ``bound=True`` its incumbent bound (see
+    :func:`_pareto_dw_array_impl`); the tuple DP ignores ``bound``."""
     n = net.degree
     if n > max_degree:
         raise DegreeTooLargeError(n, max_degree)
@@ -550,7 +539,7 @@ def _pareto_dw_on(
                 **flags,
             )
         else:
-            result = _pareto_dw_impl(net, kernels=engine == "tuple", **flags)
+            result = _pareto_dw_impl(net, **flags)
     if flush:
         _flush_dw_stats(stats, engine)
     if emitting:
@@ -585,24 +574,6 @@ def _flush_dw_stats(stats: DWStats, engine: str) -> None:
     gauge_max("dw.max_front_size", stats.max_front_size)
 
 
-def _ext_payload_to(v: GridNode) -> "Callable[[GridNode, Solution], Any]":
-    """Payload builder for closure extension edges into target ``v``.
-
-    One shared rewrap per closure bucket; the source node rides along as
-    the run tag, so no per-``(u, v)`` closure objects are allocated.
-    """
-
-    def rewrap(u: GridNode, s: Solution) -> Any:
-        return ("ext", u, v, s[2])
-
-    return rewrap
-
-
-def _merge_payload(p1: Any, p2: Any) -> Any:
-    """Payload combiner of a DP merge transition."""
-    return ("merge", p1, p2)
-
-
 def _pareto_dw_impl(
     net: Net,
     *,
@@ -611,13 +582,9 @@ def _pareto_dw_impl(
     lemma4: bool,
     with_trees: bool,
     stats: Optional[DWStats],
-    kernels: bool = True,
 ) -> List[Solution]:
-    """The tuple-front DP body of :func:`pareto_dw` (degree validated).
-
-    ``kernels=True`` runs the sorted-front kernels, ``kernels=False`` the
-    enumerate-and-sort reference.
-    """
+    """The tuple DP body of :func:`pareto_dw` (degree validated): every
+    merge and closure bucket enumerated, then one ``pareto_filter``."""
     grid = HananGrid.of_net(net)
     pin_nodes = grid.pin_nodes()
     source_node = pin_nodes[0]
@@ -641,111 +608,51 @@ def _pareto_dw_impl(
     # sorted front (w ascending, d strictly descending) by construction.
     S: List[Optional[Dict[GridNode, List[Solution]]]] = [None] * (full + 1)
 
-    if kernels:
-        # Sorted-front kernel path: precomputed distance matrix, lazy
-        # shifted merges for closures, two-pointer products for merges.
-        ny = grid.ny
-        dmat = grid.distance_matrix()
+    dist = grid.dist
 
-        def closure(
-            merged: Dict[GridNode, List[Solution]]
-        ) -> Dict[GridNode, List[Solution]]:
-            """One metric-closure round via the lazy shifted-merge kernel."""
-            out: Dict[GridNode, List[Solution]] = {}
-            sources = [
-                (u, u[0] * ny + u[1], cands)
-                for u, cands in merged.items()
-                if cands
-            ]
-            for v in nodes:
-                row_v = v[0] * ny + v[1]
-                rewrap_v = _ext_payload_to(v)
-                runs: List[ShiftedRun] = []
-                for u, uid, cands in sources:
-                    duv = dmat[uid][row_v]
-                    if duv == 0.0 and u == v:
-                        runs.append((0.0, cands, None))
-                    else:
-                        runs.append((duv, cands, u))
-                        if stats is not None:
-                            stats.closure_extensions += len(cands)
-                front, allocated = merge_shifted(runs, rewrap_v)
-                out[v] = front
-                if stats is not None:
-                    stats.closure_allocations += allocated
-                    if len(front) > stats.max_front_size:
-                        stats.max_front_size = len(front)
-            return out
-
-        def merge_at(v: GridNode, submasks: List[int], mask: int) -> List[Solution]:
-            """Pareto front of all split merges at ``v`` (kernel path)."""
-            front: List[Solution] = []
-            for q1 in submasks:
-                sq1 = S[q1]
-                sq2 = S[mask ^ q1]
-                s1 = sq1[v] if sq1 is not None else None
-                s2 = sq2[v] if sq2 is not None else None
-                if not s1 or not s2:
-                    continue
-                if stats is not None:
-                    stats.merge_transitions += 1
-                if front:
-                    front, allocated = cross_merge_sorted(
-                        front, s1, s2, _merge_payload
-                    )
-                else:
-                    front = cross_sorted(s1, s2, _merge_payload)
-                    allocated = len(front)
-                if stats is not None:
-                    stats.merge_candidates += allocated
-            return front
-
-    else:
-        dist = grid.dist
-
-        def closure(
-            merged: Dict[GridNode, List[Solution]]
-        ) -> Dict[GridNode, List[Solution]]:
-            """One metric-closure round: extend every candidate to every node."""
-            out: Dict[GridNode, List[Solution]] = {}
-            sources = [(u, cands) for u, cands in merged.items() if cands]
-            for v in nodes:
-                bucket: List[Solution] = []
-                for u, cands in sources:
-                    duv = dist(u, v)
-                    if duv == 0.0 and u == v:
-                        bucket.extend(cands)
-                    else:
-                        for (w, d, p) in cands:
-                            bucket.append((w + duv, d + duv, ("ext", u, v, p)))
-                        if stats is not None:
-                            stats.closure_extensions += len(cands)
-                            stats.closure_allocations += len(cands)
-                front = pareto_filter(bucket)
-                out[v] = front
-                if stats is not None and len(front) > stats.max_front_size:
-                    stats.max_front_size = len(front)
-            return out
-
-        def merge_at(v: GridNode, submasks: List[int], mask: int) -> List[Solution]:
-            """Pareto front of all split merges at ``v`` (reference path)."""
+    def closure(
+        merged: Dict[GridNode, List[Solution]]
+    ) -> Dict[GridNode, List[Solution]]:
+        """One metric-closure round: extend every candidate to every node."""
+        out: Dict[GridNode, List[Solution]] = {}
+        sources = [(u, cands) for u, cands in merged.items() if cands]
+        for v in nodes:
             bucket: List[Solution] = []
-            for q1 in submasks:
-                sq1 = S[q1]
-                sq2 = S[mask ^ q1]
-                s1 = sq1[v] if sq1 is not None else None
-                s2 = sq2[v] if sq2 is not None else None
-                if not s1 or not s2:
-                    continue
-                if stats is not None:
-                    stats.merge_transitions += 1
-                    stats.merge_candidates += len(s1) * len(s2)
-                for w1, d1, p1 in s1:
-                    for w2, d2, p2 in s2:
-                        bucket.append(
-                            (w1 + w2, max(d1, d2), ("merge", p1, p2))
-                        )
-            return pareto_filter(bucket)
+            for u, cands in sources:
+                duv = dist(u, v)
+                if duv == 0.0 and u == v:
+                    bucket.extend(cands)
+                else:
+                    for (w, d, p) in cands:
+                        bucket.append((w + duv, d + duv, ("ext", u, v, p)))
+                    if stats is not None:
+                        stats.closure_extensions += len(cands)
+                        stats.closure_allocations += len(cands)
+            front = pareto_filter(bucket)
+            out[v] = front
+            if stats is not None and len(front) > stats.max_front_size:
+                stats.max_front_size = len(front)
+        return out
+
+    def merge_at(v: GridNode, submasks: List[int], mask: int) -> List[Solution]:
+        """Pareto front of all split merges at ``v``."""
+        bucket: List[Solution] = []
+        for q1 in submasks:
+            sq1 = S[q1]
+            sq2 = S[mask ^ q1]
+            s1 = sq1[v] if sq1 is not None else None
+            s2 = sq2[v] if sq2 is not None else None
+            if not s1 or not s2:
+                continue
+            if stats is not None:
+                stats.merge_transitions += 1
+                stats.merge_candidates += len(s1) * len(s2)
+            for w1, d1, p1 in s1:
+                for w2, d2, p2 in s2:
+                    bucket.append(
+                        (w1 + w2, max(d1, d2), ("merge", p1, p2))
+                    )
+        return pareto_filter(bucket)
 
     # Singletons.
     with span("dw.closure"):
@@ -835,15 +742,16 @@ def _pareto_dw_array_impl(
     * **closure phase** — every merged front is extended to every grid
       node via broadcasts against the distance matrix and filtered the
       same way, reusing source elements for identity extensions exactly
-      like the tuple kernels reuse tuples.
+      like the tuple DP reuses tuples.
 
     Backpointers are struct-of-arrays (kind/arg columns) instead of
     nested tuples; payload tuples are materialized only for the final
     frontier, which makes the result — objectives, payload structure and
-    tie choices included — bit-identical to the reference path (see
+    tie choices included — bit-identical to the tuple DP (see
     ``docs/numerics.md`` for why each step preserves IEEE semantics).
     Its allocation counters differ: ``merge_candidates`` counts every
-    product pair (``a · b`` per transition, like the reference).
+    product pair (``a · b`` per transition, like the tuple DP) and
+    ``closure_allocations`` only the extension survivors it stores.
 
     The ECO hooks of :func:`pareto_dw_with_state`: ``warm = (state,
     masks)`` installs the retained ``(mask, node)`` rows of ``masks``
@@ -1303,7 +1211,7 @@ def _pareto_dw_array_impl(
 
     # --- materialize the final frontier's payload tuples (tiny: one walk
     # per surviving solution) so downstream consumers see the exact same
-    # backpointer structure as the reference path.
+    # backpointer structure as the tuple DP.
     src_vi = node_index[source_node]
     cnt = int(CNT[full, src_vi])
     ptr = int(PTR[full, src_vi])

@@ -103,7 +103,7 @@ class HananGrid:
         )
 
     def flat_index(self, node: GridNode) -> int:
-        """Row index of a node in :meth:`distance_matrix` (``ix * ny + iy``)."""
+        """Row index of a node in :meth:`distance_array` (``ix * ny + iy``)."""
         return node[0] * self.ny + node[1]
 
     def distance_array(self) -> "np.ndarray":
@@ -113,7 +113,7 @@ class HananGrid:
         ``distance_array()[flat_index(a), flat_index(b)] == dist(a, b)``
         bit-for-bit: both compute ``|px_a - px_b| + |py_a - py_b|`` over
         the same prefix sums with the same IEEE operations, here in one
-        NumPy broadcast. The array engines index it directly.
+        NumPy broadcast. The array engine indexes it directly.
 
         Memory is ``(nx · ny)²`` floats — at the exact DP's degree ceiling
         (12 pins) that is at most ``144² ≈ 20k`` entries.
@@ -127,16 +127,6 @@ class HananGrid:
         full = dx[:, None, :, None] + dy[None, :, None, :]
         n = self.nx * self.ny
         return full.reshape(n, n)
-
-    def distance_matrix(self) -> List[List[float]]:
-        """:meth:`distance_array` as nested Python lists (same floats).
-
-        ``distance_matrix()[flat_index(a)][flat_index(b)] == dist(a, b)``.
-        Hot Python loops index lists faster than a NumPy array or a
-        per-pair method call — Pareto-DW's tuple-kernel closure performs
-        ~2M such lookups per profile run.
-        """
-        return self.distance_array().tolist()
 
     def neighbors(self, node: GridNode) -> Iterator[GridNode]:
         """The up-to-four orthogonal neighbours of a node."""

@@ -1,28 +1,34 @@
-"""Array-native kernels agree bit-for-bit with the pure-Python oracle.
+"""Array-native Pareto fronts agree bit-for-bit with the tuple oracle.
 
-Mirrors ``test_frontier_kernels.py`` for :mod:`repro.core.frontier_array`:
+The oracle is the enumerate-and-sort algebra of :mod:`repro.core.pareto`
+and the tuple Pareto-DW built on it:
 
 * hypothesis round trips — ``front_to_arrays`` / ``arrays_to_front`` are
   bit-identical inverses;
-* every tuple-kernel operation the array engine performs as one
+* every single-front operation the array engine performs as one
   segmented filter call — filter, shift (closure extension), cross
   (merge product via ``ragged_product_indices``), union — returns exactly
-  what the tuple kernel returns (objectives, survivors *and* tie
-  choices) on random inputs drawn from a tie-heavy value pool, plus
-  deterministic ``math.nextafter`` rounding-collision cases;
+  what ``pareto_filter``, ``shift`` + ``pareto_filter``, ``cross`` and
+  ``pareto_filter`` of the concatenation return (objectives, survivors
+  *and* tie choices) on random inputs drawn from a tie-heavy value
+  pool, plus deterministic ``math.nextafter`` rounding-collision cases;
 * the segmented batch kernels (``segmented_pareto_filter``,
   ``segment_strict_prune``, ``ragged_product_indices`` and their packed
   variants) match straightforward per-segment references;
-* a regression matrix that the array engine equals both the tuple
-  kernels and the ``kernels=False`` reference on degree 2-9 nets across
-  the Lemma flags, stats parity included — each engine called through
-  its private entry point, since ``pareto_dw`` picks one by degree;
+* a regression matrix that the array engine equals the tuple DP on
+  degree 2-9 nets across the Lemma flags, stats parity included — each
+  engine called through its private entry point, since ``pareto_dw``
+  picks one by degree;
 * the array engine's candidate budget: at a tiny budget every pass
   splits into many batches and fronts, trees and counters stay equal;
-* ``pareto_dw``'s degree dispatch and its ``dw.engine.*`` counters.
+* ``pareto_dw``'s degree dispatch and its ``dw.engine.*`` counters;
+* an oracle below the dispatch degree: placement-like and tie-heavy
+  nets of degree 2-5, which ``pareto_dw`` never sends to the array
+  engine, solved on both engines.
 
-Objective values reuse the integer/non-dyadic pool of the tuple-kernel
-tests so exact ties and rounding collisions occur constantly.
+Objective values reuse the integer/non-dyadic pool of
+``test_frontier_kernels.py`` so exact ties and rounding collisions
+occur constantly.
 """
 
 import importlib
@@ -38,14 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core.frontier import (
-    cross_sorted,
-    is_sorted_front,
-    merge_shifted,
-    merge_sorted_fronts,
-    pareto_filter_sorted,
-    shift_sorted,
-)
+from repro.core.frontier import merge_sorted_fronts, pareto_filter_sorted
 from repro.core.frontier_array import (
     arrays_to_front,
     front_to_arrays,
@@ -56,7 +55,7 @@ from repro.core.frontier_array import (
     segmented_pareto_filter_packed,
     segmented_pareto_keep,
 )
-from repro.core.pareto import objectives, pareto_filter
+from repro.core.pareto import cross, is_pareto_front, objectives, pareto_filter, shift
 from repro.core.patlabor import PatLabor, PatLaborConfig
 from repro.core.pareto_dw import (
     DWStats,
@@ -64,13 +63,14 @@ from repro.core.pareto_dw import (
     _pareto_dw_impl,
     pareto_dw,
 )
+from repro.eval.benchmarks import synth_net
 from repro.geometry.net import Net, random_net
 
 # The package re-exports functions under these module names.
 pareto_dw_module = importlib.import_module("repro.core.pareto_dw")
 frontier_array = importlib.import_module("repro.core.frontier_array")
 
-# Same pool as the tuple-kernel tests: frequent exact ties, non-dyadic
+# Same pool as test_frontier_kernels.py: frequent exact ties, non-dyadic
 # floats so sums exercise rounding.
 coord = st.one_of(
     st.integers(0, 8).map(float),
@@ -141,9 +141,10 @@ class TestRoundTrip:
 # ----------------------------------------------- single-front operations
 #
 # The array engine has no per-front kernels: a single front is one
-# segment of the segmented filter, and the tuple kernels' filter, shift,
-# cross and union are each a gather plus one segmented call. These
-# classes check exactly that composition against the tuple kernels.
+# segment of the segmented filter, and the tuple operators' filter,
+# shift, cross and union are each a gather plus one segmented call.
+# These classes check exactly that composition against the
+# enumerate-and-sort operators of repro.core.pareto.
 
 
 def one_segment_filter(w, d):
@@ -186,7 +187,9 @@ class TestShiftSortedArrays:
     @given(fronts(), coord)
     def test_matches_tuple_kernel(self, front, x):
         w, d, payloads = front_to_arrays(front)
-        assert filtered_front(w + x, d + x, payloads) == shift_sorted(front, x)
+        assert filtered_front(w + x, d + x, payloads) == pareto_filter(
+            shift(front, x)
+        )
 
     def test_w_collision_keeps_smaller_delay(self):
         w = 1293.2694644882506
@@ -233,12 +236,10 @@ class TestCrossSortedArrays:
     @few
     @given(fronts(max_size=8), fronts(max_size=8))
     def test_matches_tuple_kernel(self, s1, s2):
-        ref = cross_sorted(s1, s2, lambda a, b: (a, b))
         got, bucket = product_front(s1, s2)
-        assert objectives(got) == objectives(ref)
-        assert is_sorted_front(got)
-        # Payload ties resolve like the reference merge bucket's filter.
-        assert got == pareto_filter(bucket)
+        # Payload ties resolve like the tuple DP's merge bucket filter.
+        assert got == cross(s1, s2) == pareto_filter(bucket)
+        assert is_pareto_front(got)
 
     @few
     @given(fronts(max_size=8))
@@ -278,10 +279,9 @@ class TestMergeArrays:
         )
     )
     def test_merge_shifted_matches(self, runs):
-        ref, _ = merge_shifted([(off, f, None) for off, f in runs])
-        flat = [(w + off, d + off, p) for off, f in runs for w, d, p in f]
+        flat = [s for off, f in runs for s in shift(f, off)]
         w, d, p = front_to_arrays(flat)
-        assert filtered_front(w, d, p) == ref
+        assert filtered_front(w, d, p) == pareto_filter(flat)
 
 
 # ------------------------------------------------------- segmented kernels
@@ -441,7 +441,7 @@ class TestRaggedProductIndices:
 
 LEMMA_COMBOS = list(product([False, True], repeat=3))
 
-#: Work counters every engine must report identically; the allocation
+#: Work counters both engines must report identically; the allocation
 #: counters (``merge_candidates``, ``closure_allocations``) measure what
 #: each engine materializes and legitimately differ.
 SHARED_COUNTERS = (
@@ -460,11 +460,8 @@ def solve(engine, net, stats=None, **flags):
     """Run one Pareto-DW engine through its private entry point."""
     kw = dict(lemma2=True, lemma3=True, lemma4=True, with_trees=False)
     kw.update(flags)
-    if engine == "array":
-        return _pareto_dw_array_impl(net, stats=stats, **kw)
-    return _pareto_dw_impl(
-        net, stats=stats, kernels=(engine == "tuple"), **kw
-    )
+    impl = _pareto_dw_array_impl if engine == "array" else _pareto_dw_impl
+    return impl(net, stats=stats, **kw)
 
 
 def shared(stats):
@@ -472,19 +469,13 @@ def shared(stats):
 
 
 def assert_engines_agree(net, **flags):
-    """Array == tuple == reference: objectives, trees, shared counters."""
-    runs = {}
-    for engine in ("array", "tuple", "reference"):
-        st_ = DWStats()
-        runs[engine] = (solve(engine, net, st_, with_trees=True, **flags), st_)
-    arr, st_a = runs["array"]
-    for engine in ("tuple", "reference"):
-        ref, st_r = runs[engine]
-        assert objectives(arr) == objectives(ref), engine
-        assert [t.edges() for _, _, t in arr] == [
-            t.edges() for _, _, t in ref
-        ], engine
-        assert shared(st_a) == shared(st_r), engine
+    """Array == tuple DP: objectives, trees, shared counters."""
+    st_a, st_t = DWStats(), DWStats()
+    arr = solve("array", net, st_a, with_trees=True, **flags)
+    ref = solve("tuple", net, st_t, with_trees=True, **flags)
+    assert objectives(arr) == objectives(ref)
+    assert [t.edges() for _, _, t in arr] == [t.edges() for _, _, t in ref]
+    assert shared(st_a) == shared(st_t)
     return st_a
 
 
@@ -502,7 +493,7 @@ def ring_net(seed, per_side=2):
 
 
 class TestParetoDWArrayEquivalence:
-    """The array engine equals both tuple paths, stats included."""
+    """The array engine equals the tuple DP, stats included."""
 
     @pytest.mark.parametrize("degree", range(2, 10))
     def test_identical_frontier_across_lemma_flags(self, degree):
@@ -512,12 +503,10 @@ class TestParetoDWArrayEquivalence:
         for lemma2, lemma3, lemma4 in LEMMA_COMBOS:
             kw = dict(lemma2=lemma2, lemma3=lemma3, lemma4=lemma4)
             arr = solve("array", net, **kw)
-            for engine in ("reference", "tuple"):
-                ref = solve(engine, net, **kw)
-                assert objectives(arr) == objectives(ref), (
-                    f"degree={degree} engine={engine} "
-                    f"lemmas={(lemma2, lemma3, lemma4)}"
-                )
+            ref = solve("tuple", net, **kw)
+            assert objectives(arr) == objectives(ref), (
+                f"degree={degree} lemmas={(lemma2, lemma3, lemma4)}"
+            )
 
     @pytest.mark.parametrize("degree", [4, 6, 8])
     def test_identical_payloads_with_trees(self, degree):
@@ -659,7 +648,8 @@ class TestCandidateBudget:
 
 
 class TestEngineDispatch:
-    """``pareto_dw`` picks its engine by degree; ``kernels=False`` never."""
+    """``pareto_dw`` picks its engine by degree; ``kernels=False`` runs
+    the tuple DP at every degree."""
 
     @pytest.fixture
     def engine_calls(self, monkeypatch):
@@ -671,9 +661,9 @@ class TestEngineDispatch:
             calls.append("array")
             return real_array(net, **kw)
 
-        def tuple_spy(net, *, kernels=True, **kw):
-            calls.append("tuple" if kernels else "reference")
-            return real_tuple(net, kernels=kernels, **kw)
+        def tuple_spy(net, **kw):
+            calls.append("tuple")
+            return real_tuple(net, **kw)
 
         monkeypatch.setattr(pareto_dw_module, "_pareto_dw_array_impl", array_spy)
         monkeypatch.setattr(pareto_dw_module, "_pareto_dw_impl", tuple_spy)
@@ -693,7 +683,7 @@ class TestEngineDispatch:
     ):
         net = random_net(degree, rng=random.Random(6000 + degree), grid=9)
         pareto_dw(net, kernels=False)
-        assert engine_calls == ["reference"]
+        assert engine_calls == ["tuple"]
 
     def test_local_search_sub_nets_run_array_engine(self, engine_calls):
         # The 9-pin sub-net of a local-search step dispatches by degree
@@ -723,7 +713,44 @@ class TestEngineDispatch:
         finally:
             obs.disable()
             obs.reset()
-        assert counters["dw.engine.tuple"] == 4
+        # Four small-degree solves plus the kernels=False one.
+        assert counters["dw.engine.tuple"] == 5
         assert counters["dw.engine.array"] == 3
-        assert counters["dw.engine.reference"] == 1
+        assert not [k for k in counters if k.startswith("dw.engine.")
+                    and k not in ("dw.engine.tuple", "dw.engine.array")]
         assert counters["dw.solves"] == len(nets) + 1
+
+
+def lattice_net(seed, degree, side=4):
+    """Distinct pins on a ``side`` x ``side`` integer lattice: shared
+    coordinates, repeated gaps and exact objective ties everywhere."""
+    rng = random.Random(seed)
+    cells = rng.sample([(float(x), float(y)) for x in range(side)
+                        for y in range(side)], degree)
+    return Net.from_points(cells[0], cells[1:])
+
+
+class TestArrayOracleBelowDispatch:
+    """Degree 2-5 nets, which ``pareto_dw`` solves on the tuple DP, also
+    solved on the array engine: an oracle independent of the tuple DP for
+    the degrees ``batch_exact``'s ``kernels=False`` check cannot cover."""
+
+    @staticmethod
+    def assert_agree(net):
+        assert_engines_agree(net)
+        # Payload backpointers too, not just the trees built from them.
+        assert solve("array", net) == solve("tuple", net)
+
+    @pytest.mark.parametrize("degree", range(2, pareto_dw_module._ARRAY_MIN_DEGREE))
+    @pytest.mark.parametrize("style", ["clustered2", "clustered3", "smoothed", "uniform"])
+    def test_placement_like_nets(self, degree, style):
+        rng = random.Random(9000 + degree)
+        for _ in range(8):
+            self.assert_agree(synth_net(degree, rng, style=style))
+
+    @pytest.mark.parametrize("degree", range(3, pareto_dw_module._ARRAY_MIN_DEGREE))
+    def test_tie_heavy_lattices(self, degree):
+        for seed in range(40):
+            net = lattice_net(100 * degree + seed, degree)
+            self.assert_agree(net)
+            assert_engines_agree(net, lemma2=False, lemma3=False, lemma4=False)

@@ -1,24 +1,20 @@
-"""Sorted-front kernels agree exactly with the naive Pareto references.
+"""Sorted-front operators and Pareto metrics agree with naive references.
 
-Two layers of evidence:
-
-* property tests (hypothesis) that every kernel of
-  :mod:`repro.core.frontier` returns the same result as the
-  enumerate-and-sort operators of :mod:`repro.core.pareto` on random
-  inputs — including duplicate objectives, singletons, and empty fronts;
-* deterministic floating-point collision cases (IEEE addition is
-  monotone but not strictly monotone, so ``w1 + x == w2 + x`` can hold
-  for ``w1 != w2``) pinned with ``math.nextafter``;
-* a regression matrix that ``pareto_dw(kernels=True)`` returns the same
-  ``(w, d)`` frontier as the ``kernels=False`` reference path on degree
-  2–9 nets across every Lemma flag combination.
+* property tests (hypothesis) that :func:`merge_sorted_fronts` and
+  :func:`pareto_filter_sorted` return exactly what the enumerate-and-sort
+  :func:`~repro.core.pareto.pareto_filter` returns — objectives *and*
+  surviving payloads — on random inputs, including duplicate
+  objectives, singletons and empty fronts;
+* the front metrics of :mod:`repro.core.pareto` against full scans;
+* a regression matrix that ``pareto_dw`` returns the same ``(w, d)``
+  frontier as its ``kernels=False`` oracle (the tuple DP at every
+  degree) on degree 2–9 nets across every Lemma flag combination.
 
 Objective values are drawn from a small pool of integers and non-dyadic
 floats so exact ties and rounding collisions occur often instead of
 almost never.
 """
 
-import math
 import random
 from itertools import product
 
@@ -26,24 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.frontier import (
-    assert_sorted_front,
-    cross_merge_sorted,
-    cross_sorted,
-    is_sorted_front,
-    merge_shifted,
-    merge_sorted_fronts,
-    pareto_filter_sorted,
-    shift_sorted,
-)
+from repro.core.frontier import merge_sorted_fronts, pareto_filter_sorted
 from repro.core.pareto import (
     count_on_frontier,
-    cross,
     epsilon_indicator,
     is_pareto_front,
     objectives,
     pareto_filter,
-    shift,
     weakly_dominates,
 )
 from repro.core.pareto_dw import pareto_dw
@@ -77,35 +62,6 @@ def fronts(draw, max_size=12):
     return pareto_filter(draw(solution_lists(max_size=max_size)))
 
 
-# ------------------------------------------------------------ invariants
-
-
-class TestInvariantChecks:
-    def test_empty_and_singleton_are_sorted(self):
-        assert is_sorted_front([])
-        assert is_sorted_front([(1.0, 2.0, None)])
-
-    def test_rejects_non_strict(self):
-        assert not is_sorted_front([(1.0, 2.0, None), (1.0, 1.0, None)])
-        assert not is_sorted_front([(1.0, 2.0, None), (2.0, 2.0, None)])
-        assert not is_sorted_front([(2.0, 1.0, None), (1.0, 2.0, None)])
-
-    def test_assert_sorted_front_passes_through(self):
-        front = [(0.0, 3.0, "a"), (1.0, 1.0, "b")]
-        assert assert_sorted_front(front, "t") is front
-
-    def test_assert_sorted_front_raises_with_label(self):
-        with pytest.raises(AssertionError, match="bad-front"):
-            assert_sorted_front(
-                [(1.0, 1.0, None), (1.0, 0.0, None)], "bad-front"
-            )
-
-    @few
-    @given(solution_lists())
-    def test_pareto_filter_output_is_sorted(self, sols):
-        assert is_sorted_front(pareto_filter(sols))
-
-
 # -------------------------------------------------------------- filtering
 
 
@@ -130,151 +86,6 @@ class TestParetoFilterSorted:
         assert pareto_filter_sorted(sub) == sub
 
 
-# ------------------------------------------------------------------ shift
-
-
-class TestShiftSorted:
-    @few
-    @given(fronts(), coord)
-    def test_matches_shift_then_filter(self, front, x):
-        assert shift_sorted(front, x) == pareto_filter(shift(front, x))
-
-    @few
-    @given(fronts(), coord)
-    def test_rewrap_applied_to_survivors(self, front, x):
-        mark = lambda s: ("ext", s[2])
-        assert shift_sorted(front, x, mark) == pareto_filter(
-            shift(front, x, mark)
-        )
-
-    def test_w_collision_keeps_smaller_delay(self):
-        w = 1293.2694644882506
-        w2 = math.nextafter(w, math.inf)
-        off = 96.61455694252402
-        assert w != w2 and w + off == w2 + off  # the rounding collision
-        front = [(w, 2.0, "hi"), (w2, 1.0, "lo")]
-        out = shift_sorted(front, off)
-        assert out == pareto_filter(shift(front, off))
-        assert out == [(w + off, 1.0 + off, "lo")]
-
-    def test_d_collision_keeps_earlier_point(self):
-        d_lo = 1293.2694644882506
-        d_hi = math.nextafter(d_lo, math.inf)
-        off = 96.61455694252402
-        assert d_lo != d_hi and d_lo + off == d_hi + off
-        front = [(1.0, d_hi, "early"), (2.0, d_lo, "late")]
-        out = shift_sorted(front, off)
-        assert out == pareto_filter(shift(front, off))
-        assert out == [(1.0 + off, d_hi + off, "early")]
-
-
-# ------------------------------------------------------------------ cross
-
-
-def _naive_product(s1, s2):
-    """The unfiltered a*b merge-product candidate list."""
-    return [
-        (w1 + w2, max(d1, d2), (p1, p2))
-        for w1, d1, p1 in s1
-        for w2, d2, p2 in s2
-    ]
-
-
-class TestCrossSorted:
-    @few
-    @given(fronts(max_size=8), fronts(max_size=8))
-    def test_objectives_match_naive_cross(self, s1, s2):
-        got = cross_sorted(s1, s2)
-        assert objectives(got) == objectives(cross(s1, s2))
-        assert is_sorted_front(got)
-
-    @few
-    @given(fronts(max_size=8), fronts(max_size=8))
-    def test_payloads_are_attaining_pairs(self, s1, s2):
-        # On objective-equal ties the surviving payload may differ from
-        # the enumeration-order reference, but it must still be a pair
-        # of input payloads that attains the output point exactly.
-        by_payload1 = {p: (w, d) for w, d, p in s1}
-        by_payload2 = {p: (w, d) for w, d, p in s2}
-        for w, d, (p1, p2) in cross_sorted(s1, s2):
-            w1, d1 = by_payload1[p1]
-            w2, d2 = by_payload2[p2]
-            assert w == w1 + w2 and d == max(d1, d2)
-
-    @few
-    @given(fronts(max_size=8), fronts(max_size=8))
-    def test_combine_callback(self, s1, s2):
-        got = cross_sorted(s1, s2, lambda a, b: a * 100 + b)
-        assert objectives(got) == objectives(cross(s1, s2))
-
-    @few
-    @given(fronts(max_size=8))
-    def test_empty_operand(self, s1):
-        assert cross_sorted(s1, []) == []
-        assert cross_sorted([], s1) == []
-
-    def test_output_bounded_by_a_plus_b_minus_1(self):
-        # Paper, Section IV-A: |S ⊕ S'| <= a + b - 1.
-        rng = random.Random(7)
-        for _ in range(50):
-            s1 = pareto_filter(
-                [(rng.random(), rng.random(), i) for i in range(9)]
-            )
-            s2 = pareto_filter(
-                [(rng.random(), rng.random(), i) for i in range(9)]
-            )
-            if s1 and s2:
-                assert len(cross_sorted(s1, s2)) <= len(s1) + len(s2) - 1
-
-    def test_w_collision_emits_single_point(self):
-        w = 1293.2694644882506
-        w2 = math.nextafter(w, math.inf)
-        x = 96.61455694252402
-        assert w + x == w2 + x
-        s1 = [(w, 2.0, "a"), (w2, 1.0, "b")]
-        s2 = [(x, 0.5, "c")]
-        got = cross_sorted(s1, s2)
-        assert objectives(got) == objectives(cross(s1, s2))
-        assert got == [(w + x, 1.0, ("b", "c"))]
-
-
-class TestCrossMergeSorted:
-    @few
-    @given(fronts(max_size=8), fronts(max_size=8), fronts(max_size=8))
-    def test_matches_union_of_acc_and_product(self, acc, s1, s2):
-        got, allocated = cross_merge_sorted(acc, s1, s2)
-        # acc listed first => pareto_filter's first-encountered rule
-        # prefers acc on ties, like the kernel does.
-        ref = pareto_filter(list(acc) + _naive_product(s1, s2))
-        assert objectives(got) == objectives(ref)
-        assert is_sorted_front(got)
-        assert 0 <= allocated <= len(s1) * len(s2)
-
-    @few
-    @given(fronts(max_size=8), fronts(max_size=8), fronts(max_size=8))
-    def test_surviving_acc_tuples_are_reused(self, acc, s1, s2):
-        got, _ = cross_merge_sorted(acc, s1, s2)
-        acc_ids = {id(s) for s in acc}
-        for s in got:
-            if id(s) in acc_ids:
-                continue
-            # Everything else was allocated from the product stream.
-            assert isinstance(s[2], tuple) and len(s[2]) == 2
-
-    @few
-    @given(fronts(max_size=8), fronts(max_size=8))
-    def test_empty_acc_equals_cross_sorted(self, s1, s2):
-        got, allocated = cross_merge_sorted([], s1, s2)
-        assert got == cross_sorted(s1, s2)
-        assert allocated == len(got)
-
-    @few
-    @given(fronts(max_size=8), fronts(max_size=8))
-    def test_empty_operand_returns_acc_copy(self, acc, s1):
-        got, allocated = cross_merge_sorted(acc, s1, [])
-        assert got == list(acc) and allocated == 0
-
-
 # ------------------------------------------------------------------ union
 
 
@@ -293,57 +104,6 @@ class TestMergeSortedFronts:
         assert merge_sorted_fronts(front) == front
         assert merge_sorted_fronts() == []
         assert merge_sorted_fronts([], front, []) == front
-
-
-class TestMergeShifted:
-    @staticmethod
-    def _reference(runs, rewrap):
-        bucket = []
-        for off, cands, tag in runs:
-            for s in cands:
-                payload = rewrap(tag, s) if tag is not None else s[2]
-                bucket.append((s[0] + off, s[1] + off, payload))
-        return pareto_filter(bucket)
-
-    @few
-    @given(
-        st.lists(
-            st.tuples(coord, fronts(max_size=8), st.sampled_from([None, 1, 2])),
-            max_size=4,
-        )
-    )
-    def test_matches_shift_then_filter(self, runs):
-        rewrap = lambda tag, s: ("ext", tag, s[2])
-        got, allocated = merge_shifted(runs, rewrap)
-        # Tuple-exact, including rewrapped payloads and tie resolution.
-        assert got == self._reference(runs, rewrap)
-        total = sum(len(c) for _, c, _ in runs)
-        assert 0 <= allocated <= total
-
-    @few
-    @given(fronts())
-    def test_identity_run_reuses_tuples(self, front):
-        got, allocated = merge_shifted([(0.0, front, None)])
-        assert got == front
-        assert allocated == 0
-        assert all(a is b for a, b in zip(got, front))
-
-    def test_w_collision_within_a_run(self):
-        w = 1293.2694644882506
-        w2 = math.nextafter(w, math.inf)
-        off = 96.61455694252402
-        assert w + off == w2 + off
-        runs = [(off, [(w, 2.0, "hi"), (w2, 1.0, "lo")], None)]
-        got, _ = merge_shifted(runs)
-        assert got == self._reference(runs, lambda t, s: None)
-        assert got == [(w + off, 1.0 + off, "lo")]
-
-    def test_dominated_run_is_skipped_without_allocating(self):
-        acc_run = (0.0, [(0.0, 0.0, "best")], None)
-        dominated = (5.0, [(1.0, 4.0, "x"), (2.0, 3.0, "y")], None)
-        got, allocated = merge_shifted([acc_run, dominated])
-        assert got == [(0.0, 0.0, "best")]
-        assert allocated == 0
 
 
 # --------------------------------------------------- metric satellites
