@@ -1,23 +1,34 @@
-"""Lookup tables for small-degree nets: symbolic generation, storage, lookup."""
+"""Lookup tables for small-degree nets: symbolic generation, storage, lookup.
 
+Loading and querying a table needs only :mod:`.table`, :mod:`.cluster`
+and :mod:`.default`, which are imported here. The generation names
+(:mod:`.generator`, :mod:`.symbolic`) resolve on first use (PEP 562):
+only building a table runs them.
+"""
+
+from __future__ import annotations
+
+from typing import Any
+
+from .._lazy import resolve_lazy
 from .cluster import TopologyPool
 from .default import default_router, default_table
-from .generator import (
-    PatternSolutions,
-    count_canonical_patterns,
-    enumerate_canonical_patterns,
-    generate_degree,
-    generate_degree_parallel,
-    solve_pattern,
-)
-from .symbolic import (
-    SymbolicSolution,
-    merge_solutions,
-    prune_front,
-    shift_solution,
-    symbolic_dominates,
-)
 from .table import DegreeStats, LookupTable, net_pattern
+
+#: Each lazily re-exported name and the submodule that defines it.
+_LAZY = {
+    "PatternSolutions": "generator",
+    "count_canonical_patterns": "generator",
+    "enumerate_canonical_patterns": "generator",
+    "generate_degree": "generator",
+    "generate_degree_parallel": "generator",
+    "solve_pattern": "generator",
+    "SymbolicSolution": "symbolic",
+    "merge_solutions": "symbolic",
+    "prune_front": "symbolic",
+    "shift_solution": "symbolic",
+    "symbolic_dominates": "symbolic",
+}
 
 __all__ = [
     "DegreeStats",
@@ -38,3 +49,8 @@ __all__ = [
     "solve_pattern",
     "symbolic_dominates",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Bind a lazily re-exported name on first use (PEP 562)."""
+    return resolve_lazy(globals(), _LAZY, name)

@@ -21,7 +21,7 @@ simultaneously minimises wirelength and gives every sink a shortest path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import LookupTableError
 from ..geometry.net import Net
@@ -31,12 +31,10 @@ from ..routing.tree import RoutingTree
 from ..core.frontier import pareto_filter_sorted
 from ..core.pareto import Solution, clean_front
 from .cluster import TopologyPool
-from .generator import (
-    Pattern,
-    PatternSolutions,
-    generate_degree,
-    solve_pattern,
-)
+
+if TYPE_CHECKING:
+    # Only building a table runs the generator; loading one does not.
+    from .generator import Pattern, PatternSolutions
 
 GridNode = Tuple[int, int]
 
@@ -107,6 +105,8 @@ class LookupTable:
         """Generate tables for the given degrees (full or sampled)."""
         import time
 
+        from .generator import generate_degree
+
         table = cls()
         table.prune_mode = prune_mode
         for n in degrees:
@@ -149,6 +149,8 @@ class LookupTable:
 
     def add_pattern(self, n: int, perm: Tuple[int, ...], src: int) -> None:
         """Solve and insert a single pattern (lazy / on-demand filling)."""
+        from .generator import solve_pattern
+
         ps = solve_pattern(perm, src, prune_mode=self.prune_mode)
         rows = [
             (sol.w, sol.rows, self.pool.intern(sol.payload))
@@ -160,6 +162,8 @@ class LookupTable:
 
     @property
     def degrees(self) -> List[int]:
+        """The covered table degrees, ascending (2 and 3 are closed-form
+        and not listed)."""
         return sorted(self.entries)
 
     def covers(self, degree: int) -> bool:

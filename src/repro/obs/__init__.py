@@ -20,6 +20,11 @@ The measurement substrate every perf PR reports against, in four layers:
   backing the daemon's ``/metrics`` endpoint and ``repro top``
   (:mod:`repro.obs.live`, :mod:`repro.obs.top`).
 
+The exporters, the ledger and the report (:mod:`repro.obs.export`,
+:mod:`repro.obs.ledger`, :mod:`repro.obs.report`) run only after
+routing, so their names here resolve on first use (PEP 562) and
+importing ``repro.obs`` does not load them.
+
 Everything is off by default: until the matching ``enable`` is called,
 every primitive is a no-op behind a flag check, so library users who
 never profile pay nothing. Typical profiling session::
@@ -47,6 +52,9 @@ ledger runs.
 
 from __future__ import annotations
 
+from typing import Any
+
+from .._lazy import resolve_lazy
 from .events import (
     EventLog,
     drain_events,
@@ -58,26 +66,6 @@ from .events import (
     get_event_log,
     peak_rss_kb,
     read_events,
-)
-from .export import (
-    dump_json,
-    help_original_name,
-    prom_name,
-    snapshot,
-    to_prometheus,
-    write_bench_json,
-)
-from .ledger import (
-    MetricDelta,
-    append_record,
-    diff_metrics,
-    diff_records,
-    flatten_snapshot,
-    make_record,
-    read_ledger,
-    regressions,
-    render_diff,
-    resolve_record,
 )
 from .live import (
     DEFAULT_BOUNDS,
@@ -93,7 +81,6 @@ from .live import (
     validate_exposition,
 )
 from .registry import Registry, TimerStat, get_registry, _REGISTRY
-from .report import metrics_summary, span_tree_report
 from .spans import current_span_path, span
 from .trace import (
     TraceCollector,
@@ -105,6 +92,33 @@ from .trace import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+
+#: Each lazily re-exported name and the submodule that defines it.
+_LAZY = {
+    "dump_json": "export",
+    "help_original_name": "export",
+    "prom_name": "export",
+    "snapshot": "export",
+    "to_prometheus": "export",
+    "write_bench_json": "export",
+    "MetricDelta": "ledger",
+    "append_record": "ledger",
+    "diff_metrics": "ledger",
+    "diff_records": "ledger",
+    "flatten_snapshot": "ledger",
+    "make_record": "ledger",
+    "read_ledger": "ledger",
+    "regressions": "ledger",
+    "render_diff": "ledger",
+    "resolve_record": "ledger",
+    "metrics_summary": "report",
+    "span_tree_report": "report",
+}
+
+
+def __getattr__(name: str) -> Any:
+    """Bind a lazily re-exported name on first use (PEP 562)."""
+    return resolve_lazy(globals(), _LAZY, name)
 
 
 def enable() -> None:

@@ -10,11 +10,15 @@ CapacityGrid`'s utilisation with overused cells outlined — the picture
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from ..congestion.model import CapacityGrid, CongestionMap
 from ..routing.embedding import embed_tree
 from ..routing.tree import RoutingTree
+
+if TYPE_CHECKING:
+    # Annotations only: rendering a tree or a front never loads the
+    # congestion package.
+    from ..congestion.model import CapacityGrid, CongestionMap
 
 
 def _heat_color(value: float) -> str:
