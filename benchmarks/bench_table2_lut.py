@@ -7,11 +7,19 @@ process, degree 6 taken from the *shipped* fully-enumerated table
 paper's 10.67 at degree 6), degree 7 sampled; #Index extrapolates from
 exact orbit counting.
 
+The combined table takes degrees 6 and 7 with ``LookupTable.take_degree``,
+which re-interns their topologies into its own pool, and the saved file
+is loaded back: its degree-6 and degree-7 lookups must equal the source
+tables'.
+
 Timed kernel: solving a single degree-5 canonical pattern symbolically.
 """
 
+import random
+
 from repro.eval.reporting import render_table2
-from repro.io.lut_io import lut_file_size, save_lut
+from repro.geometry.net import Net
+from repro.io.lut_io import load_lut, lut_file_size, save_lut
 from repro.lut.default import DATA_FILE, default_table
 from repro.lut.generator import count_canonical_patterns, solve_pattern
 from repro.lut.table import LookupTable
@@ -25,22 +33,29 @@ def test_table2_lut_generation(benchmark, tmp_path_factory):
     table = LookupTable.build(degrees=(4, 5))
     # Degree 6: shipped full enumeration (counted offline as full).
     shipped = default_table()
-    table.entries[6] = shipped.entries[6]
-    table.stats[6] = shipped.stats[6]
+    table.take_degree(shipped, 6)
+    sources = {6: shipped}
     for degree, limit in SAMPLED.items():
         sampled = LookupTable.build(
             degrees=(degree,), limit_per_degree=limit, stride=500
         )
-        table.entries[degree] = sampled.entries[degree]
-        st = sampled.stats[degree]
+        table.take_degree(sampled, degree)
+        st = table.stats[degree]
         st.num_index = count_canonical_patterns(degree)  # full orbit count
         st.sampled = True
-        table.stats[degree] = st
+        sources[degree] = sampled
 
     out_dir = tmp_path_factory.mktemp("lut")
     path = out_dir / "table2_lut.json"
     save_lut(table, path)
     size_mb = lut_file_size(path) / 1e6
+    # The saved table must look up as its sources did, pattern for pattern.
+    loaded = load_lut(path)
+    for degree, source in sources.items():
+        patterns = list(source.entries[degree])
+        assert _stored_fronts(loaded, patterns, random.Random(degree)) == (
+            _stored_fronts(source, patterns, random.Random(degree))
+        ), f"degree {degree}: the saved table's lookups differ from its source's"
 
     stats = [table.stats[n] for n in sorted(table.stats)]
     rendered = render_table2(stats)
@@ -67,3 +82,31 @@ def test_table2_lut_generation(benchmark, tmp_path_factory):
     assert table.pool.dedup_ratio > 1.2
 
     benchmark(lambda: solve_pattern((2, 0, 3, 1, 4), 2))
+
+
+
+def _stored_fronts(table, patterns, rng):
+    """Two lookups per pattern: ``(w, d)`` and the tree's wire set each.
+
+    The wires are compared as a set of point pairs, so a tree that only
+    numbers its nodes differently (a built table's topologies iterate in
+    another order than a loaded one's) still compares equal.
+    """
+    fronts = []
+    for perm, src in patterns:
+        for _ in range(2):
+            xs, ys = [0.0], [0.0]
+            for _ in perm[1:]:
+                xs.append(xs[-1] + rng.uniform(0.1, 10.0))
+                ys.append(ys[-1] + rng.uniform(0.1, 10.0))
+            pins = [(xs[c], ys[r]) for c, r in enumerate(perm)]
+            net = Net.from_points(pins[src], pins[:src] + pins[src + 1 :])
+            front = table.lookup(net, on_missing="raise")
+            fronts.append([(w, d, _wires(tree)) for w, d, tree in front])
+    return fronts
+
+
+def _wires(tree):
+    """The tree's wires as unordered point pairs."""
+    pts = tree.points
+    return {frozenset((pts[i], pts[p])) for i, p in enumerate(tree.parent) if p >= 0}

@@ -96,27 +96,12 @@ def _cmd_gen_lut(args: argparse.Namespace) -> int:
     from .lut.table import LookupTable
 
     degrees = [int(d) for d in args.degrees.split(",")]
-    if args.jobs and args.jobs > 1:
-        from .lut.generator import generate_degree_parallel
-
-        table = LookupTable()
-        table.prune_mode = args.prune
-        for n in degrees:
-            import time as _time
-
-            t0 = _time.perf_counter()
-            raw = generate_degree_parallel(
-                n, jobs=args.jobs, prune_mode=args.prune, limit=args.limit
-            )
-            table._ingest(n, raw)
-            table.stats[n].build_seconds = _time.perf_counter() - t0
-            table.stats[n].sampled = args.limit is not None
-    else:
-        table = LookupTable.build(
-            degrees=degrees,
-            prune_mode=args.prune,
-            limit_per_degree=args.limit,
-        )
+    table = LookupTable.build(
+        degrees=degrees,
+        prune_mode=args.prune,
+        limit_per_degree=args.limit,
+        jobs=args.jobs,
+    )
     save_lut(table, args.output)
     for n, st in sorted(table.stats.items()):
         print(

@@ -16,12 +16,33 @@ symbolic solutions. Looking up a net:
 Degrees 2 and 3 are closed-form (the paper omits them as trivial): the
 direct edge, and the star through the coordinate-wise median point, which
 simultaneously minimises wirelength and gives every sink a shortest path.
+
+In memory each degree is a :class:`DegreeRows`: a dict from canonical
+pattern to its row range over int8 ``W``/``D`` columns and int32
+topology ids. Loading the shipped degree 4–6 table therefore adds ~700
+GC-tracked objects, not the 54k tuples and frozensets of a tuple per
+row (``docs/performance.md``, "The table in memory").
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+import numpy as np
 
 from ..exceptions import LookupTableError
 from ..geometry.net import Net
@@ -34,9 +55,12 @@ from .cluster import TopologyPool
 
 if TYPE_CHECKING:
     # Only building a table runs the generator; loading one does not.
-    from .generator import Pattern, PatternSolutions
+    from .generator import PatternSolutions
 
 GridNode = Tuple[int, int]
+
+#: A canonical ``(perm, source_col)`` pattern.
+Pattern = Tuple[Tuple[int, ...], int]
 
 #: A stored table row: wirelength vector, delay rows, pool topology id.
 TableRow = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...], int]
@@ -81,11 +105,110 @@ def net_pattern(net: Net) -> Tuple[Tuple[int, ...], int, List[float], List[float
     return tuple(perm), col[0], xs, ys
 
 
+def int8_values(values: Iterable[int]) -> np.ndarray:
+    """``values`` as a flat int8 array; each must be an integer in 0..127."""
+    try:
+        flat = np.frombuffer(bytes(values), dtype=np.uint8)
+    except (TypeError, ValueError) as exc:
+        raise LookupTableError("table values must be integers in 0..127") from exc
+    if flat.size and int(flat.max()) > 127:
+        raise LookupTableError("table values must be integers in 0..127")
+    return flat.view(np.int8)
+
+
+class DegreeRows:
+    """One degree's table: canonical pattern → row range, plus columns.
+
+    Row ``r`` is one stored solution: ``w[r]`` (int8, ``2(n-1)``) its
+    wirelength coefficients over the gaps, ``d[r]`` (int8,
+    ``(n-1, 2(n-1))``) one delay row per sink, ``topo[r]`` (int32) its
+    pool topology id. ``index`` maps each pattern to the ``(start, stop)``
+    of its contiguous rows, in the order the patterns were solved or
+    read. The columns are never written in place: adding a pattern
+    replaces them, so two tables may share them.
+    """
+
+    __slots__ = ("degree", "index", "w", "d", "topo")
+
+    def __init__(
+        self,
+        degree: int,
+        index: Dict[Pattern, Tuple[int, int]],
+        w: np.ndarray,
+        d: np.ndarray,
+        topo: np.ndarray,
+    ) -> None:
+        self.degree = degree
+        self.index = index
+        self.w = w
+        self.d = d
+        self.topo = topo
+
+    @classmethod
+    def from_rows(
+        cls,
+        degree: int,
+        index: Dict[Pattern, Tuple[int, int]],
+        ws: Sequence[Sequence[int]],
+        ds: Sequence[Sequence[Sequence[int]]],
+        topos: Sequence[int],
+    ) -> "DegreeRows":
+        """Columns from per-row wirelength vectors, delay rows and ids."""
+        k = 2 * (degree - 1)
+        w = int8_values(chain.from_iterable(ws))
+        d = int8_values(chain.from_iterable(chain.from_iterable(ds)))
+        if w.size != len(topos) * k or d.size != len(topos) * (degree - 1) * k:
+            raise LookupTableError(
+                f"degree-{degree} rows need {k} wirelength coefficients and "
+                f"{degree - 1} delay rows of {k} each"
+            )
+        return cls(
+            degree,
+            index,
+            w.reshape(len(topos), k),
+            d.reshape(len(topos), degree - 1, k),
+            np.array(topos, dtype=np.int32),
+        )
+
+    def append(self, pattern: Pattern, rows: Sequence[TableRow]) -> None:
+        """Store ``rows`` as ``pattern``'s rows (after any existing ones)."""
+        new = DegreeRows.from_rows(
+            self.degree,
+            {},
+            [r[0] for r in rows],
+            [r[1] for r in rows],
+            [r[2] for r in rows],
+        )
+        start = len(self.topo)
+        self.w = np.concatenate((self.w, new.w))
+        self.d = np.concatenate((self.d, new.d))
+        self.topo = np.concatenate((self.topo, new.topo))
+        self.index[pattern] = (start, start + len(rows))
+
+    def rows(self, pattern: Pattern) -> List[TableRow]:
+        """``pattern``'s rows as ``(w, d, topology id)`` tuples."""
+        start, stop = self.index[pattern]
+        return [
+            (tuple(w), tuple(map(tuple, d)), t)
+            for w, d, t in zip(
+                self.w[start:stop].tolist(),
+                self.d[start:stop].tolist(),
+                self.topo[start:stop].tolist(),
+            )
+        ]
+
+    def __contains__(self, pattern: object) -> bool:
+        return pattern in self.index
+
+    def __iter__(self) -> Iterator[Pattern]:
+        return iter(self.index)
+
+
 class LookupTable:
     """Pareto lookup tables for small-degree timing-driven routing."""
 
     def __init__(self) -> None:
-        self.entries: Dict[int, Dict[Pattern, List[TableRow]]] = {}
+        self.entries: Dict[int, DegreeRows] = {}
         self.pool = TopologyPool()
         self.stats: Dict[int, DegreeStats] = {}
         self.prune_mode: str = "componentwise"
@@ -100,24 +223,36 @@ class LookupTable:
         prune_mode: str = "componentwise",
         limit_per_degree: Optional[int] = None,
         stride: int = 1,
-        progress=None,
+        progress: Optional[Callable[[int, Pattern], None]] = None,
+        jobs: Optional[int] = None,
     ) -> "LookupTable":
-        """Generate tables for the given degrees (full or sampled)."""
+        """Generate tables for the given degrees (full or sampled).
+
+        With ``jobs`` > 1 the patterns are solved in that many processes
+        (:func:`~repro.lut.generator.generate_degree_parallel`, which
+        takes the first ``limit_per_degree`` patterns and ignores
+        ``stride`` and ``progress``); the table is the same.
+        """
         import time
 
-        from .generator import generate_degree
+        from .generator import generate_degree, generate_degree_parallel
 
         table = cls()
         table.prune_mode = prune_mode
         for n in degrees:
             t0 = time.perf_counter()
-            raw = generate_degree(
-                n,
-                prune_mode=prune_mode,
-                limit=limit_per_degree,
-                stride=stride,
-                progress=progress,
-            )
+            if jobs is not None and jobs > 1:
+                raw = generate_degree_parallel(
+                    n, jobs=jobs, prune_mode=prune_mode, limit=limit_per_degree
+                )
+            else:
+                raw = generate_degree(
+                    n,
+                    prune_mode=prune_mode,
+                    limit=limit_per_degree,
+                    stride=stride,
+                    progress=progress,
+                )
             table._ingest(n, raw)
             st = table.stats[n]
             st.build_seconds = time.perf_counter() - t0
@@ -125,26 +260,28 @@ class LookupTable:
         return table
 
     def _ingest(self, n: int, raw: Dict[Pattern, PatternSolutions]) -> None:
-        per_pattern: Dict[Pattern, List[TableRow]] = {}
+        index: Dict[Pattern, Tuple[int, int]] = {}
+        ws: List[Tuple[int, ...]] = []
+        ds: List[Tuple[Tuple[int, ...], ...]] = []
+        topos: List[int] = []
         topo_counts: List[int] = []
         for key, ps in raw.items():
-            rows: List[TableRow] = []
+            start = len(topos)
             for sol in ps.solutions:
-                topo_id = self.pool.intern(sol.payload)
-                rows.append((sol.w, sol.rows, topo_id))
-            per_pattern[key] = rows
-            topo_counts.append(len(rows))
-        self.entries[n] = per_pattern
+                topos.append(self.pool.intern(sol.payload))
+                ws.append(sol.w)
+                ds.append(sol.rows)
+            index[key] = (start, len(topos))
+            topo_counts.append(len(topos) - start)
+        self.entries[n] = DegreeRows.from_rows(n, index, ws, ds, topos)
         self.stats[n] = DegreeStats(
             degree=n,
-            num_index=len(per_pattern),
+            num_index=len(index),
             avg_topologies=(
                 sum(topo_counts) / len(topo_counts) if topo_counts else 0.0
             ),
             max_topologies=max(topo_counts, default=0),
-            distinct_topologies=len(
-                {r[2] for rows in per_pattern.values() for r in rows}
-            ),
+            distinct_topologies=len(set(topos)),
         )
 
     def add_pattern(self, n: int, perm: Tuple[int, ...], src: int) -> None:
@@ -156,7 +293,26 @@ class LookupTable:
             (sol.w, sol.rows, self.pool.intern(sol.payload))
             for sol in ps.solutions
         ]
-        self.entries.setdefault(n, {})[(perm, src)] = rows
+        if n not in self.entries:
+            self.entries[n] = DegreeRows.from_rows(n, {}, [], [], [])
+        self.entries[n].append((perm, src), rows)
+
+    def take_degree(self, other: "LookupTable", n: int) -> None:
+        """Copy ``other``'s degree-``n`` rows and stats into this table.
+
+        The topologies are re-interned into this table's pool, so the
+        copied rows cite this pool's ids. One this pool does not hold yet
+        keeps the iteration order ``other``'s pool gives it, so when the
+        degrees' topologies are new here (as they are across degrees),
+        lookups equal ``other``'s exactly.
+        """
+        block = other.entries[n]
+        topo = [self.pool.intern(other.pool.get(t)) for t in block.topo.tolist()]
+        self.entries[n] = DegreeRows(
+            n, dict(block.index), block.w, block.d, np.array(topo, dtype=np.int32)
+        )
+        if n in other.stats:
+            self.stats[n] = dataclasses.replace(other.stats[n])
 
     # ------------------------------------------------------------- queries
 
@@ -192,23 +348,31 @@ class LookupTable:
             )
         perm, src, xs, ys = net_pattern(net)
         cperm, csrc, t = canonical_pattern(perm, src)
-        rows = self.entries[n].get((cperm, csrc))
-        if rows is None:
+        block = self.entries[n]
+        row_range = block.index.get((cperm, csrc))
+        if row_range is None:
             if on_missing == "solve":
                 self.add_pattern(n, cperm, csrc)
-                rows = self.entries[n][(cperm, csrc)]
+                row_range = block.index[(cperm, csrc)]
             else:
                 raise LookupTableError(
                     f"pattern {cperm}/{csrc} missing from degree-{n} table"
                 )
+        start, stop = row_range
         # Gap vectors in the canonical frame.
         qx = [xs[i + 1] - xs[i] for i in range(n - 1)]
         qy = [ys[i + 1] - ys[i] for i in range(n - 1)]
         cgx, cgy = t.apply_gaps(qx, qy)
         gaps = list(cgx) + list(cgy)
 
+        # The rows as Python ints, summed in the stored column order
+        # (docs/numerics.md §4: no dot products).
         evaluated: List[Solution] = []
-        for w_vec, d_rows, topo_id in rows:
+        for w_vec, d_rows, topo_id in zip(
+            block.w[start:stop].tolist(),
+            block.d[start:stop].tolist(),
+            block.topo[start:stop].tolist(),
+        ):
             w = sum(c * g for c, g in zip(w_vec, gaps))
             d = max(
                 sum(c * g for c, g in zip(r, gaps)) for r in d_rows
@@ -217,7 +381,6 @@ class LookupTable:
         front = pareto_filter_sorted(evaluated)
 
         t_inv = t.inverse(n, n)
-        cn, _ = t.out_shape(n, n)  # == n
         out: List[Solution] = []
         for w, d, topo_id in front:
             edges = self.pool.get(topo_id)
@@ -233,7 +396,7 @@ class LookupTable:
 
 def _instantiate(
     net: Net,
-    canonical_edges,
+    canonical_edges: Iterable[Tuple[GridNode, GridNode]],
     t_inv: GridTransform,
     n: int,
     xs: Sequence[float],
@@ -244,8 +407,8 @@ def _instantiate(
         qn = t_inv.apply_node(node, n, n)
         return Point(float(xs[qn[0]]), float(ys[qn[1]]))
 
-    edges = []
-    referenced = set()
+    edges: List[Tuple[Point, Point]] = []
+    referenced: Set[Point] = set()
     for a, b in canonical_edges:
         pa, pb = coord(a), coord(b)
         referenced.add(pa)

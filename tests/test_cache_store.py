@@ -1,5 +1,6 @@
 """Tests for the persistent cache tier (repro.core.cache_store)."""
 
+import os
 import random
 import subprocess
 import sys
@@ -79,11 +80,17 @@ class TestPersistentStore:
             "assert store.put(key, net, t, list(front))\n"
             "store.close()\n"
         )
+        env = {"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"}
+        # Pass the caller's choice through: without it the child writes
+        # .pyc files under src/, and start-up timings taken from the tree
+        # afterwards read faster than a clean checkout's.
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:
+            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
         subprocess.run(
             [sys.executable, "-c", script],
             check=True,
             cwd=str(Path(__file__).resolve().parent.parent),
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            env=env,
         )
         net = random_net(5, rng=random.Random(14))
         key, _t = canonical_key(net)

@@ -1,5 +1,6 @@
 """Tests for on-disk formats: net files, LUT JSON, result JSONL."""
 
+import json
 import random
 
 import pytest
@@ -85,6 +86,24 @@ class TestLutIo:
     def test_version_check(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text('{"version": 99}')
+        with pytest.raises(SerializationError):
+            load_lut(path)
+
+    @pytest.mark.parametrize(
+        "pool, degrees",
+        [
+            ([[[0, 0, 1, 1, 2]]], {}),  # an edge with 5 coordinates
+            ([[[0, 0, 1, 300]]], {}),  # a coordinate outside int8
+            ([[[0, 0, 1, -1]]], {}),  # a negative coordinate
+            (  # a degree-4 row with too few coefficients
+                [[[0, 0, 1, 1]]],
+                {"4": {"0,1,2,3/0": [{"w": [1, 2], "d": [[1]], "t": 0}]}},
+            ),
+        ],
+    )
+    def test_malformed_table_raises(self, tmp_path, pool, degrees):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 1, "pool": pool, "degrees": degrees}))
         with pytest.raises(SerializationError):
             load_lut(path)
 
