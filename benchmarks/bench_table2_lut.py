@@ -8,9 +8,11 @@ paper's 10.67 at degree 6), degree 7 sampled; #Index extrapolates from
 exact orbit counting.
 
 The combined table takes degrees 6 and 7 with ``LookupTable.take_degree``,
-which re-interns their topologies into its own pool, and the saved file
-is loaded back: its degree-6 and degree-7 lookups must equal the source
-tables'.
+which re-interns their topologies into its own pool, and is saved as the
+``.npz`` archive ``repro gen-lut`` writes; the Size column is that file's
+size. The file is loaded back: its lookups at every degree must equal
+the in-memory combined table's, and its degree-6 and degree-7 lookups
+the source tables'.
 
 Timed kernel: solving a single degree-5 canonical pattern symbolically.
 """
@@ -46,11 +48,18 @@ def test_table2_lut_generation(benchmark, tmp_path_factory):
         sources[degree] = sampled
 
     out_dir = tmp_path_factory.mktemp("lut")
-    path = out_dir / "table2_lut.json"
+    path = out_dir / "table2_lut.npz"
     save_lut(table, path)
     size_mb = lut_file_size(path) / 1e6
-    # The saved table must look up as its sources did, pattern for pattern.
+    # The saved table must look up as the in-memory table and its sources
+    # did, pattern for pattern.
     loaded = load_lut(path)
+    assert loaded.degrees == table.degrees == [4, 5, 6, 7]
+    for degree in loaded.degrees:
+        patterns = list(table.entries[degree])
+        assert _stored_fronts(loaded, patterns, random.Random(degree)) == (
+            _stored_fronts(table, patterns, random.Random(degree))
+        ), f"degree {degree}: the saved table's lookups differ from the table's"
     for degree, source in sources.items():
         patterns = list(source.entries[degree])
         assert _stored_fronts(loaded, patterns, random.Random(degree)) == (
@@ -60,7 +69,7 @@ def test_table2_lut_generation(benchmark, tmp_path_factory):
     stats = [table.stats[n] for n in sorted(table.stats)]
     rendered = render_table2(stats)
     rendered += (
-        f"\nserialized size (4-6 full, 7 sampled): {size_mb:.2f} MB"
+        f"\nserialized size (4-6 full, 7 sampled; .npz): {size_mb:.2f} MB"
         f"\nshipped table file: {DATA_FILE.name} "
         f"({lut_file_size(DATA_FILE) / 1e6:.2f} MB)"
         f"\ninterned topology pool (this run): {len(table.pool)} distinct "

@@ -6,7 +6,7 @@ Run:  python examples/lut_workflow.py
 Demonstrates the production deployment the paper describes in Section V-A:
 
 1. generate lookup tables for small degrees (full enumeration),
-2. save them to JSON and inspect the Table-II-style statistics,
+2. save them to an ``.npz`` archive and inspect the Table-II-style statistics,
 3. reload in a fresh router and serve exact frontiers straight from the
    table — with timing that shows the point of doing this.
 """
@@ -40,14 +40,14 @@ def main() -> None:
 
     # ---- 2. serialise ------------------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "patlabor_lut.json"
+        path = Path(tmp) / "patlabor_lut.npz"
         save_lut(table, path)
         print(f"\nserialised to {path.name}: {lut_file_size(path) / 1024:.0f} KiB")
 
         # ---- 3. reload and route ------------------------------------------
         t0 = time.perf_counter()
         loaded = load_lut(path)
-        print(f"reloaded in {time.perf_counter() - t0:.2f}s")
+        print(f"reloaded in {time.perf_counter() - t0:.3f}s")
 
         router = PatLabor(lut=loaded)
         rng = random.Random(42)

@@ -7,7 +7,7 @@ route       Route nets from a ``.nets`` file (or a generated random net)
             optionally behind a ``--cache``) and print each Pareto set.
 routers     List the routers registered with ``repro.engine`` and their
             capabilities.
-gen-lut     Generate lookup tables for given degrees and save to JSON.
+gen-lut     Generate lookup tables for given degrees and save them (.npz).
 gen-nets    Generate a synthetic ICCAD-15-like workload into a ``.nets`` file.
 compare     Run PatLabor vs SALT vs YSD on a net file and print
             Table III / Table IV style summaries.
@@ -657,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="result cache in front of the router (default: off)",
     )
     p.add_argument("--lam", type=int, default=9, help="PatLabor lambda")
-    p.add_argument("--lut", help="lookup-table JSON file")
+    p.add_argument("--lut", help="lookup-table file (.npz, from gen-lut)")
     _add_profile_flags(p)
     p.set_defaults(func=_cmd_route)
 
@@ -671,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune", default="componentwise", choices=["componentwise", "lp"])
     p.add_argument("--limit", type=int, default=None, help="patterns per degree")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p.add_argument("--output", "-o", default="patlabor_lut.json")
+    p.add_argument("--output", "-o", default="patlabor_lut.npz")
     _add_profile_flags(p)
     p.set_defaults(func=_cmd_gen_lut)
 
@@ -813,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--deltas", required=True, help=".deltas edit stream to replay"
     )
     p.add_argument(
-        "--lut", help="lookup table JSON (default: the bundled table)"
+        "--lut", help="lookup-table file (default: the bundled table)"
     )
     p.add_argument(
         "--compare-cold", action="store_true",

@@ -50,9 +50,10 @@ class EngineSpec:
         lookup table is armed through :attr:`lut`, never a ``"lut"``
         option here.
     lut:
-        Path of a lookup-table JSON to arm the router with (only routers
-        whose factory takes a ``lut`` accept one); the shipped table is
-        :data:`repro.lut.default.DATA_FILE`. Tables are parsed once per
+        Path of a lookup-table file (``.npz``, :mod:`repro.io.lut_io`) to
+        arm the router with (only routers whose factory takes a ``lut``
+        accept one); the shipped table is
+        :data:`repro.lut.default.DATA_FILE`. Tables are loaded once per
         process and shared by every engine naming the same file.
     cache:
         ``None`` (no cache), ``"translation"`` (source-relative keys, the
@@ -129,7 +130,7 @@ def build_engine(spec: Union[EngineSpec, str, None] = None) -> Router:
         )
     if "lut" in spec.router_options:
         raise ValueError(
-            "arm a lookup table through EngineSpec.lut (a JSON path), "
+            "arm a lookup table through EngineSpec.lut (a table file path), "
             "not router_options['lut']"
         )
     options = dict(spec.router_options)

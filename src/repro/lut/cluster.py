@@ -14,8 +14,7 @@ frozensets of 107k tuples. :meth:`TopologyPool.get`
 hands out a frozenset per call. The frozenset's iteration order decides
 the node numbering of the tree built from it, so it must not change:
 
-* a pool read from a file builds it from the rows in file order, as the
-  JSON decoder always did;
+* a pool read from a file builds it from the rows in file order;
 * a pool that interns keeps the frozensets it was given, because a
   frozenset's iteration order depends on how its source set grew, not
   only on its elements, and cannot be rebuilt from the rows. The intern

@@ -8,9 +8,9 @@ tiers — is built **exactly once per worker**, inside :func:`init_worker`
 module global. Tasks then carry only net payloads; nothing heavy is ever
 re-pickled per request.
 
-:func:`start_pool` parses the spec's lookup table in the *parent* before
+:func:`start_pool` loads the spec's lookup table in the *parent* before
 the pool exists, so on fork start methods every worker inherits the
-parsed table copy-on-write and ``init_worker`` finds it already cached;
+loaded table copy-on-write and ``init_worker`` finds it already cached;
 on spawn methods each worker loads it once from disk. Either way: once
 per worker, never per task.
 
@@ -73,7 +73,7 @@ _BARRIER: Optional["Barrier"] = None
 def start_pool(spec: WorkerSpec, workers: int) -> ProcessPoolExecutor:
     """A pool of ``workers`` processes, each running :func:`init_worker`."""
     if spec.engine.lut is not None:
-        # Parse in the parent: fork-started workers inherit the table.
+        # Load in the parent: fork-started workers inherit the table.
         load_table(os.path.abspath(spec.engine.lut))
     context = multiprocessing.get_context()
     return ProcessPoolExecutor(

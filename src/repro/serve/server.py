@@ -5,7 +5,7 @@ service**: one resident process accepts batched JSON route requests over
 a Unix socket and/or TCP, dispatches nets to a ``ProcessPoolExecutor``
 whose workers each built their engine exactly once
 (:mod:`repro.serve.pool`), and answers with Pareto fronts — so repeated
-traffic pays neither interpreter start-up, nor lookup-table parsing, nor
+traffic pays neither interpreter start-up, nor lookup-table loading, nor
 re-routing of patterns the cache tiers already hold.
 
 Request lifecycle (see ``docs/architecture.md`` for the full diagram)::

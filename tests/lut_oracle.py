@@ -3,15 +3,21 @@
 The form :class:`repro.lut.table.LookupTable` held before its int8/int32
 columns, kept as the oracle the compact table must equal row for row,
 topology for topology (including frozenset iteration order) and lookup
-for lookup. It decodes the same JSON v1 file, ingests the same generator
-output and evaluates a pattern's rows with the same Python loop.
+for lookup. It decodes the shipped table as the JSON document it was
+generated as (``tests/data/patlabor_lut_456.json.gz``, the source of the
+shipped ``.npz``), reads a saved ``.npz`` member by member with its own
+Python loops, ingests the same generator output and evaluates a
+pattern's rows with the same Python loop.
 """
 
 from __future__ import annotations
 
+import gzip
 import json
 from pathlib import Path
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.core.frontier import pareto_filter_sorted
 from repro.core.pareto import Solution, clean_front
@@ -20,6 +26,9 @@ from repro.geometry.transforms import canonical_pattern
 from repro.lut.table import TableRow, _instantiate, net_pattern
 
 Pattern = Tuple[Tuple[int, ...], int]
+
+#: The shipped table in the JSON form it was generated in.
+SHIPPED_JSON = Path(__file__).resolve().parent / "data" / "patlabor_lut_456.json.gz"
 
 
 class OracleTable:
@@ -40,8 +49,14 @@ class OracleTable:
 
 
 def oracle_load(path: Path) -> OracleTable:
-    """Decode a JSON v1 table into tuples and frozensets."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Decode a table file: gzipped JSON (``.json.gz``) or a saved ``.npz``."""
+    if str(path).endswith(".json.gz"):
+        with gzip.open(path, "rt", encoding="utf-8") as fh:
+            return _oracle_from_json(json.load(fh))
+    return _oracle_from_npz(path)
+
+
+def _oracle_from_json(doc) -> OracleTable:
     table = OracleTable()
     for data in doc["pool"]:
         table.intern(frozenset(((e[0], e[1]), (e[2], e[3])) for e in data))
@@ -58,6 +73,31 @@ def oracle_load(path: Path) -> OracleTable:
                 )
                 for r in rows
             ]
+    return table
+
+
+def _oracle_from_npz(path: Path) -> OracleTable:
+    table = OracleTable()
+    with np.load(path, allow_pickle=False) as archive:
+        meta = json.loads(archive["meta"].tobytes())
+        edge_rows = archive["pool_rows"].tolist()
+        ptr = archive["pool_ptr"].tolist()
+        for start, stop in zip(ptr, ptr[1:]):
+            table.intern(
+                frozenset(((a, b), (c, d)) for a, b, c, d in edge_rows[start:stop])
+            )
+        for n in meta["degrees"]:
+            w, d, t = (archive[f"d{n}_{col}"].tolist() for col in ("w", "d", "topo"))
+            per_pattern = table.entries[n] = {}
+            for perm, src, (start, stop) in zip(
+                archive[f"d{n}_perm"].tolist(),
+                archive[f"d{n}_src"].tolist(),
+                archive[f"d{n}_range"].tolist(),
+            ):
+                per_pattern[(tuple(perm), src)] = [
+                    (tuple(w[r]), tuple(tuple(row) for row in d[r]), t[r])
+                    for r in range(start, stop)
+                ]
     return table
 
 

@@ -1,8 +1,11 @@
-"""Tests for on-disk formats: net files, LUT JSON, result JSONL."""
+"""Tests for on-disk formats: net files, LUT archives, result JSONL."""
 
 import json
 import random
+import zipfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.pareto import Solution
@@ -59,9 +62,71 @@ class TestNetsFormat:
             load_nets(path)
 
 
+def _members(pool, degrees):
+    """``.npz`` members for a table described as the JSON format did.
+
+    ``pool`` lists each topology's edges; ``degrees`` maps ``"n"`` to
+    ``"perm/src" -> [{"w", "d", "t"}]``. Values that fit int8 are stored
+    as int8, others keep NumPy's default integer dtype.
+    """
+
+    def ints(values, dtype=np.int8):
+        arr = np.array(values)
+        fits = arr.size == 0 or (-128 <= arr.min() and arr.max() <= 127)
+        if dtype is np.int8 and not fits:
+            return arr
+        return arr.astype(dtype)
+
+    edges = [e for topology in pool for e in topology]
+    meta = {
+        "format": "patlabor-lut",
+        "version": 2,
+        "prune_mode": "componentwise",
+        "degrees": [int(n) for n in degrees],
+        "stats": {},
+    }
+    members = {
+        "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        "pool_rows": ints(edges),
+        "pool_ptr": np.cumsum([0] + [len(t) for t in pool]).astype(np.int64),
+    }
+    for n, patterns in degrees.items():
+        rows = [r for pattern_rows in patterns.values() for r in pattern_rows]
+        keys = [key.rsplit("/", 1) for key in patterns]
+        sizes = np.cumsum([0] + [len(r) for r in patterns.values()])
+        perms = [[int(x) for x in perm.split(",")] for perm, _ in keys]
+        members[f"d{n}_perm"] = ints(perms)
+        members[f"d{n}_src"] = ints([int(src) for _, src in keys])
+        members[f"d{n}_range"] = ints(list(zip(sizes, sizes[1:])), np.int32)
+        members[f"d{n}_w"] = ints([r["w"] for r in rows])
+        members[f"d{n}_d"] = ints([r["d"] for r in rows])
+        members[f"d{n}_topo"] = ints([r["t"] for r in rows], np.int32)
+    return members
+
+
+def _write(path, members):
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+    return path
+
+
+def _unpickled(path):
+    """Leaves a trace if anything ever unpickles an object built by it."""
+    Path(path).write_text("unpickled")
+    return 0
+
+
+class _Trap:
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (_unpickled, (self.path,))
+
+
 class TestLutIo:
     def test_roundtrip_preserves_lookups(self, lut45, tmp_path, assert_fronts_equal):
-        path = tmp_path / "lut.json"
+        path = tmp_path / "lut.npz"
         save_lut(lut45, path)
         assert lut_file_size(path) > 0
         loaded = load_lut(path)
@@ -72,22 +137,24 @@ class TestLutIo:
             assert_fronts_equal(loaded.frontier(net), lut45.frontier(net))
 
     def test_stats_roundtrip(self, lut45, tmp_path):
-        path = tmp_path / "lut.json"
+        path = tmp_path / "lut.npz"
         save_lut(lut45, path)
         loaded = load_lut(path)
-        assert loaded.stats[4].num_index == lut45.stats[4].num_index
+        assert loaded.stats == lut45.stats
+        assert loaded.prune_mode == lut45.prune_mode
 
     def test_bad_file_raises(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text("not json at all {")
+        path = tmp_path / "junk.npz"
+        path.write_text("not a table at all {")
         with pytest.raises(SerializationError):
             load_lut(path)
 
     def test_version_check(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text('{"version": 99}')
-        with pytest.raises(SerializationError):
-            load_lut(path)
+        members = _members([[[0, 0, 1, 1]]], {})
+        meta = {"format": "patlabor-lut", "version": 99}
+        members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with pytest.raises(SerializationError, match="version 99"):
+            load_lut(_write(tmp_path / "old.npz", members))
 
     @pytest.mark.parametrize(
         "pool, degrees",
@@ -102,10 +169,147 @@ class TestLutIo:
         ],
     )
     def test_malformed_table_raises(self, tmp_path, pool, degrees):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 1, "pool": pool, "degrees": degrees}))
+        with pytest.raises(SerializationError):
+            load_lut(_write(tmp_path / "bad.npz", _members(pool, degrees)))
+
+    def test_description_of_a_good_table_loads(self, tmp_path):
+        # The helper above describes loadable tables; only the defects fail.
+        rows = [{"w": [1] * 6, "d": [[1] * 6] * 3, "t": 0}]
+        table = load_lut(
+            _write(
+                tmp_path / "good.npz",
+                _members([[[0, 0, 1, 1]]], {"4": {"0,1,2,3/0": rows}}),
+            )
+        )
+        assert table.degrees == [4]
+        assert table.entries[4].rows(((0, 1, 2, 3), 0)) == [
+            ((1,) * 6, ((1,) * 6,) * 3, 0)
+        ]
+
+
+class TestLutFileChecks:
+    """Every defect in a table file raises SerializationError; none unpickles."""
+
+    @pytest.fixture(scope="class")
+    def good(self, lut45, tmp_path_factory):
+        path = tmp_path_factory.mktemp("lut") / "good.npz"
+        save_lut(lut45, path)
+        with np.load(path) as archive:
+            return path, {name: archive[name] for name in archive.files}
+
+    def test_truncated_archive(self, good, tmp_path):
+        data = good[0].read_bytes()
+        for size in (len(data) // 2, len(data) - 1, 10):
+            path = tmp_path / f"cut{size}.npz"
+            path.write_bytes(data[:size])
+            with pytest.raises(SerializationError):
+                load_lut(path)
+
+    @pytest.mark.parametrize("member", ["meta", "pool_ptr", "d5_topo", "d4_range"])
+    def test_missing_member(self, good, tmp_path, member):
+        members = dict(good[1])
+        del members[member]
+        with pytest.raises(SerializationError):
+            load_lut(_write(tmp_path / "missing.npz", members))
+
+    def test_unexpected_member(self, good, tmp_path):
+        members = dict(good[1], d7_w=good[1]["d5_w"])
+        with pytest.raises(SerializationError, match="d7_w"):
+            load_lut(_write(tmp_path / "extra.npz", members))
+
+    @pytest.mark.parametrize(
+        "member, change",
+        [
+            ("d4_topo", lambda a: a.astype(np.int64)),
+            ("d5_w", lambda a: a.astype(np.uint8)),
+            ("pool_rows", lambda a: a.astype(np.int16)),
+            ("meta", lambda a: a.astype(np.int8)),
+        ],
+    )
+    def test_wrong_dtype(self, good, tmp_path, member, change):
+        members = dict(good[1], **{member: change(good[1][member])})
+        with pytest.raises(SerializationError, match="dtype"):
+            load_lut(_write(tmp_path / "dtype.npz", members))
+
+    @pytest.mark.parametrize(
+        "member, change",
+        [
+            ("d4_w", lambda a: a.reshape(-1)),
+            ("d5_d", lambda a: a[:, :, :-1]),
+            ("d5_topo", lambda a: a[:-1]),
+            ("d4_perm", lambda a: a[:, :3]),
+            ("pool_rows", lambda a: a.reshape(-1, 2)),
+            ("pool_ptr", lambda a: a[:-1]),
+            ("d4_range", lambda a: a + 10_000),
+            ("d5_topo", lambda a: a + 10_000),
+        ],
+    )
+    def test_wrong_shape_or_reference(self, good, tmp_path, member, change):
+        members = dict(good[1], **{member: change(good[1][member])})
+        with pytest.raises(SerializationError):
+            load_lut(_write(tmp_path / "shape.npz", members))
+
+    @pytest.mark.parametrize("member", ["d4_w", "d5_d", "pool_rows", "d4_perm"])
+    def test_coefficient_outside_0_to_127(self, good, tmp_path, member):
+        bad = good[1][member].copy()
+        bad.reshape(-1)[0] = -1  # the int8 image of 255, which the old decoder rejected
+        with pytest.raises(SerializationError, match="0..127"):
+            load_lut(_write(tmp_path / "range.npz", dict(good[1], **{member: bad})))
+
+    def test_object_member_is_never_unpickled(self, good, tmp_path):
+        trace = tmp_path / "trace.txt"
+        trap = np.empty((1,), dtype=object)
+        trap[0] = _Trap(str(trace))
+        path = _write(tmp_path / "pickle.npz", dict(good[1], d4_topo=trap))
         with pytest.raises(SerializationError):
             load_lut(path)
+        assert not trace.exists()
+
+    def test_member_that_is_not_npy(self, good, tmp_path):
+        path = _write(tmp_path / "raw.npz", dict(good[1]))
+        with zipfile.ZipFile(path, "a") as archive:
+            archive.writestr("notes.txt", b"not an array")
+        with pytest.raises(SerializationError, match="notes.txt"):
+            load_lut(path)
+        with zipfile.ZipFile(tmp_path / "raw_meta.npz", "w") as archive:
+            archive.writestr("meta.npy", b"not an array either")
+        with pytest.raises(SerializationError, match="meta"):
+            load_lut(tmp_path / "raw_meta.npz")
+
+    def test_json_v1_table_names_gen_lut(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"version": 1, "pool": [], "degrees": {}}))
+        with pytest.raises(SerializationError, match="repro gen-lut"):
+            load_lut(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(SerializationError):
+            load_lut(tmp_path / "absent.npz")
+
+
+class TestSaveLut:
+    @pytest.mark.parametrize("name", ["t.npz", "t", "t.bin", "t.json"])
+    def test_writes_exactly_the_given_path(self, lut45, tmp_path, name):
+        path = tmp_path / name
+        save_lut(lut45, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+        assert load_lut(path).degrees == [4, 5]
+        save_lut(lut45, str(path))  # a string path, and an overwrite
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+    def test_output_is_deterministic(self, lut45, tmp_path):
+        save_lut(lut45, tmp_path / "a.npz")
+        save_lut(load_lut(tmp_path / "a.npz"), tmp_path / "b.npz")
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_failed_write_leaves_no_file(self, lut45, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_lut(lut45, tmp_path / "t.npz")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestResultsIo:

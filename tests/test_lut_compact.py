@@ -3,8 +3,10 @@
 :class:`~repro.lut.table.LookupTable` holds its rows as int8/int32
 columns and its topologies as an int8 edge matrix. Against the oracle in
 ``tests/lut_oracle.py`` (the tuple-per-row, frozenset-per-topology form
-it replaced) this checks, for the shipped table, a built degree 4–5
-table, their save/load round trips and on-demand pattern solving:
+it replaced) this checks, for the shipped ``.npz`` against the JSON it
+was converted from (``tests/data/patlabor_lut_456.json.gz``), a built
+degree 4–5 table, their save/load round trips and on-demand pattern
+solving:
 
 * every pattern's rows, in order;
 * every pool topology, and the order its frozenset iterates in (that
@@ -33,6 +35,7 @@ from repro.lut.generator import (
 )
 from repro.lut.table import LookupTable, net_pattern
 from tests.lut_oracle import (
+    SHIPPED_JSON,
     OracleTable,
     oracle_ingest,
     oracle_load,
@@ -109,7 +112,7 @@ def assert_lookups_equal(table: LookupTable, oracle: OracleTable, seed: int) -> 
 
 @pytest.fixture(scope="module")
 def shipped():
-    return load_lut(DATA_FILE), oracle_load(DATA_FILE)
+    return load_lut(DATA_FILE), oracle_load(SHIPPED_JSON)
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +156,7 @@ class TestBuiltTable:
         assert assert_lookups_equal(lut45, built_oracle, seed=2) == 4 * (16 + 89)
 
     def test_save_load_round_trip(self, lut45, tmp_path):
-        path = tmp_path / "lut45.json"
+        path = tmp_path / "lut45.npz"
         save_lut(lut45, path)
         loaded = load_lut(path)
         oracle = oracle_load(path)
@@ -199,7 +202,7 @@ class TestOnDemandPatterns:
         assert_pool_equal(table, oracle)
 
     def test_loaded_table_solves_missing_patterns(self, tmp_path):
-        path = tmp_path / "lut4.json"
+        path = tmp_path / "lut4.npz"
         save_lut(LookupTable.build((4,), limit_per_degree=3), path)
         table, oracle = load_lut(path), oracle_load(path)
         assert replay_on_demand(table, oracle, 4, seed=5) == 13
@@ -214,7 +217,7 @@ class TestTakeDegree:
         table.take_degree(source, 6)
         assert table.stats[6] == source.stats[6]
         assert table.stats[6] is not source.stats[6]
-        path = tmp_path / "merged.json"
+        path = tmp_path / "merged.npz"
         save_lut(table, path)
         loaded = load_lut(path)
         rng = random.Random(6)

@@ -1,17 +1,16 @@
-"""Start-up stays on the route path: what set-up imports, and how the
-shipped table decodes.
+"""Start-up stays on the route path: what set-up imports, and the
+shipped table file.
 
 Set-up (``import repro.engine``, ``build_engine``, ``default_table()``)
 runs in every fresh process: each ``repro route`` call, each daemon
 start and each spawned pool worker. These tests pin that it loads
 neither the evaluation stack nor the table generator, that the lazily
 resolved re-exports of :mod:`repro.io`, :mod:`repro.lut` and
-:mod:`repro.obs` are the objects their modules define, and that
-:func:`repro.io.lut_io.load_lut` pauses the cyclic GC without leaking
-that state.
+:mod:`repro.obs` are the objects their modules define, and that the
+shipped table file is exactly what :func:`repro.io.lut_io.save_lut`
+writes for the table it holds.
 """
 
-import gc
 import importlib
 import json
 import os
@@ -21,7 +20,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.exceptions import SerializationError
 from repro.io import lut_io
 from repro.lut.default import DATA_FILE
 
@@ -150,37 +148,8 @@ class TestReExports:
             assert namespace[name] is getattr(repro.lut, name)
 
 
-class TestLoadLutPausesGC:
-    def test_decode_runs_with_gc_off_and_restores_it(self, monkeypatch):
-        seen = []
-        decode_edges = lut_io._decode_edges
-
-        def spy(data):
-            seen.append(gc.isenabled())
-            return decode_edges(data)
-
-        monkeypatch.setattr(lut_io, "_decode_edges", spy)
-        assert gc.isenabled()
-        lut_io.load_lut(DATA_FILE)
-        assert seen and not any(seen)
-        assert gc.isenabled()
-
-    def test_leaves_gc_off_if_the_caller_had_it_off(self):
-        gc.disable()
-        try:
-            lut_io.load_lut(DATA_FILE)
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
-
-    def test_restores_gc_when_the_file_is_bad(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="utf-8")
-        with pytest.raises(SerializationError):
-            lut_io.load_lut(bad)
-        assert gc.isenabled()
-
+class TestShippedTableFile:
     def test_shipped_table_round_trips_byte_for_byte(self, tmp_path):
-        out = tmp_path / "lut.json"
+        out = tmp_path / "lut.npz"
         lut_io.save_lut(lut_io.load_lut(DATA_FILE), out)
         assert out.read_bytes() == DATA_FILE.read_bytes()

@@ -136,7 +136,7 @@ class TestCli:
         assert "file_net" in capsys.readouterr().out
 
     def test_gen_lut_and_route_with_it(self, tmp_path, capsys):
-        lut_path = tmp_path / "lut.json"
+        lut_path = tmp_path / "lut.npz"
         assert main(
             ["gen-lut", "--degrees", "4", "--limit", "4", "-o", str(lut_path)]
         ) == 0
