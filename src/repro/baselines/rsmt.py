@@ -20,7 +20,8 @@ import numpy as np
 
 from ..geometry.net import Net
 from ..geometry.point import Point, l1
-from ..routing.attach import TreeBuilder, connection_cost, grow_from_source
+from ..routing.arraytree import ArrayTree
+from ..routing.attach import attach_cheapest, connection_cost, grow_from_source
 from ..routing.tree import RoutingTree
 from .dreyfus_wagner import steiner_min_tree
 
@@ -67,16 +68,17 @@ def _dc_edges(
 
 
 class _LeafReattacher:
-    """Leaf re-insertion on one tree, scored as the per-leaf builder would.
+    """Leaf re-insertion on one tree, scored as a per-leaf regrowth would.
 
-    Re-inserting a leaf seeds a :class:`TreeBuilder` with the compacted
-    tree minus that leaf, in ``topological_order``, and asks it for the
-    leaf's cheapest connection. Every leaf of one tree sees the same
-    builder minus one node. This class numbers the compacted tree once as
-    that builder does (a node equal to its parent's point shares the
-    parent's builder node, as ``attach_to_node`` fuses it) and scores a
+    Re-inserting a leaf grows an :class:`ArrayTree` with the compacted
+    tree minus that leaf, node by node in ``topological_order``, and
+    attaches the leaf at its cheapest connection. Every leaf of one tree
+    sees the same tree minus one node. This class numbers the compacted
+    tree once in that order (a node equal to its parent's point shares
+    the parent's node, as ``ArrayTree.attach`` fuses it) and scores a
     leaf with one :func:`~repro.routing.attach.connection_cost` that skips
-    the leaf's own node. Only an accepted re-insertion builds the builder.
+    the leaf's own node. Only an accepted re-insertion builds the tree,
+    from those columns with the leaf's node left out.
     """
 
     def __init__(self, tree: RoutingTree) -> None:
@@ -87,7 +89,7 @@ class _LeafReattacher:
         self.has_child = [False] * len(compact.points)
         for p in compact.parent[1:]:
             self.has_child[p] = True
-        # Builder node of every compacted node, and the builder's columns.
+        # Grown node of every compacted node, and the grown columns.
         pts = compact.points
         home = [0] * len(pts)
         owner = [0]
@@ -103,6 +105,7 @@ class _LeafReattacher:
             points.append(pts[u])
             parent.append(p)
         self.home, self.owner = home, owner
+        self.points, self.parent = points, parent
         xy = np.array(points, dtype=float).reshape(-1, 2)
         self.x, self.y = xy[:, 0], xy[:, 1]
         self.bx, self.by = self.x[parent[1:]], self.y[parent[1:]]
@@ -121,15 +124,15 @@ class _LeafReattacher:
         cost = connection_cost(pt, self.x, self.y, self.bx, self.by, own)
         if cost >= old_cost - 1e-12:
             return None
-        builder = TreeBuilder(compact.points[0])
-        index_map = {0: 0}
-        for u in self.order[1:]:
-            if u != leaf:
-                index_map[u] = builder.attach_to_node(
-                    compact.points[u], index_map[compact.parent[u]]
-                )
-        builder.attach(pt)
-        return builder.finish(tree.net).compacted()
+        points, parent = list(self.points), list(self.parent)
+        if own:
+            # No node hangs below the leaf's own: drop it and renumber
+            # the nodes grown after it.
+            del points[own], parent[own]
+            parent = [p - (p > own) for p in parent]
+        live = ArrayTree(points, parent)
+        attach_cheapest(live, pt)
+        return live.finish(tree.net).compacted()
 
 
 def reattach_leaf(tree: RoutingTree, leaf: int) -> Optional[RoutingTree]:

@@ -24,11 +24,8 @@ from typing import List, Optional, Sequence
 
 from ..geometry.net import Net
 from ..geometry.point import l1
-from ..routing.refine import (
-    apply_reattachment,
-    best_reattachment,
-    per_sink_shallow_refine,
-)
+from ..routing.arraytree import ArrayTree
+from ..routing.refine import _score_rows, per_sink_shallow_refine
 from ..routing.tree import RoutingTree
 from .rsmt import rsmt
 
@@ -50,7 +47,8 @@ def salt(
 
     ``seed`` lets callers share one RSMT across a sweep.
     """
-    tree = (seed or rsmt(net)).copy()
+    start = seed or rsmt(net)
+    live = ArrayTree(list(start.points), list(start.parent))
     src = net.source
 
     # Process sinks in root-outward order (ancestor rewires first), so a
@@ -59,21 +57,19 @@ def salt(
         range(1, net.degree), key=lambda i: l1(src, net.pins[i])
     )
     for v in order:
-        budget = (1.0 + epsilon) * l1(src, tree.points[v])
-        pls = tree.path_lengths()
-        if pls[v] <= budget + 1e-9:
+        budget = (1.0 + epsilon) * l1(src, live.points[v])
+        if live.dist[v] <= budget + 1e-9:
             continue
-        cand = best_reattachment(
-            tree, v, pls, max_arrival=budget, require_cheaper=False
-        )
-        if cand is None:
-            # No cheaper feasible edge — wire straight to the source,
-            # which always meets the budget.
-            apply_reattachment(tree, v, 0, None, tree.points[0])
+        # The cheapest attachment within budget, as best_reattachment
+        # scores it, without the cost-drop requirement.
+        moves = _score_rows(live, live.dist, [v], budget, False)
+        if not moves:
+            # No feasible candidate: wire straight to the source, which
+            # always meets the budget.
+            live.reattach(v, 0, None, live.points[0])
         else:
-            _, _, node, split_child, at = cand
-            apply_reattachment(tree, v, node, split_child, at)
-    tree = tree.compacted()
+            live.reattach(v, *live.candidate(live.points[v], moves[0][3]))
+    tree = live.view(net).compacted()
     if refine:
         tree = per_sink_shallow_refine(tree, epsilon)
     return tree

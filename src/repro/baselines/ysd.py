@@ -29,7 +29,8 @@ from typing import List, Sequence, Tuple
 from ..core.pareto import Solution, clean_front
 from ..geometry.net import Net
 from ..geometry.point import Point, l1
-from ..routing.attach import TreeBuilder
+from ..routing.arraytree import ArrayTree
+from ..routing.attach import attach_cheapest, best_connection
 from ..routing.refine import refine_passes
 from ..routing.tree import RoutingTree
 
@@ -60,39 +61,23 @@ def weighted_construct(net: Net, alpha: float, scales: Tuple[float, float]) -> R
     arrival time) is attached at its best Steiner connection. This is the
     stand-in for YSD's neural topology predictor.
     """
-    builder = TreeBuilder(net.source)
-    arrivals = {0: 0.0}
+    tree = ArrayTree([net.source], [-1])
     pending = dict(enumerate(net.sinks))
+
+    def blended(i: int) -> float:
+        cost, node, split_child, at = best_connection(tree, pending[i])
+        if split_child is not None:
+            # Arrival through the split edge's parent side.
+            parent = tree.parent[split_child]
+            base = tree.dist[parent] + l1(tree.points[parent], at)
+        else:
+            base = tree.dist[node]
+        arrival = base + cost
+        return alpha * cost / scales[0] + (1.0 - alpha) * arrival / scales[1]
+
     while pending:
-        best_key = None
-        best_sink = None
-        for i, s in pending.items():
-            cost, node, split_child, at = builder.best_connection(s)
-            if split_child is not None:
-                # Arrival through the split edge's parent side.
-                parent = builder.parent[split_child]
-                base = arrivals[parent] + l1(builder.points[parent], at)
-            else:
-                base = arrivals[node]
-            arrival = base + cost
-            key = alpha * cost / scales[0] + (1.0 - alpha) * arrival / scales[1]
-            if best_key is None or key < best_key:
-                best_key = key
-                best_sink = (i, arrival)
-        i, arrival = best_sink
-        idx = builder.attach(pending.pop(i))
-        # Refresh arrival bookkeeping for any nodes added by the attach.
-        _recompute_arrivals(builder, arrivals)
-    return builder.finish(net)
-
-
-def _recompute_arrivals(builder: TreeBuilder, arrivals: dict) -> None:
-    for idx in range(len(builder.points)):
-        if idx in arrivals:
-            continue
-        p = builder.parent[idx]
-        # Parents always precede children in the builder's append order.
-        arrivals[idx] = arrivals[p] + l1(builder.points[p], builder.points[idx])
+        attach_cheapest(tree, pending.pop(min(pending, key=blended)))
+    return tree.finish(net)
 
 
 def weighted_refine(

@@ -22,7 +22,7 @@ from ..geometry.net import Net
 from ..geometry.point import Point, l1
 from ..obs import counter_add, gauge_max, span
 from ..routing.arraytree import ArrayTree
-from ..routing.attach import TreeBuilder
+from ..routing.attach import attach_cheapest_first
 from ..routing.refine import wirelength_refine
 from ..routing.tree import RoutingTree
 from .frontier import merge_sorted_fronts, pareto_filter_sorted
@@ -265,37 +265,35 @@ def reassemble(
 ) -> RoutingTree:
     """Grow a full-net tree around an exactly-solved sub-topology.
 
-    Seeds a builder with the sub-tree's edges (rooted at the source) and
+    Seeds a tree with the sub-tree's edges (rooted at the source) and
     Steiner-attaches the remaining pins:
 
     * ``mode="wire"`` — cheapest connection first (light trees),
     * ``mode="arrival"`` — smallest source→pin arrival first (shallow
       trees; each pin lands on a near-shortest path over the skeleton).
     """
-    builder = TreeBuilder(net.source)
+    tree = ArrayTree([net.source], [-1])
     index_map = {0: 0}
     for u in sub_tree.topological_order():
         p = sub_tree.parent[u]
         if p < 0:
             continue
-        index_map[u] = builder.attach_to_node(sub_tree.points[u], index_map[p])
+        pt = sub_tree.points[u]
+        index_map[u] = tree.attach(pt, index_map[p], None, pt)
     if mode == "wire":
-        builder.attach_cheapest_first(rest)
+        attach_cheapest_first(tree, rest)
     elif mode == "arrival":
         # SALT-style shallow attachment: process pins farthest-first, and
         # give each the cheapest connection whose arrival stays within a
         # tight budget of its L1 bound (the source always qualifies, so
         # the result's delay matches the sub-tree's optimum / the bound).
-        source = Point(float(net.source[0]), float(net.source[1]))
-        pending = sorted(rest, key=lambda p: -l1(source, p))
-        live = ArrayTree(builder.points, builder.parent)
-        for p in pending:
+        for p in sorted(rest, key=lambda p: -l1(net.source, p)):
             pt = Point(float(p[0]), float(p[1]))
-            budget = (1.0 + ARRIVAL_SLACK) * l1(source, p)
-            live.attach(pt, *live.cheapest_within(pt, budget))
+            budget = (1.0 + ARRIVAL_SLACK) * l1(net.source, p)
+            tree.attach(pt, *tree.cheapest_within(pt, budget))
     else:
         raise ValueError(f"unknown reassembly mode {mode!r}")
-    return builder.finish(net)
+    return tree.finish(net)
 
 
 #: Per-sink arrival slack of the shallow reassembly variant: 2% over the

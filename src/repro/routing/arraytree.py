@@ -1,10 +1,10 @@
 """One mutable routing tree on arrays, for local search.
 
-Local search grows and rewires a tree one move at a time. Reassembly
-attaches pins, post-refine and SALT move subtrees, and the RSMT seed
-re-inserts leaves. :class:`ArrayTree` keeps that tree as the ``points``
-and ``parent`` lists every caller already reads. Alongside them it
-keeps:
+Every tree that is grown or rewired one move at a time lives on an
+:class:`ArrayTree`. Greedy growth (:mod:`repro.routing.attach`) and
+reassembly attach pins, post-refine and SALT move subtrees, and the
+RSMT seed re-inserts leaves. The tree keeps the ``points`` and
+``parent`` lists every caller reads. Alongside them it keeps:
 
 * NumPy columns of the coordinates and parents, which the scoring
   kernels read without rebuilding lists;
@@ -69,10 +69,8 @@ class ArrayTree:
     """A rooted point tree with a maintained preorder and source arrivals.
 
     Node 0 is the root (``parent[0] == -1``). ``points`` and ``parent``
-    are the caller's lists, shared, not copied: a
-    :class:`~repro.routing.attach.TreeBuilder` or a tree view built on
-    them sees every move. They must not be changed behind the tree's
-    back.
+    are kept as given, not copied, and a tree :meth:`view` reads them.
+    Pins may sit at any node; :meth:`finish` renumbers them first.
 
     The coordinates and parents are NumPy columns (``x``, ``y``, ``par``,
     with spare capacity), read by the scoring kernels. The preorder
@@ -117,6 +115,14 @@ class ArrayTree:
         """
         return _LiveRoutingTree(net, self)
 
+    def finish(self, net: Net) -> RoutingTree:
+        """A validated :class:`RoutingTree` of ``net`` with this tree's
+        edges, through ``RoutingTree.from_edges``: pins first, then the
+        other points in node order, rooted at the source."""
+        pts = self.points
+        edges = [(pts[u], pts[p]) for u, p in enumerate(self.parent) if p >= 0]
+        return RoutingTree.from_edges(net, edges, extra_points=pts)
+
     def cheapest_within(
         self, p: Point, budget: float
     ) -> Tuple[int, Optional[int], Point]:
@@ -158,12 +164,15 @@ class ArrayTree:
         return self._split(child, at)[0]
 
     def add_leaf(self, p: Point, node: int) -> int:
-        """Attach ``p`` as a new leaf under ``node``; return its index."""
+        """Attach ``p`` as a new leaf under ``node``; return its index.
+
+        The leaf becomes ``node``'s last child in the preorder, so growth
+        in preorder (a seed copied from another tree) only appends.
+        """
+        pos = self.tin[node] + self.size[node]
         u = self._append(p, node)
-        pos = self.tin[node] + 1
         self._splice(pos, u)
         self._resize(node, 1)
-        self._relax(pos, pos + 1)
         return u
 
     def attach(
@@ -171,9 +180,9 @@ class ArrayTree:
     ) -> int:
         """Attach ``p`` at a chosen connection; return its node.
 
-        Splits the edge above ``split_child`` at ``at`` first when asked.
-        A point equal to its attach node is that node, as in
-        ``TreeBuilder.attach_to_node``.
+        Splits the edge above ``split_child`` at ``at`` first when asked;
+        ``attach(p, node, None, p)`` hangs ``p`` under ``node``. A point
+        equal to its attach node is that node, so nothing is added.
         """
         target = node if split_child is None else self.split(split_child, at)
         if self.points[target] == p:
@@ -183,8 +192,8 @@ class ArrayTree:
     def reattach(
         self, v: int, node: int, split_child: Optional[int], at: Point
     ) -> Undo:
-        """Move ``v``'s subtree to a chosen connection (see
-        :func:`repro.routing.refine.apply_reattachment`).
+        """Move ``v``'s subtree to a chosen connection, splitting the edge
+        above ``split_child`` at ``at`` first when asked.
 
         Returns the move's :class:`Undo`, for :meth:`undo`.
         """
@@ -210,7 +219,8 @@ class ArrayTree:
         """Take back ``move``, the latest :meth:`reattach`.
 
         The preorder, sizes, columns and arrivals return to their exact
-        values before it; the shared lists lose the split's Steiner node.
+        values before it; ``points`` and ``parent`` lose the split's
+        Steiner node.
         """
         v, old = move.v, move.parent
         target = self.parent[v]
@@ -261,14 +271,16 @@ class ArrayTree:
         self._relax(1, n)
 
     def _append(self, p: Point, parent: int) -> int:
-        """Append node ``p`` under ``parent`` to the lists and columns; the
-        caller splices it into the preorder."""
+        """Append node ``p`` under ``parent`` to the lists and columns, with
+        its arrival as :meth:`_relax` sums it; the caller splices it into
+        the preorder."""
         u = len(self.points)
         if u == len(self.x):
             self._grow()
+        q = self.points[parent]
         self.points.append(p)
         self.parent.append(parent)
-        self.dist.append(0.0)
+        self.dist.append(self.dist[parent] + (abs(p[0] - q[0]) + abs(p[1] - q[1])))
         self.tin.append(0)
         self.size.append(1)
         self.x[u] = p[0]

@@ -12,9 +12,10 @@ All created Steiner points combine existing node coordinates with the new
 point's coordinates, so finished trees stay on the Hanan grid of their pin
 set.
 
-:class:`TreeBuilder` relaxes the :class:`RoutingTree` invariant that pins
-occupy the first node slots, which lets pins be attached in any order;
-:meth:`TreeBuilder.finish` converts to a validated :class:`RoutingTree`.
+The functions here grow an :class:`~repro.routing.arraytree.ArrayTree`,
+the one mutable routing tree. It does not require pins to occupy the
+first node slots, so pins can be attached in any order;
+:meth:`ArrayTree.finish` converts it to a validated :class:`RoutingTree`.
 """
 
 from __future__ import annotations
@@ -26,206 +27,131 @@ import numpy as np
 from ..geometry.bbox import BBox, project_onto
 from ..geometry.net import Net
 from ..geometry.point import Point, PointLike
-from .arraytree import edge_box
+from .arraytree import ArrayTree, edge_box
 from .tree import RoutingTree
 
 
-class TreeBuilder:
-    """A mutable rooted tree of points, grown by cheapest attachment."""
+def best_connection(
+    tree: ArrayTree, p: PointLike
+) -> Tuple[float, int, Optional[int], Point]:
+    """Cheapest attachment of ``p`` to ``tree``.
 
-    def __init__(self, root: PointLike) -> None:
-        self.points: List[Point] = [Point(float(root[0]), float(root[1]))]
-        self.parent: List[int] = [-1]
+    Returns ``(cost, node_index, split_child, attach_point)``: attach
+    directly to ``node_index`` when ``split_child`` is None, otherwise
+    split the edge ``(split_child -> parent)`` at ``attach_point`` first.
+    Nodes are tried in index order (first least cost wins), then the
+    projection onto each edge in child order, which takes over when it
+    beats the running best by 1e-12; projections onto an edge's end never
+    win (``docs/numerics.md`` §7). A Python scan: one-off queries
+    (:func:`attach_cheapest`, YSD's greedy construction) would pay more
+    to build NumPy rows than the scan costs. Loops that score many pins
+    keep their rows instead (:func:`attach_cheapest_first`,
+    :func:`connection_cost`).
+    """
+    pt = Point(float(p[0]), float(p[1]))
+    pts, parent = tree.points, tree.parent
+    costs = [abs(pt.x - q.x) + abs(pt.y - q.y) for q in pts]
+    best = min(costs)
+    node = costs.index(best)
+    row = [float("inf")] + [
+        _box_cost(edge_box(pts[c], pts[parent[c]]), pt.x, pt.y)
+        for c in range(1, len(pts))
+    ]
+    cost, child = _fold(row, 1, len(pts), best, -1)
+    if child < 0:
+        return cost, node, None, pts[node]
+    return cost, -1, child, project_onto(pt, edge_box(pts[child], pts[parent[child]]))
 
-    # ------------------------------------------------------------- queries
 
-    def __len__(self) -> int:
-        return len(self.points)
+def attach_cheapest(tree: ArrayTree, p: PointLike) -> int:
+    """Attach ``p`` to ``tree`` at its :func:`best_connection`; return
+    its node."""
+    pt = Point(float(p[0]), float(p[1]))
+    _, node, split_child, at = best_connection(tree, pt)
+    return tree.attach(pt, node, split_child, at)
 
-    def edges(self) -> List[Tuple[int, int]]:
-        """(child, parent) index pairs."""
-        return [(i, p) for i, p in enumerate(self.parent) if p >= 0]
 
-    def best_connection(
-        self, p: PointLike
-    ) -> Tuple[float, int, Optional[int], Point]:
-        """Cheapest attachment of ``p``.
+def attach_cheapest_first(tree: ArrayTree, points: Sequence[PointLike]) -> None:
+    """Attach all of ``points`` to ``tree``, cheapest connection first.
 
-        Returns ``(cost, node_index, split_child, attach_point)``:
-        attach directly to ``node_index`` when ``split_child`` is None,
-        otherwise split the edge ``(split_child -> parent)`` at
-        ``attach_point`` first. Nodes are tried in index order (first
-        least cost wins), then the projection onto each edge in child
-        order, which takes over when it beats the running best by 1e-12;
-        projections onto an edge's end never win (``docs/numerics.md``
-        §7). A Python scan: one-off queries on a builder (``attach``,
-        YSD's greedy construction) would pay more to build NumPy columns
-        than the scan costs. Loops that score many pins keep their
-        columns instead (:meth:`attach_cheapest_first`,
-        :func:`connection_cost`).
-        """
-        pt = Point(float(p[0]), float(p[1]))
-        pts, parent = self.points, self.parent
-        costs = [abs(pt.x - q.x) + abs(pt.y - q.y) for q in pts]
-        best = min(costs)
-        node = costs.index(best)
-        row = [float("inf")] + [
-            _box_cost(edge_box(pts[c], pts[parent[c]]), pt.x, pt.y)
-            for c in range(1, len(pts))
-        ]
-        cost, child = _fold(row, 1, len(pts), best, -1)
+    Each step attaches the pending point with the smallest
+    :func:`best_connection` cost (the first such point in ``points``
+    order) at that connection. The result is bit-identical to calling
+    :func:`best_connection` for every pending point after every attach,
+    but each pin's connection is kept between steps and only re-derived
+    where an attach can change it (``docs/numerics.md`` §7): the first
+    step scores all pins in one NumPy pass, and each later step scores
+    them against the at most three edges and two nodes the attach
+    created or changed.
+    """
+    pins = [Point(float(p[0]), float(p[1])) for p in points]
+    if not pins:
+        return
+    pts, parent = tree.points, tree.parent
+    n = len(pts)
+    xs, ys = tree.x[:n], tree.y[:n]
+    up = tree.par[1:n]
+    px = np.array([q.x for q in pins])[:, None]
+    py = np.array([q.y for q in pins])[:, None]
+    node_cost = np.abs(px - xs) + np.abs(py - ys)
+    node_best: List[float] = node_cost.min(axis=1).tolist()
+    node_idx: List[int] = node_cost.argmin(axis=1).tolist()
+    # Row ``i`` holds pin ``i``'s cost to each edge column: column ``c``
+    # is the edge from node ``c`` to its parent (the root's column is
+    # +inf). ``boxes`` holds each column's box.
+    rows: List[List[float]] = np.concatenate(
+        (np.full((len(pins), 1), np.inf),
+         edge_costs(px, py, xs[1:], ys[1:], xs[up], ys[up])),
+        axis=1,
+    ).tolist()
+    boxes = [BBox(0.0, 0.0, 0.0, 0.0)]
+    boxes += [edge_box(pts[c], pts[parent[c]]) for c in range(1, n)]
+    best = list(node_best)
+    split = [-1] * len(pins)
+    for i, row in enumerate(rows):
+        best[i], split[i] = _fold(row, 1, n, best[i], -1)
+    pending = list(range(len(pins)))
+    while pending:
+        i = min(pending, key=best.__getitem__)
+        pending.remove(i)
+        pt, child = pins[i], split[i]
         if child < 0:
-            return cost, node, None, pts[node]
-        return cost, -1, child, project_onto(pt, edge_box(pts[child], pts[parent[child]]))
-
-    # ----------------------------------------------------------- mutation
-
-    def attach(self, p: PointLike) -> int:
-        """Attach ``p`` via the cheapest connection; return its node index."""
-        pt = Point(float(p[0]), float(p[1]))
-        return self._connect(pt, *self.best_connection(pt))
-
-    def _connect(
-        self,
-        pt: Point,
-        cost: float,
-        node: int,
-        split_child: Optional[int],
-        at: Point,
-    ) -> int:
-        """Apply one :meth:`best_connection` answer for ``pt``."""
-        if split_child is not None:
-            grand = self.parent[split_child]
-            steiner = len(self.points)
-            self.points.append(at)
-            self.parent.append(grand)
-            self.parent[split_child] = steiner
-            node = steiner
-        if cost == 0.0 and self.points[node] == pt:
-            return node
-        idx = len(self.points)
-        self.points.append(pt)
-        self.parent.append(node)
-        return idx
-
-    def attach_cheapest_first(self, points: Sequence[PointLike]) -> None:
-        """Attach all of ``points``, cheapest connection first.
-
-        Each step attaches the pending point with the smallest
-        :meth:`best_connection` cost (the first such point in ``points``
-        order) at that connection. The result is bit-identical to calling
-        :meth:`best_connection` for every pending point after every
-        attach, but each pin's connection is kept between steps and only
-        re-derived where an attach can change it (``docs/numerics.md``
-        §7): the first step scores all pins in one NumPy pass, and each
-        later step scores them against the at most three edges and two
-        nodes the attach created or changed.
-        """
-        pins = [Point(float(p[0]), float(p[1])) for p in points]
-        if not pins:
-            return
-        pts, parent = self.points, self.parent
-        n = len(pts)
-        xs = np.array([q.x for q in pts])
-        ys = np.array([q.y for q in pts])
-        px = np.array([q.x for q in pins])[:, None]
-        py = np.array([q.y for q in pins])[:, None]
-        node_cost = np.abs(px - xs) + np.abs(py - ys)
-        node_best: List[float] = node_cost.min(axis=1).tolist()
-        node_idx: List[int] = node_cost.argmin(axis=1).tolist()
-        # Row ``i`` holds pin ``i``'s cost to each edge column: column
-        # ``c`` is the edge from node ``c`` to its parent (the root's
-        # column is +inf). ``boxes`` holds each column's box.
-        up = parent[1:]
-        rows: List[List[float]] = np.concatenate(
-            (np.full((len(pins), 1), np.inf),
-             edge_costs(px, py, xs[1:], ys[1:], xs[up], ys[up])),
-            axis=1,
-        ).tolist()
-        boxes = [BBox(0.0, 0.0, 0.0, 0.0)]
-        boxes += [edge_box(pts[c], pts[parent[c]]) for c in range(1, n)]
-        best = list(node_best)
-        split = [-1] * len(pins)
-        for i, row in enumerate(rows):
-            best[i], split[i] = _fold(row, 1, n, best[i], -1)
-        pending = list(range(len(pins)))
-        while pending:
-            i = min(pending, key=best.__getitem__)
-            pending.remove(i)
-            pt, child = pins[i], split[i]
-            if child < 0:
-                node = node_idx[i]
-                self._connect(pt, best[i], node, None, pts[node])
-            else:
-                box = edge_box(pts[child], pts[parent[child]])
-                self._connect(pt, best[i], -1, child, project_onto(pt, box))
-            grown = len(pts)
-            if grown == n:
-                continue
-            new = range(n, grown)
+            tree.attach(pt, node_idx[i], None, pt)
+        else:
+            box = edge_box(pts[child], pts[parent[child]])
+            tree.attach(pt, -1, child, project_onto(pt, box))
+        grown = len(pts)
+        if grown == n:
+            continue
+        new = range(n, grown)
+        if child >= 0:
+            boxes[child] = edge_box(pts[child], pts[parent[child]])
+        boxes += [edge_box(pts[c], pts[parent[c]]) for c in new]
+        for j in pending:
+            q = pins[j]
+            qx, qy = q.x, q.y
+            row = rows[j]
+            # A pin's connection changes only if (a) a new node beats its
+            # best node, which restarts its fold, or (b) the split edge
+            # could have been taken, i.e. cost below the best node by
+            # 1e-12: the split shrinks that edge's box, so its cost can
+            # only rise. Any other pin's fold is unchanged up to the old
+            # last column and just continues over the new ones.
+            nb = node_best[j]
+            redo = child >= 0 and row[child] < nb - 1e-12
+            for u in new:
+                c = abs(qx - pts[u].x) + abs(qy - pts[u].y)
+                if c < nb:
+                    nb, node_idx[j], redo = c, u, True
+            node_best[j] = nb
             if child >= 0:
-                boxes[child] = edge_box(pts[child], pts[parent[child]])
-            boxes += [edge_box(pts[c], pts[parent[c]]) for c in new]
-            for j in pending:
-                q = pins[j]
-                qx, qy = q.x, q.y
-                row = rows[j]
-                # A pin's connection changes only if (a) a new node beats
-                # its best node, which restarts its fold, or (b) the split
-                # edge could have been taken, i.e. cost below the best
-                # node by 1e-12: the split shrinks that edge's box, so its
-                # cost can only rise. Any other pin's fold is unchanged up
-                # to the old last column and just continues over the new
-                # ones.
-                nb = node_best[j]
-                redo = child >= 0 and row[child] < nb - 1e-12
-                for u in new:
-                    c = abs(qx - pts[u].x) + abs(qy - pts[u].y)
-                    if c < nb:
-                        nb, node_idx[j], redo = c, u, True
-                node_best[j] = nb
-                if child >= 0:
-                    row[child] = _box_cost(boxes[child], qx, qy)
-                row += [_box_cost(boxes[c], qx, qy) for c in new]
-                if redo:
-                    best[j], split[j] = _fold(row, 1, grown, nb, -1)
-                else:
-                    best[j], split[j] = _fold(row, n, grown, best[j], split[j])
-            n = grown
-
-    def attach_to_node(self, p: PointLike, node: int) -> int:
-        """Attach ``p`` directly under an explicit existing node."""
-        pt = Point(float(p[0]), float(p[1]))
-        if self.points[node] == pt:
-            return node
-        idx = len(self.points)
-        self.points.append(pt)
-        self.parent.append(node)
-        return idx
-
-    def add_edge_chain(self, a: PointLike, b: PointLike) -> None:
-        """Ensure both endpoints exist and are connected (used for seeding
-        a builder from an existing tree's edge list). ``a`` must already be
-        in the builder; ``b`` is attached directly under it."""
-        pa = Point(float(a[0]), float(a[1]))
-        try:
-            ia = self.points.index(pa)
-        except ValueError:
-            raise ValueError(f"chain start {pa} not in builder") from None
-        self.attach_to_node(b, ia)
-
-    # ------------------------------------------------------------- finish
-
-    def finish(self, net: Net) -> RoutingTree:
-        """Convert to a validated :class:`RoutingTree` spanning ``net``."""
-        edges = [
-            (self.points[i], self.points[p]) for i, p in self.edges()
-        ]
-        if not edges:
-            # Degenerate: a single-node builder (degree-2 net attaches the
-            # sink, so this only happens if finish() is called too early).
-            edges = [(net.source, net.source)]
-        return RoutingTree.from_edges(net, edges, extra_points=self.points)
+                row[child] = _box_cost(boxes[child], qx, qy)
+            row += [_box_cost(boxes[c], qx, qy) for c in new]
+            if redo:
+                best[j], split[j] = _fold(row, 1, grown, nb, -1)
+            else:
+                best[j], split[j] = _fold(row, n, grown, best[j], split[j])
+        n = grown
 
 
 def edge_costs(
@@ -254,12 +180,11 @@ def connection_cost(
     x: np.ndarray, y: np.ndarray, bx: np.ndarray, by: np.ndarray,
     skip: int = 0,
 ) -> float:
-    """The cost of :meth:`TreeBuilder.best_connection`'s choice, in one
-    NumPy row.
+    """The cost of :func:`best_connection`'s choice, in one NumPy row.
 
-    ``x``, ``y`` are a builder's node coordinates and ``bx``, ``by`` the
+    ``x``, ``y`` are a tree's node coordinates and ``bx``, ``by`` the
     coordinates of each node ``1 .. n-1``'s parent. ``skip > 0`` leaves
-    out leaf ``skip`` and its edge, as if the builder had never held it.
+    out leaf ``skip`` and its edge, as if the tree had never held it.
 
     The scan keeps the first node of least cost, then walks the edges in
     column order and takes an edge whenever it beats the running best by
@@ -308,10 +233,10 @@ def grow_from_source(net: Net, order: Optional[List[int]] = None) -> RoutingTree
     This is the Prim-with-steinerisation construction used as the fallback
     RSMT heuristic and as PatLabor's reattachment step.
     """
-    builder = TreeBuilder(net.source)
+    tree = ArrayTree([net.source], [-1])
     if order is None:
-        builder.attach_cheapest_first(net.sinks)
+        attach_cheapest_first(tree, net.sinks)
     else:
         for i in order:
-            builder.attach(net.sinks[i])
-    return builder.finish(net)
+            attach_cheapest(tree, net.sinks[i])
+    return tree.finish(net)

@@ -3,7 +3,8 @@
 SALT's post-processing, PD-II's detour-aware Steinerisation, and
 PatLabor's local-search cleanup all need the same move: *reattach a
 subtree somewhere cheaper without breaking a delay budget*. This module
-implements that move on the parent-array representation, plus a
+scores that move, makes it on an
+:class:`~repro.routing.arraytree.ArrayTree` (``reattach``), and runs a
 convergence loop around it.
 
 A reattachment candidate is either an existing node or a Steiner point
@@ -104,26 +105,6 @@ def best_reattachment(
         return None
     _, cost, arrival, column = moves[0]
     return (cost, arrival, *live.candidate(tree.points[v], column))
-
-
-def apply_reattachment(
-    tree: RoutingTree,
-    v: int,
-    node: int,
-    split_child: Optional[int],
-    attach_point: Point,
-) -> None:
-    """Rewire ``v`` under the chosen attachment, splitting an edge if asked."""
-    target = node
-    if split_child is not None:
-        parent = tree.parent[split_child]
-        steiner = len(tree.points)
-        tree.points.append(attach_point)
-        tree.parent.append(parent)
-        tree.parent[split_child] = steiner
-        target = steiner
-    tree.parent[v] = target
-    tree._invalidate()
 
 
 def _sweep(

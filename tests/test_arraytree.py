@@ -3,21 +3,26 @@
 ``ArrayTree`` keeps a preorder and source arrivals up to date move by
 move. Every move must leave the arrivals ``==`` to a from-scratch
 ``RoutingTree.path_lengths()`` and the preorder intervals equal to the
-subtrees. Its users must build the trees the Python scans built, with
-the same points (``repr``, so signed zeros count) and parents:
+subtrees, and every grown tree must hold what a tree indexed from
+scratch on its lists holds. Its users must build the trees the Python
+scans built on a ``PlainTree``, with the same points (``repr``, so
+signed zeros count) and parents:
 
 * arrival-mode reassembly against ``_builder_arrivals`` and
   ``_cheapest_within_budget`` (rebuild every arrival, scan every node
   and edge per pin);
 * ``reattach_leaf`` and ``refine_wirelength`` against the per-leaf
-  ``compacted()`` -> ``TreeBuilder`` -> ``from_edges`` round trip;
+  ``compacted()`` -> ``PlainTree`` -> ``from_edges`` round trip;
 * ``grow_from_source(order)`` against one ``best_connection`` scan per
   pin;
+* ``weighted_construct`` against the per-pin scan, with every arrival
+  rebuilt per step;
 * ``refine_passes`` with all three ``accept`` callbacks;
 * ``SelectionPolicy.select`` against per-candidate ``pin_features``.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,14 +30,14 @@ from hypothesis import strategies as st
 
 from repro.baselines.dreyfus_wagner import steiner_min_tree
 from repro.baselines.rsmt import _dc_edges, reattach_leaf, refine_wirelength, rsmt
-from repro.baselines.ysd import _scales, weighted_refine
+from repro.baselines.ysd import _scales, weighted_construct, weighted_refine
 from repro.core.patlabor import ARRIVAL_SLACK, reassemble
 from repro.core.policy import SelectionPolicy, pin_features
 from repro.geometry.bbox import BBox, project_onto
 from repro.geometry.net import Net, random_net
 from repro.geometry.point import Point, l1
 from repro.routing.arraytree import ArrayTree
-from repro.routing.attach import TreeBuilder, grow_from_source
+from repro.routing.attach import attach_cheapest_first, grow_from_source
 from repro.routing.refine import (
     per_sink_shallow_refine,
     refine_passes,
@@ -41,6 +46,7 @@ from repro.routing.refine import (
 )
 from repro.routing.tree import RoutingTree
 from tests.test_attach_cheapest_first import (
+    PlainTree,
     oracle_attach,
     oracle_best_connection,
     seeded_builder,
@@ -121,7 +127,7 @@ def oracle_reattach_leaf(tree, leaf):
     target = compact.points[: compact.net.degree].index(tree.points[leaf])
     if any(p == target for p in compact.parent):
         return None
-    builder = TreeBuilder(compact.points[0])
+    builder = PlainTree(compact.points[0])
     index_map = {0: 0}
     for u in compact.topological_order():
         p = compact.parent[u]
@@ -136,9 +142,31 @@ def oracle_reattach_leaf(tree, leaf):
 
 
 def oracle_grow_in_order(net, order):
-    builder = TreeBuilder(net.source)
+    builder = PlainTree(net.source)
     for i in order:
         oracle_attach(builder, net.sinks[i])
+    return builder.finish(net)
+
+
+def oracle_weighted_construct(net, alpha, scales):
+    builder = PlainTree(net.source)
+    pending = dict(enumerate(net.sinks))
+    while pending:
+        arrivals = oracle_builder_arrivals(builder)
+        best_key = None
+        best_i = None
+        for i, s in pending.items():
+            cost, node, split_child, at = oracle_best_connection(builder, s)
+            if split_child is not None:
+                parent = builder.parent[split_child]
+                base = arrivals[parent] + l1(builder.points[parent], at)
+            else:
+                base = arrivals[node]
+            arrival = base + cost
+            key = alpha * cost / scales[0] + (1.0 - alpha) * arrival / scales[1]
+            if best_key is None or key < best_key:
+                best_key, best_i = key, i
+        oracle_attach(builder, pending.pop(best_i))
     return builder.finish(net)
 
 
@@ -240,7 +268,75 @@ def check_live(live, net):
     assert sorted(live.pre) == list(range(n))
 
 
+def check_indexed(live):
+    """``live`` holds what a tree indexed from scratch on its lists holds."""
+    fresh = ArrayTree(list(live.points), list(live.parent))
+    n = len(live)
+    assert live.size == fresh.size
+    assert live.dist == fresh.dist
+    assert [live.tin[u] for u in live.pre] == list(range(n))
+    for v in range(n):
+        lo, hi = live.subtree(v)
+        flo, fhi = fresh.subtree(v)
+        assert set(live.pre[lo:hi]) == set(fresh.pre[flo:fhi])
+    for column in ("x", "y", "par"):
+        got, want = getattr(live, column)[:n], getattr(fresh, column)[:n]
+        assert got.tobytes() == want.tobytes()
+
+
+def grown(grow, *args, **kwargs):
+    """The ``ArrayTree`` objects ``grow(*args, **kwargs)`` finishes."""
+    seen = []
+    finish = ArrayTree.finish
+
+    def spy(tree, net):
+        seen.append(tree)
+        return finish(tree, net)
+
+    with mock.patch.object(ArrayTree, "finish", spy):
+        grow(*args, **kwargs)
+    assert seen
+    return seen
+
+
 # ---------------------------------------------------------------- tests
+
+
+class TestGrowthState:
+    """Growth keeps the preorder, sizes, arrivals and columns exact."""
+
+    @prop
+    @given(trees(), st.data())
+    def test_attach_cheapest_first(self, tree, data):
+        xs = sorted({p.x for p in tree.points})
+        ys = sorted({p.y for p in tree.points})
+        pending = data.draw(
+            st.lists(st.tuples(st.sampled_from(xs), st.sampled_from(ys)), max_size=10)
+        )
+        live = ArrayTree(list(tree.points), list(tree.parent))
+        attach_cheapest_first(live, pending)
+        check_indexed(live)
+        for live in grown(grow_from_source, tree.net):
+            check_indexed(live)
+
+    @prop
+    @given(nets(min_degree=2, max_degree=14), st.data())
+    def test_attach_in_order(self, net, data):
+        order = data.draw(st.permutations(range(len(net.sinks))))
+        for live in grown(grow_from_source, net, order):
+            check_indexed(live)
+
+    @prop
+    @given(nets(min_degree=4, max_degree=14), st.data())
+    def test_reassembly(self, net, data):
+        k = data.draw(st.integers(1, min(5, len(net.sinks) - 1)))
+        chosen = sorted(data.draw(st.permutations(range(len(net.sinks))))[:k])
+        sub = Net.from_points(net.source, [net.sinks[i] for i in chosen])
+        rest = [s for i, s in enumerate(net.sinks) if i not in chosen]
+        for sub_tree in (steiner_min_tree(sub), RoutingTree.star(sub)):
+            for mode in ("arrival", "wire"):
+                for live in grown(reassemble, net, sub_tree, rest, mode=mode):
+                    check_indexed(live)
 
 
 class TestMaintainedArrivals:
@@ -371,6 +467,16 @@ class TestSeed:
             assert improved == want_improved and shape(got) == shape(want)
             tree = got
         assert rsmt(net).objective() == tree.objective()
+
+
+class TestWeightedConstruct:
+    @prop
+    @given(nets(min_degree=2, max_degree=10), st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    def test_matches_scan(self, net, alpha):
+        scales = _scales(net)
+        assert shape(weighted_construct(net, alpha, scales)) == shape(
+            oracle_weighted_construct(net, alpha, scales)
+        )
 
 
 class TestRefineCallbacks:

@@ -1,12 +1,14 @@
-"""``TreeBuilder.attach_cheapest_first`` against the per-pin scan oracle.
+"""``attach_cheapest_first`` against the per-pin scan oracle.
 
 The oracle is the cheapest-first loop reassembly and ``grow_from_source``
 ran before the NumPy primitive: after every attach, score each pending
 pin with a Python scan over all nodes (strict ``<``, index order) and
 then all edges (child order, an edge must beat the running best by
 1e-12, projections onto an endpoint skipped), attach the first pin of
-minimum cost. Trees must match it exactly: same points (``repr``, so
-signed zeros count) and the same parent array.
+minimum cost. The oracle grows a :class:`PlainTree`, two lists and
+nothing else. The ``ArrayTree`` it is compared with must match it
+exactly: same points (``repr``, so signed zeros count) and the same
+parent array.
 """
 
 import random
@@ -20,9 +22,42 @@ from repro.core.pareto_dw import pareto_dw
 from repro.geometry.bbox import BBox, project_onto
 from repro.geometry.net import Net, random_net
 from repro.geometry.point import Point, l1
-from repro.routing.attach import TreeBuilder, grow_from_source
+from repro.routing.arraytree import ArrayTree
+from repro.routing.attach import attach_cheapest_first, grow_from_source
+from repro.routing.tree import RoutingTree
 
 # --------------------------------------------------------------- oracle
+
+
+class PlainTree:
+    """A rooted tree as ``points`` and ``parent`` lists, grown by the
+    oracles. Node 0 is the root; nothing else is kept."""
+
+    def __init__(self, root):
+        self.points = [Point(float(root[0]), float(root[1]))]
+        self.parent = [-1]
+
+    def edges(self):
+        """(child, parent) index pairs."""
+        return [(i, p) for i, p in enumerate(self.parent) if p >= 0]
+
+    def attach_to_node(self, p, node):
+        """Hang ``p`` under ``node``; a point equal to it is that node."""
+        pt = Point(float(p[0]), float(p[1]))
+        if self.points[node] == pt:
+            return node
+        self.points.append(pt)
+        self.parent.append(node)
+        return len(self.points) - 1
+
+    def finish(self, net):
+        """The validated ``RoutingTree`` of ``net`` on these edges."""
+        edges = [(self.points[i], self.points[p]) for i, p in self.edges()]
+        return RoutingTree.from_edges(net, edges, extra_points=self.points)
+
+    def live(self):
+        """An ``ArrayTree`` on copies of the two lists."""
+        return ArrayTree(list(self.points), list(self.parent))
 
 
 def oracle_best_connection(builder, p):
@@ -76,14 +111,14 @@ def oracle_cheapest_first(builder, points):
 
 
 def oracle_grow_from_source(net):
-    builder = TreeBuilder(net.source)
+    builder = PlainTree(net.source)
     oracle_cheapest_first(builder, net.sinks)
     return builder.finish(net)
 
 
 def seeded_builder(sub_tree):
-    """A builder holding ``sub_tree``'s edges, as ``reassemble`` seeds it."""
-    builder = TreeBuilder(sub_tree.points[0])
+    """A tree holding ``sub_tree``'s edges, as ``reassemble`` seeds it."""
+    builder = PlainTree(sub_tree.points[0])
     index_map = {0: 0}
     for u in sub_tree.topological_order():
         p = sub_tree.parent[u]
@@ -119,19 +154,12 @@ prop = settings(
 @st.composite
 def builders(draw):
     """A random tree (any shape, duplicates allowed) plus pending points."""
-    builder = TreeBuilder(draw(points))
+    builder = PlainTree(draw(points))
     for p in draw(st.lists(points, max_size=8)):
         parent = draw(st.integers(0, len(builder.points) - 1))
         builder.points.append(Point(*p))
         builder.parent.append(parent)
     return builder, draw(st.lists(points, min_size=1, max_size=12))
-
-
-def copy_builder(builder):
-    twin = TreeBuilder(builder.points[0])
-    twin.points = list(builder.points)
-    twin.parent = list(builder.parent)
-    return twin
 
 
 @st.composite
@@ -149,11 +177,11 @@ class TestMatchesScanOracle:
     @prop
     @given(builders())
     def test_random_trees_and_points(self, case):
-        builder, pending = case
-        expected = copy_builder(builder)
+        expected, pending = case
+        live = expected.live()
         oracle_cheapest_first(expected, pending)
-        builder.attach_cheapest_first(pending)
-        assert shape(builder) == shape(expected)
+        attach_cheapest_first(live, pending)
+        assert shape(live) == shape(expected)
 
     @prop
     @given(grid_nets())
@@ -184,15 +212,15 @@ class TestMatchesScanOracle:
         assert shape(grow_from_source(net)) == shape(oracle_grow_from_source(net))
 
     def test_duplicate_coordinates_fuse(self):
-        builder = TreeBuilder((0.0, 0.0))
-        builder.attach_to_node((10.0, 0.0), 0)
+        expected = PlainTree((0.0, 0.0))
+        expected.attach_to_node((10.0, 0.0), 0)
+        live = expected.live()
         pending = [(5.0, 0.0), (10.0, 0.0), (5.0, 0.0), (5.0, 4.0), (0.0, 0.0)]
-        expected = copy_builder(builder)
         oracle_cheapest_first(expected, pending)
-        builder.attach_cheapest_first(pending)
-        assert shape(builder) == shape(expected)
+        attach_cheapest_first(live, pending)
+        assert shape(live) == shape(expected)
         # Only the split point (5, 0) and (5, 4) are new nodes.
-        assert len(builder.points) == 4
+        assert len(live.points) == 4
 
 
 class TestEpsilonFold:
@@ -206,7 +234,7 @@ class TestEpsilonFold:
         cost y; the short vertical links between them project onto an
         endpoint and are skipped. Every node costs at least 3 + y.
         """
-        builder = TreeBuilder((-3.0, edge_ys[0]))
+        builder = PlainTree((-3.0, edge_ys[0]))
         tip = 0
         for k, y in enumerate(edge_ys):
             x = 3.0 if k % 2 == 0 else -3.0
@@ -227,14 +255,14 @@ class TestEpsilonFold:
         ],
     )
     def test_sequential_fold(self, edge_ys, expected_y):
-        builder = self.ladder(edge_ys)
-        expected = copy_builder(builder)
+        expected = self.ladder(edge_ys)
+        live = expected.live()
         pending = [(0.0, 0.0), (1.0, 20.0)]
         oracle_cheapest_first(expected, pending)
-        builder.attach_cheapest_first(pending)
-        assert shape(builder) == shape(expected)
-        pin = builder.points.index(Point(0.0, 0.0))
-        assert builder.points[builder.parent[pin]] == Point(0.0, expected_y)
+        attach_cheapest_first(live, pending)
+        assert shape(live) == shape(expected)
+        pin = live.points.index(Point(0.0, 0.0))
+        assert live.points[live.parent[pin]] == Point(0.0, expected_y)
 
     def test_plain_argmin_would_differ(self):
         builder = self.ladder([5.0, 5.0 - 0.5e-12])

@@ -4,7 +4,8 @@ The oracle is ``best_reattachment`` and the three refine loops as they
 ran before the NumPy kernel: a Python scan over every node (index
 order) and then every edge (child order) outside the moving subtree,
 keeping the lexicographic ``(cost, arrival)`` first minimum, and one
-scan per node per pass. Trees must match it exactly: same points
+scan per node per pass. The oracles rewire a plain ``RoutingTree`` with
+``apply_reattachment``. Trees must match them exactly: same points
 (``repr``, so signed zeros count) and the same parent array.
 """
 
@@ -22,7 +23,6 @@ from repro.geometry.net import Net, random_net
 from repro.geometry.point import Point, l1
 from repro.routing.attach import grow_from_source
 from repro.routing.refine import (
-    apply_reattachment,
     best_reattachment,
     per_sink_shallow_refine,
     subtree_nodes,
@@ -31,6 +31,20 @@ from repro.routing.refine import (
 from repro.routing.tree import RoutingTree
 
 # --------------------------------------------------------------- oracle
+
+
+def apply_reattachment(tree, v, node, split_child, attach_point):
+    """Rewire ``v`` under the chosen attachment, splitting an edge if asked."""
+    target = node
+    if split_child is not None:
+        parent = tree.parent[split_child]
+        steiner = len(tree.points)
+        tree.points.append(attach_point)
+        tree.parent.append(parent)
+        tree.parent[split_child] = steiner
+        target = steiner
+    tree.parent[v] = target
+    tree._invalidate()
 
 
 def oracle_best_reattachment(
@@ -283,6 +297,21 @@ class TestBestReattachment:
         got = best_reattachment(t, 2, pls, max_arrival=14.0 + slack)
         assert got == oracle_best_reattachment(t, 2, pls, max_arrival=14.0 + slack)
         assert (got is not None) == (slack > -1e-12)
+
+
+class TestApplyReattachment:
+    def test_apply_reattachment_splits_edge(self):
+        net = Net.from_points((0, 0), [(10, 0), (10, 4)])
+        t = RoutingTree.from_edges(
+            net, [((0, 0), (10, 0)), ((0, 0), (10, 4))]
+        ).copy()
+        pls = t.path_lengths()
+        cand = best_reattachment(t, 2, pls)
+        _, _, node, split_child, at = cand
+        n_before = len(t.points)
+        apply_reattachment(t, 2, node, split_child, at)
+        assert len(t.points) == n_before + (1 if split_child is not None else 0)
+        t.validate()
 
 
 class TestRefineLoops:

@@ -6,9 +6,9 @@ import pytest
 
 from repro.geometry.net import Net, random_net
 from repro.geometry.point import Point, l1
-from repro.routing.attach import TreeBuilder, grow_from_source
+from repro.routing.arraytree import ArrayTree
+from repro.routing.attach import attach_cheapest, best_connection, grow_from_source
 from repro.routing.refine import (
-    apply_reattachment,
     best_reattachment,
     per_sink_shallow_refine,
     subtree_nodes,
@@ -17,46 +17,53 @@ from repro.routing.refine import (
 from repro.routing.tree import RoutingTree
 
 
+def root_tree():
+    return ArrayTree([Point(0.0, 0.0)], [-1])
+
+
 class TestTreeBuilder:
+    """Growing an ``ArrayTree`` with the attach rules."""
+
     def test_attach_direct(self):
-        b = TreeBuilder((0, 0))
-        idx = b.attach((5, 0))
+        b = root_tree()
+        idx = attach_cheapest(b, (5, 0))
         assert b.points[idx] == Point(5, 0)
         assert b.parent[idx] == 0
 
     def test_attach_via_edge_projection(self):
-        b = TreeBuilder((0, 0))
-        b.attach((10, 0))
+        b = root_tree()
+        attach_cheapest(b, (10, 0))
         # (5, 3) projects onto the edge at (5, 0): cheaper than either end.
-        idx = b.attach((5, 3))
+        idx = attach_cheapest(b, (5, 3))
         assert b.points[idx] == Point(5, 3)
         steiner = b.parent[idx]
         assert b.points[steiner] == Point(5, 0)
 
     def test_edge_split_preserves_connectivity(self):
-        b = TreeBuilder((0, 0))
-        b.attach((10, 0))
-        b.attach((5, 3))
+        b = root_tree()
+        attach_cheapest(b, (10, 0))
+        attach_cheapest(b, (5, 3))
         net = Net.from_points((0, 0), [(10, 0), (5, 3)])
         tree = b.finish(net)
         assert tree.wirelength() == 13  # 10 + 3
 
     def test_attach_coincident_point_fuses(self):
-        b = TreeBuilder((0, 0))
-        i1 = b.attach((5, 5))
-        i2 = b.attach((5, 5))
+        b = root_tree()
+        i1 = attach_cheapest(b, (5, 5))
+        i2 = attach_cheapest(b, (5, 5))
         assert i1 == i2
 
     def test_attach_to_node_explicit(self):
-        b = TreeBuilder((0, 0))
-        a = b.attach((10, 0))
-        i = b.attach_to_node((10, 10), a)
+        b = root_tree()
+        a = attach_cheapest(b, (10, 0))
+        p = Point(10.0, 10.0)
+        i = b.attach(p, a, None, p)
         assert b.parent[i] == a
 
     def test_best_connection_prefers_projection(self):
-        b = TreeBuilder((0, 0))
-        b.attach((10, 0))
-        cost, node, split_child, at = b.best_connection((5, 2))
+        b = root_tree()
+        attach_cheapest(b, (10, 0))
+        cost, node, split_child, at = best_connection(b, (5, 2))
         assert cost == 2
         assert split_child is not None
         assert at == Point(5, 0)
@@ -173,16 +180,3 @@ class TestShallowRefine:
             src = net.source
             for sink, pl in zip(net.sinks, out.sink_delays()):
                 assert pl <= (1 + eps) * l1(src, sink) + 1e-6
-
-    def test_apply_reattachment_splits_edge(self):
-        net = Net.from_points((0, 0), [(10, 0), (10, 4)])
-        t = RoutingTree.from_edges(
-            net, [((0, 0), (10, 0)), ((0, 0), (10, 4))]
-        ).copy()
-        pls = t.path_lengths()
-        cand = best_reattachment(t, 2, pls)
-        _, _, node, split_child, at = cand
-        n_before = len(t.points)
-        apply_reattachment(t, 2, node, split_child, at)
-        assert len(t.points) == n_before + (1 if split_child is not None else 0)
-        t.validate()
