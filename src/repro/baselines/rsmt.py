@@ -39,8 +39,12 @@ def rsmt(net: Net, exact_limit: int = DEFAULT_EXACT_LIMIT, refine_passes: int = 
     points = list(net.pins)
     edges = _dc_edges(points, axis=0, exact_limit=exact_limit)
     tree = RoutingTree.from_edges(net, edges)
-    for _ in range(refine_passes):
-        improved, tree = refine_wirelength(tree)
+    for k in range(refine_passes):
+        # The greedy regrowth is the same tree in every pass. After the
+        # first, the tree is either that regrowth or one it did not beat
+        # by 1e-12, and leaf re-insertion only makes the tree lighter, so
+        # the probe never wins again: it is grown once, for pass one.
+        improved, tree = _refine(tree, _greedy_regrowth(net) if k == 0 else None)
         if not improved:
             break
     return tree
@@ -154,6 +158,22 @@ def refine_wirelength(tree: RoutingTree) -> Tuple[bool, RoutingTree]:
     also probes a full greedy regrowth and keeps whichever tree is
     lightest.
     """
+    return _refine(tree, _greedy_regrowth(tree.net))
+
+
+def _greedy_regrowth(net: Net) -> RoutingTree:
+    """Greedy growth from the source, sinks taken nearest first."""
+    order = sorted(
+        range(len(net.sinks)), key=lambda i: l1(net.source, net.sinks[i])
+    )
+    return grow_from_source(net, order=order)
+
+
+def _refine(
+    tree: RoutingTree, rebuilt: Optional[RoutingTree]
+) -> Tuple[bool, RoutingTree]:
+    """:func:`refine_wirelength` with the regrowth ``rebuilt`` given, or
+    not probed when it is ``None``."""
     net = tree.net
     best = tree
     improved = False
@@ -166,11 +186,7 @@ def refine_wirelength(tree: RoutingTree) -> Tuple[bool, RoutingTree]:
             best = candidate
             improved = True
             leaves = _LeafReattacher(best)
-    order = sorted(
-        range(len(net.sinks)), key=lambda i: l1(net.source, net.sinks[i])
-    )
-    rebuilt = grow_from_source(net, order=order)
-    if rebuilt.wirelength() < best.wirelength() - 1e-12:
+    if rebuilt is not None and rebuilt.wirelength() < best.wirelength() - 1e-12:
         best = rebuilt
         improved = True
     return improved, best

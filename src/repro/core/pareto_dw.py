@@ -35,18 +35,22 @@ cardinality into budget-sized NumPy passes over
 :mod:`repro.core.frontier_array`. Below that the tuple DP
 (:func:`_pareto_dw_impl`) keeps every front as a list of ``(w, d,
 payload)`` tuples: each merge and closure bucket is enumerated in full
-and reduced by one :func:`~repro.core.pareto.pareto_filter`. At those
-degrees the buckets are small enough that enumerate-and-sort beats the
-array engine's fixed per-pass cost, and also beats streaming
-two-pointer merges (``docs/performance.md``, "Removed: the sorted-front
+and reduced by the :func:`~repro.core.pareto.pareto_filter` sort and
+sweep, with payloads built for the survivors only. At those degrees the
+buckets are small enough that enumerate-and-sort beats the array
+engine's fixed per-pass cost, and also beats streaming two-pointer
+merges (``docs/performance.md``, "Removed: the sorted-front
 tuple kernels"). ``kernels=False`` runs the tuple DP at every degree —
-the oracle of the equivalence tests and benchmarks.
+the oracle of the equivalence tests and benchmarks. Both engines close
+the full sink set at the source node only, the one node it is read at,
+unless an ECO solve retains its tables.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import product
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set
 from typing import Tuple
 
@@ -62,7 +66,7 @@ from ..obs import (
     span,
 )
 from ..routing.tree import RoutingTree
-from .pareto import Solution, clean_front, pareto_filter
+from .pareto import Solution, clean_front
 
 #: Hard ceiling on exact enumeration; above this the caller should be using
 #: PatLabor's local search. Overridable via ``max_degree=``.
@@ -107,7 +111,9 @@ _BOUND_MARGIN = 1e-9
 class DWStats:
     """Work counters for ablation and kernel benchmarks (Lemmas 2–4, engines).
 
-    ``closure_extensions`` counts extension candidates *considered* and is
+    ``closure_extensions`` counts extension candidates *considered* (one
+    per candidate and closed node other than its own; the full sink set
+    is closed at the source only unless state is retained) and is
     identical between the two engines; the two allocation counters
     measure what each engine actually materializes: ``merge_candidates``
     is the number of merge-product candidates built (tuple DP: ``a · b``
@@ -584,7 +590,18 @@ def _pareto_dw_impl(
     stats: Optional[DWStats],
 ) -> List[Solution]:
     """The tuple DP body of :func:`pareto_dw` (degree validated): every
-    merge and closure bucket enumerated, then one ``pareto_filter``."""
+    merge and closure bucket enumerated, then one exact filter.
+
+    A bucket holds rows ``(w, d, seq, ...)``, ``seq`` the row's position
+    in the bucket. A plain tuple sort of them is
+    :func:`~repro.core.pareto.pareto_filter`'s stable ``(w, d)`` sort
+    (``seq`` is unique, so no comparison reaches the rest of a row), and
+    the sweep builds payload tuples only for the rows it keeps
+    (``docs/numerics.md`` §2). The full sink set is closed at the source
+    node only, the one node it is read at (§5).
+    """
+    import numpy as np
+
     grid = HananGrid.of_net(net)
     pin_nodes = grid.pin_nodes()
     source_node = pin_nodes[0]
@@ -604,61 +621,94 @@ def _pareto_dw_impl(
 
     boundary_rank = _boundary_order(grid, sink_nodes) if lemma4 else None
 
-    # S[mask] : dict node -> Pareto list of (w, d, payload), each list a
-    # sorted front (w ascending, d strictly descending) by construction.
-    S: List[Optional[Dict[GridNode, List[Solution]]]] = [None] * (full + 1)
+    num_nodes = len(nodes)
+    node_index = {v: vi for vi, v in enumerate(nodes)}
+    all_nodes = range(num_nodes)
+    # drow[v][u]: distance of nodes v and u by index, the floats
+    # grid.dist() produces (bit-identical by the distance_array contract).
+    flat = [grid.flat_index(v) for v in nodes]
+    drow = grid.distance_array()[np.ix_(flat, flat)].tolist()
+    inf = float("inf")
 
-    dist = grid.dist
+    # S[mask][v] : Pareto list of (w, d, payload) at node index v, each a
+    # sorted front (w ascending, d strictly descending) by construction.
+    S: List[Optional[List[List[Solution]]]] = [None] * (full + 1)
 
     def closure(
-        merged: Dict[GridNode, List[Solution]]
-    ) -> Dict[GridNode, List[Solution]]:
-        """One metric-closure round: extend every candidate to every node."""
-        out: Dict[GridNode, List[Solution]] = {}
-        sources = [(u, cands) for u, cands in merged.items() if cands]
-        for v in nodes:
-            bucket: List[Solution] = []
-            for u, cands in sources:
-                duv = dist(u, v)
-                if duv == 0.0 and u == v:
-                    bucket.extend(cands)
-                else:
-                    for (w, d, p) in cands:
-                        bucket.append((w + duv, d + duv, ("ext", u, v, p)))
-                    if stats is not None:
-                        stats.closure_extensions += len(cands)
-                        stats.closure_allocations += len(cands)
-            front = pareto_filter(bucket)
-            out[v] = front
-            if stats is not None and len(front) > stats.max_front_size:
-                stats.max_front_size = len(front)
+        merged: List[Tuple[int, List[Solution]]], targets: Sequence[int]
+    ) -> List[List[Solution]]:
+        """One metric-closure round: extend every candidate of ``merged``
+        (``(node index, front)`` pairs in node order) to each node of
+        ``targets``; returns their fronts in ``targets`` order."""
+        # Every candidate once, in bucket order (source node, then front
+        # position); its row k of each bucket is cands[k] shifted.
+        cands = [(ui, s[0], s[1], s) for ui, front in merged for s in front]
+        own = {ui: len(front) for ui, front in merged}
+        out: List[List[Solution]] = []
+        for vi in targets:
+            row = drow[vi]
+            # row[vi] is 0.0, so an identity row keeps its objectives.
+            bucket = [
+                (w + row[ui], d + row[ui], k)
+                for k, (ui, w, d, _) in enumerate(cands)
+            ]
+            bucket.sort()
+            v = nodes[vi]
+            front: List[Solution] = []
+            best = inf
+            for w, d, k in bucket:
+                if d < best:
+                    best = d
+                    ui, _, _, s = cands[k]
+                    # An identity extension is the candidate itself.
+                    if ui != vi:
+                        s = (w, d, ("ext", nodes[ui], v, s[2]))
+                    front.append(s)
+            out.append(front)
+            if stats is not None:
+                shifted = len(cands) - own.get(vi, 0)
+                stats.closure_extensions += shifted
+                stats.closure_allocations += shifted
+                if len(front) > stats.max_front_size:
+                    stats.max_front_size = len(front)
         return out
 
-    def merge_at(v: GridNode, submasks: List[int], mask: int) -> List[Solution]:
-        """Pareto front of all split merges at ``v``."""
-        bucket: List[Solution] = []
+    def merge_at(vi: int, submasks: List[int], mask: int) -> List[Solution]:
+        """Pareto front of all split merges at node index ``vi``."""
+        bucket: List[Tuple[Any, ...]] = []
         for q1 in submasks:
-            sq1 = S[q1]
-            sq2 = S[mask ^ q1]
-            s1 = sq1[v] if sq1 is not None else None
-            s2 = sq2[v] if sq2 is not None else None
+            s1 = S[q1][vi]
+            s2 = S[mask ^ q1][vi]
             if not s1 or not s2:
                 continue
             if stats is not None:
                 stats.merge_transitions += 1
                 stats.merge_candidates += len(s1) * len(s2)
-            for w1, d1, p1 in s1:
-                for w2, d2, p2 in s2:
-                    bucket.append(
-                        (w1 + w2, max(d1, d2), ("merge", p1, p2))
-                    )
-        return pareto_filter(bucket)
+            # d2 if d2 > d1 else d1 is max(d1, d2), bit for bit.
+            bucket += [
+                (w1 + w2, d2 if d2 > d1 else d1, k, p1, p2)
+                for k, ((w1, d1, p1), (w2, d2, p2)) in enumerate(
+                    product(s1, s2), len(bucket)
+                )
+            ]
+        bucket.sort()
+        front: List[Solution] = []
+        best = inf
+        for w, d, _, p1, p2 in bucket:
+            if d < best:
+                best = d
+                front.append((w, d, ("merge", p1, p2)))
+        return front
+
+    def targets_of(mask: int) -> Sequence[int]:
+        """The nodes ``mask`` is closed over: all, or the full set's source."""
+        return [node_index[source_node]] if mask == full else all_nodes
 
     # Singletons.
     with span("dw.closure"):
         for si, s_node in enumerate(sink_nodes):
-            base = {s_node: [(0.0, 0.0, ("leaf", s_node))]}
-            S[1 << si] = closure(base)
+            base = [(node_index[s_node], [(0.0, 0.0, ("leaf", s_node))])]
+            S[1 << si] = closure(base, targets_of(1 << si))
             if stats is not None:
                 stats.subsets += 1
 
@@ -680,27 +730,26 @@ def _pareto_dw_impl(
             # Which splits to enumerate.
             submasks = _splits_for_mask(mask, bits, size, boundary_rank, stats)
 
-            merged: Dict[GridNode, List[Solution]] = {}
+            merged: List[Tuple[int, List[Solution]]] = []
             with span("dw.merge"):
-                for v in nodes:
-                    if lemma3:
-                        ix, iy = v
-                        if not (bxlo <= ix <= bxhi and bylo <= iy <= byhi):
-                            if stats is not None:
-                                stats.merge_skipped_lemma3 += 1
-                            continue
-                    front = merge_at(v, submasks, mask)
+                for vi, (ix, iy) in enumerate(nodes):
+                    if lemma3 and not (bxlo <= ix <= bxhi and bylo <= iy <= byhi):
+                        if stats is not None:
+                            stats.merge_skipped_lemma3 += 1
+                        continue
+                    front = merge_at(vi, submasks, mask)
                     if front:
-                        merged[v] = front
+                        merged.append((vi, front))
             with span("dw.closure"):
-                S[mask] = closure(merged)
+                S[mask] = closure(merged, targets_of(mask))
             if stats is not None:
                 stats.subsets += 1
             # Free sub-frontiers no longer needed? (All smaller masks may
             # still be needed by other supersets; keep everything — memory
             # is bounded by 2^(n-1) * |nodes| * |S|, fine for n <= 12.)
 
-    result = S[full][source_node] if S[full] is not None else []
+    top = S[full]
+    result = top[0] if top is not None else []
     if not with_trees:
         return clean_front(result)
 
@@ -996,30 +1045,37 @@ def _pareto_dw_array_impl(
         src_vis: Any,
         src_w: Any,
         src_d: Any,
+        col: Optional[int] = None,
     ) -> None:
-        """Close every source front of every mask over all nodes.
+        """Close every source front of every mask over all nodes, or over
+        node ``col`` alone when it is given.
 
-        Cuts the ``len(src) * num_nodes`` candidates into batches of at
-        most ``budget``: consecutive masks are grouped while their rows
-        fit, and a mask whose rows alone exceed the budget is split by
+        Cuts the ``len(src) * width`` candidates into batches of at most
+        ``budget``: consecutive masks are grouped while their rows fit,
+        and a mask whose rows alone exceed the budget is split by
         target-node columns. Every ``(mask, node)`` segment sees all of
         its candidates in one batch, in reference order.
         """
+        c_lo, c_hi = (0, num_nodes) if col is None else (col, col + 1)
+        width = c_hi - c_lo
         e_list = np.diff(src_ptr).tolist()
         n_src = src_vis.shape[0]
         if stats is not None:
-            stats.closure_extensions += n_src * (num_nodes - 1)
+            # Every source element extends to each target but its own node.
+            stats.closure_extensions += n_src * width - int(
+                np.count_nonzero((src_vis >= c_lo) & (src_vis < c_hi))
+            )
         m0 = 0
         while m0 < len(masks):
             rows = e_list[m0]
             m1 = m0 + 1
-            while m1 < len(masks) and (rows + e_list[m1]) * num_nodes <= budget:
+            while m1 < len(masks) and (rows + e_list[m1]) * width <= budget:
                 rows += e_list[m1]
                 m1 += 1
             if rows:
                 r0, r1 = int(src_ptr[m0]), int(src_ptr[m1])
-                cols = max(1, min(num_nodes, budget // rows))
-                for c0 in range(0, num_nodes, cols):
+                cols = max(1, min(width, budget // rows))
+                for c0 in range(c_lo, c_hi, cols):
                     _closure_batch(
                         masks[m0:m1],
                         src_ptr[m0 : m1 + 1] - r0,
@@ -1028,7 +1084,7 @@ def _pareto_dw_array_impl(
                         src_w[r0:r1],
                         src_d[r0:r1],
                         c0,
-                        min(c0 + cols, num_nodes),
+                        min(c0 + cols, c_hi),
                     )
             m0 = m1
 
@@ -1154,6 +1210,11 @@ def _pareto_dw_array_impl(
         src_ptr = np.searchsorted(src_m, np.arange(masks.shape[0] + 1))
         return src_ptr, src_eids, src_vis, src_w, src_d
 
+    # The full sink set is read at the source node only, so a solve that
+    # retains no state closes it there alone; a retained table keeps the
+    # full set at every node for an edit that moves the source.
+    full_col = node_index[source_node] if retain is None else None
+
     # --- singletons: one leaf element per sink, closed over all nodes.
     leaves = [si for si in range(num_sinks) if (1 << si) not in reused]
     if leaves:
@@ -1172,6 +1233,7 @@ def _pareto_dw_array_impl(
                 leaf_vis,
                 np.zeros(n_leaves, dtype=np.float64),
                 np.zeros(n_leaves, dtype=np.float64),
+                full_col if num_sinks == 1 else None,
             )
         if stats is not None:
             stats.subsets += n_leaves
@@ -1207,7 +1269,7 @@ def _pareto_dw_array_impl(
         with span("dw.merge"):
             merged = _merge(masks, sub, box)
         with span("dw.closure"):
-            _closure(masks, *merged)
+            _closure(masks, *merged, full_col if size == num_sinks else None)
 
     # --- materialize the final frontier's payload tuples (tiny: one walk
     # per surviving solution) so downstream consumers see the exact same

@@ -178,25 +178,39 @@ class HananGrid:
         sliding the node towards the pins shortens every incident path.
         Pins themselves are never corner nodes (each pin witnesses its own
         quadrant).
+
+        Grid indices order exactly like coordinates, so the quadrants are
+        read off index extrema in ``O(nx · ny)``: ``lo_left[ix]`` is the
+        lowest pin row in columns ``<= ix`` (the lower-left quadrant of
+        ``(ix, iy)`` is empty iff it exceeds ``iy``), and likewise the
+        highest row and the suffixes over columns ``>= ix``. Nodes come
+        back in :meth:`nodes` (column-major) order.
         """
-        pins = [self.point(n) for n in self._pin_nodes]
+        nx, ny = self.nx, self.ny
+        # Lowest and highest pin row per column (every column holds a pin:
+        # the columns are the pins' x values).
+        col_lo = [ny] * nx
+        col_hi = [-1] * nx
+        for ix, iy in self._pin_nodes:
+            if iy < col_lo[ix]:
+                col_lo[ix] = iy
+            if iy > col_hi[ix]:
+                col_hi[ix] = iy
+        lo_left, hi_left = col_lo[:], col_hi[:]
+        for ix in range(1, nx):
+            lo_left[ix] = min(lo_left[ix], lo_left[ix - 1])
+            hi_left[ix] = max(hi_left[ix], hi_left[ix - 1])
+        lo_right, hi_right = col_lo[:], col_hi[:]
+        for ix in range(nx - 2, -1, -1):
+            lo_right[ix] = min(lo_right[ix], lo_right[ix + 1])
+            hi_right[ix] = max(hi_right[ix], hi_right[ix + 1])
         out: List[GridNode] = []
-        for node in self.nodes():
-            x, y = self.point(node)
-            ll = lr = ul = ur = True
-            for px, py in pins:
-                if px <= x and py <= y:
-                    ll = False
-                if px >= x and py <= y:
-                    lr = False
-                if px <= x and py >= y:
-                    ul = False
-                if px >= x and py >= y:
-                    ur = False
-                if not (ll or lr or ul or ur):
-                    break
-            if ll or lr or ul or ur:
-                out.append(node)
+        for ix in range(nx):
+            # A row below either side's lowest pin row has an empty lower
+            # quadrant on that side; above either highest, an upper one.
+            lo = max(lo_left[ix], lo_right[ix])
+            hi = min(hi_left[ix], hi_right[ix])
+            out.extend((ix, iy) for iy in range(ny) if iy < lo or iy > hi)
         return out
 
     def active_nodes(self) -> List[GridNode]:

@@ -13,6 +13,8 @@ signed zeros count) and parents:
   and edge per pin);
 * ``reattach_leaf`` and ``refine_wirelength`` against the per-leaf
   ``compacted()`` -> ``PlainTree`` -> ``from_edges`` round trip;
+* ``rsmt``, which grows its greedy regrowth once, against a loop that
+  probes it in every refinement pass;
 * ``grow_from_source(order)`` against one ``best_connection`` scan per
   pin;
 * ``weighted_construct`` against the per-pin scan, with every arrival
@@ -187,6 +189,17 @@ def oracle_refine_wirelength(tree):
         best = rebuilt
         improved = True
     return improved, best
+
+
+def rsmt_probing_every_pass(net, exact_limit, passes):
+    """``rsmt`` above ``exact_limit`` with the greedy regrowth probed in
+    every refinement pass, not just the first."""
+    tree = RoutingTree.from_edges(net, _dc_edges(list(net.pins), 0, exact_limit))
+    for _ in range(passes):
+        improved, tree = refine_wirelength(tree)
+        if not improved:
+            break
+    return tree
 
 
 def oracle_select(policy, net, tree, k):
@@ -467,6 +480,19 @@ class TestSeed:
             assert improved == want_improved and shape(got) == shape(want)
             tree = got
         assert rsmt(net).objective() == tree.objective()
+
+    @prop
+    @given(nets(min_degree=5, max_degree=16), st.integers(1, 3))
+    def test_rsmt_regrows_once(self, net, passes):
+        got = rsmt(net, exact_limit=4, refine_passes=passes)
+        assert shape(got) == shape(rsmt_probing_every_pass(net, 4, passes))
+
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    def test_rsmt_regrows_once_on_random_nets(self, passes):
+        for seed in range(4):
+            net = random_net(30, rng=random.Random(seed))
+            got = rsmt(net, refine_passes=passes)
+            assert shape(got) == shape(rsmt_probing_every_pass(net, 8, passes))
 
 
 class TestWeightedConstruct:

@@ -730,6 +730,13 @@ def lattice_net(seed, degree, side=4):
     return Net.from_points(cells[0], cells[1:])
 
 
+#: Every on/off combination of the three pruning lemmas.
+LEMMA_FLAGS = [
+    dict(lemma2=l2, lemma3=l3, lemma4=l4)
+    for l2, l3, l4 in product((True, False), repeat=3)
+]
+
+
 class TestArrayOracleBelowDispatch:
     """Degree 2-5 nets, which ``pareto_dw`` solves on the tuple DP, also
     solved on the array engine: an oracle independent of the tuple DP for
@@ -754,3 +761,23 @@ class TestArrayOracleBelowDispatch:
             net = lattice_net(100 * degree + seed, degree)
             self.assert_agree(net)
             assert_engines_agree(net, lemma2=False, lemma3=False, lemma4=False)
+
+    @pytest.mark.parametrize(
+        "flags", LEMMA_FLAGS, ids=lambda f: "".join(str(int(v)) for v in f.values())
+    )
+    @pytest.mark.parametrize("degree", range(2, pareto_dw_module._ARRAY_MIN_DEGREE))
+    def test_payloads_under_every_lemma_flag(self, degree, flags):
+        """The tuple DP's deferred payloads equal the array engine's, tie
+        choices included, with any lemma off; shared counters too."""
+        rng = random.Random(500 + degree)
+        nets = [lattice_net(10 * degree + seed, degree) for seed in range(10)]
+        nets += [synth_net(degree, rng, style="clustered2") for _ in range(4)]
+        # Pins of a ring net: every sink on the boundary, so Lemma 4 fires.
+        rings = [ring_net(seed) for seed in range(4)]
+        nets += [Net.from_points(r.source, r.sinks[: degree - 1]) for r in rings]
+        for net in nets:
+            st_a, st_t = DWStats(), DWStats()
+            assert solve("array", net, st_a, **flags) == solve(
+                "tuple", net, st_t, **flags
+            )
+            assert shared(st_a) == shared(st_t)

@@ -133,3 +133,57 @@ class TestCornerPruning:
         g = HananGrid.of_net(net)
         active = set(g.active_nodes())
         assert set(g.pin_nodes()) <= active
+
+
+def quadrant_scan_corners(g):
+    """Lemma 2 by its definition: scan every pin for each node's four
+    closed quadrants, in real coordinates (the reference for
+    ``HananGrid.corner_nodes``'s index extrema)."""
+    pins = [g.point(n) for n in g.pin_nodes()]
+    out = []
+    for node in g.nodes():
+        x, y = g.point(node)
+        ll = lr = ul = ur = True
+        for px, py in pins:
+            if px <= x and py <= y:
+                ll = False
+            if px >= x and py <= y:
+                lr = False
+            if px <= x and py >= y:
+                ul = False
+            if px >= x and py >= y:
+                ur = False
+        if ll or lr or ul or ur:
+            out.append(node)
+    return out
+
+
+class TestCornerNodesAgainstDefinition:
+    """``corner_nodes`` returns the quadrant scan's nodes, in its order."""
+
+    def test_random_pins(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            net = random_net(rng.randint(2, 12), rng=rng)
+            g = HananGrid.of_net(net)
+            assert g.corner_nodes() == quadrant_scan_corners(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=12
+        )
+    )
+    def test_lattice_pins_with_shared_coordinates(self, pins):
+        g = grid_of(pins)
+        assert g.corner_nodes() == quadrant_scan_corners(g)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_single_row_and_column_grids(self, k):
+        rng = random.Random(k)
+        for _ in range(20):
+            ts = [rng.randint(0, k - 1) for _ in range(rng.randint(1, 6))]
+            row = grid_of([(t, 0) for t in ts])  # 1 row, up to k columns
+            col = grid_of([(0, t) for t in ts])  # up to k rows, 1 column
+            for g in (row, col):
+                assert g.corner_nodes() == quadrant_scan_corners(g) == []

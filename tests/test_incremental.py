@@ -359,6 +359,22 @@ class TestDWStateReuse:
         assert full.computed_masks == 0
         assert again == warm
 
+    @pytest.mark.parametrize("ring", [False, True], ids=["lattice", "ring"])
+    @pytest.mark.parametrize("degree", [6, 7, 8])
+    def test_source_move_reads_full_set_at_new_source(self, degree, ring):
+        """A solve that retains nothing closes the full sink set at its
+        source alone; a retaining solve closes it at every node, so a
+        warm source move reads it at the new source."""
+        net, delta = _reusing_case("source", degree, ring)
+        edited = apply_delta(net, delta)
+        assert edited.source != net.source
+        _cold, state, _r = pareto_dw_with_state(net)
+        full = (1 << len(net.sinks)) - 1
+        assert (state.cnt[full] > 0).all()
+        warm, _s, reuse = pareto_dw_with_state(edited, state=state)
+        assert reuse.computed_masks == 0  # the full set is installed too
+        assert warm == pareto_dw(edited)  # trees included
+
     def test_small_degree_is_cold_and_retains_nothing(self):
         big = _case_net(6, 3, ring=False)
         _front, state, _r = pareto_dw_with_state(big)
