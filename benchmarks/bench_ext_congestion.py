@@ -15,7 +15,7 @@ Timed kernel: one exact tri-objective DW solve (degree 5).
 import random
 
 from repro.congestion import (
-    CongestionMap,
+    CapacityGrid,
     congestion_annotated_front,
     embed_min_congestion,
     pareto_dw3,
@@ -38,27 +38,27 @@ def test_ext_congestion(benchmark):
     gap_ratios = []
     for i in range(NUM_NETS):
         net = random_net(5, rng=rng, span=100.0)
-        cmap = CongestionMap.random_hotspots(
+        grid = CapacityGrid.random_hotspots(
             0, 0, 100, 10, hotspots=3, hot_weight=10.0,
             rng=random.Random(100 + i),
         )
         front2 = pareto_dw(net)
-        front3 = pareto_dw3(net, cmap)
+        front3 = pareto_dw3(net, grid)
         extra = len(front3) - len(front2)
         extra_trees_total += max(0, extra)
 
         # Embedding-only savings on the RSMT.
         tree = rsmt(net)
         fixed = sum(
-            cmap.edge_cost(tree.points[p], tree.points[c])
+            grid.edge_cost(tree.points[p], tree.points[c])
             for c, p in tree.edges()
         )
-        _, best = embed_min_congestion(tree, cmap)
+        _, best = embed_min_congestion(tree, grid)
         saving = 1.0 - best / fixed if fixed > 0 else 0.0
         emb_savings.append(saving)
 
         # How close the annotated 2-D set gets to the 3-D optimum.
-        annotated = congestion_annotated_front(net, cmap)
+        annotated = congestion_annotated_front(net, grid)
         best_2d = min(c for _w, _d, c, _t in annotated)
         best_3d = min(c for _w, _d, c, _t in front3)
         ratio = best_2d / best_3d if best_3d > 0 else 1.0
@@ -92,5 +92,5 @@ def test_ext_congestion(benchmark):
     assert all(r >= 1.0 - 1e-9 for r in gap_ratios)
 
     net = random_net(5, rng=random.Random(999), span=100.0)
-    cmap = CongestionMap.random_hotspots(0, 0, 100, 10, rng=random.Random(1))
-    benchmark(lambda: pareto_dw3(net, cmap))
+    grid = CapacityGrid.random_hotspots(0, 0, 100, 10, rng=random.Random(1))
+    benchmark(lambda: pareto_dw3(net, grid))

@@ -8,7 +8,7 @@ always-RSMT, always-shortest-path — through the sequential flow of
 ``repro.eval.design_flow`` and renders:
 
 * a strategy comparison table (wire / budget misses / overflow),
-* a congestion heatmap SVG per strategy with the routed trees overlaid.
+* a utilisation heatmap SVG per strategy (overused cells outlined).
 
 This is the paper's global-routing integration story made concrete: with
 the whole Pareto set available per net, the router meets every timing
@@ -22,7 +22,7 @@ from pathlib import Path
 from repro.eval.design_flow import DesignFlowConfig, route_design
 from repro.eval.flow_report import render_flow_detail, render_flow_summary
 from repro.geometry.net import random_net
-from repro.viz.heatmap import congestion_heatmap_svg
+from repro.viz.heatmap import overuse_heatmap_svg
 from repro.viz.svg import save_svg
 
 
@@ -41,10 +41,10 @@ def main(out_dir: str = "design_flow_out") -> None:
     results = {}
     for strategy in ("pareto", "rsmt", "shortest"):
         results[strategy] = route_design(nets, strategy=strategy, config=config)
-        svg = congestion_heatmap_svg(
+        svg = overuse_heatmap_svg(
             results[strategy].demand,
             title=f"demand — {strategy}",
-            vmax=config.capacity * 2,
+            vmax=2.0,
         )
         save_svg(svg, str(out / f"demand_{strategy}.svg"))
 

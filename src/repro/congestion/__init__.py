@@ -8,7 +8,7 @@ the chip-scale PathFinder negotiation subsystem
 points as congestion prices move.
 """
 
-from .model import CapacityGrid, CongestionMap, scan_cells
+from .model import CapacityGrid, scan_cells
 from .negotiate import (
     IterationStats,
     NegotiatedRouter,
@@ -32,7 +32,6 @@ from .router import (
 
 __all__ = [
     "CapacityGrid",
-    "CongestionMap",
     "IterationStats",
     "NegotiatedRouter",
     "NegotiationResult",

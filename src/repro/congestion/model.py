@@ -1,4 +1,4 @@
-"""Congestion model: weighted grids and the array-backed capacity grid.
+"""Congestion model: one array-backed capacity grid.
 
 The paper's conclusion names congestion as the first future-work metric.
 This module models it the way global routers do: the region is divided
@@ -12,32 +12,24 @@ Unlike wirelength and delay, congestion depends on *which* L-shape embeds
 an edge — that freedom is exploited by
 :func:`repro.congestion.router.embed_min_congestion`.
 
-Two grid classes share one scalar cost semantics (:class:`_GridCostModel`
-and the :func:`scan_cells` rasterizer, so their costs are bit-identical
-on equal weights — see ``docs/numerics.md``):
+:class:`CapacityGrid` is the only grid: per-cell ``base`` weights plus
+``capacity`` / ``demand`` / ``history`` arrays and the negotiated
+present-cost price
 
-* :class:`CongestionMap` — the original static list-of-lists weight map,
-  kept unchanged for existing callers (tests mutate ``weights`` in
-  place and compare maps by list equality).
-* :class:`CapacityGrid` — the array-backed PathFinder state used by
-  :mod:`repro.congestion.negotiate`: per-cell ``base`` weights plus
-  ``capacity`` / ``demand`` / ``history`` arrays and the negotiated
-  present-cost price
+    price = (base + hist_fac * history)
+            * (1 + pres_fac * max(0, demand - capacity))
 
-      price = (base + hist_fac * history)
-              * (1 + pres_fac * max(0, demand - capacity))
-
-  which reduces exactly to ``base`` while demand and history are zero,
-  making the grid a drop-in :class:`CongestionMap` for the single-net
-  APIs (``pareto_dw3`` / ``embed_min_congestion`` /
-  ``congestion_annotated_front`` all duck-type on the cost methods).
+which reduces exactly to ``base`` while demand and history are zero. A
+fresh grid is therefore the static weight map of the single-net APIs
+(``pareto_dw3`` / ``embed_min_congestion`` /
+``congestion_annotated_front``), and the same class is the PathFinder
+state of :mod:`repro.congestion.negotiate`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from ..geometry.point import PointLike
@@ -61,10 +53,9 @@ def scan_cells(
 ) -> List[Tuple[int, float]]:
     """Cells of a 1-D uniform grid crossed by ``[lo, hi]``, with lengths.
 
-    The shared scalar rasterizer behind every grid cost in this module:
-    both :class:`CongestionMap` and :class:`CapacityGrid` integrate
-    weights over exactly this cell/length sequence, which is what makes
-    their costs bit-identical on equal weights.
+    The scalar rasterizer behind every grid cost in this module: the
+    scalar costs and the negotiator's precomputed rasterization integrate
+    prices over exactly this cell/length sequence.
 
     The cell index *advances* (instead of being re-derived from the
     accumulated float coordinate each step), so runs that start or end
@@ -99,200 +90,8 @@ def scan_cells(
     return out
 
 
-class _GridCostModel:
-    """Scalar congestion-cost semantics shared by every grid class.
-
-    Subclasses provide the grid frame (``xlo`` / ``ylo`` / ``cell`` /
-    ``nx`` / ``ny``) and :meth:`weight_at`; this mixin derives every
-    cost from them through :func:`scan_cells`, so two grids reporting
-    equal weights produce bit-identical costs (same cells, same lengths,
-    same accumulation order).
-    """
-
-    xlo: float
-    ylo: float
-    cell: float
-
-    @property
-    def nx(self) -> int:
-        """Grid width in cells."""
-        raise NotImplementedError
-
-    @property
-    def ny(self) -> int:
-        """Grid height in cells."""
-        raise NotImplementedError
-
-    def weight_at(self, ix: int, iy: int) -> float:
-        """Effective weight of cell ``(ix, iy)`` (out-of-range included)."""
-        raise NotImplementedError
-
-    def _axis_cost(
-        self, fixed: float, lo: float, hi: float, horizontal: bool
-    ) -> float:
-        """Weight-integrated length of an axis-parallel run."""
-        if hi <= lo:
-            return 0.0
-        cost = 0.0
-        if horizontal:
-            iy = int((fixed - self.ylo) // self.cell)
-            for ix, length in scan_cells(self.xlo, self.cell, lo, hi):
-                cost += length * self.weight_at(ix, iy)
-        else:
-            ix = int((fixed - self.xlo) // self.cell)
-            for iy, length in scan_cells(self.ylo, self.cell, lo, hi):
-                cost += length * self.weight_at(ix, iy)
-        return cost
-
-    def segment_cells(self, seg: Segment) -> List[Tuple[Tuple[int, int], float]]:
-        """Cells a segment crosses, with the length inside each.
-
-        Out-of-region runs are reported with their out-of-range indices
-        (as produced by floor division); callers accumulating demand
-        should ignore indices outside ``[0, nx) x [0, ny)``. Zero-length
-        segments cross no cells.
-        """
-        out: List[Tuple[Tuple[int, int], float]] = []
-        if seg.is_horizontal:
-            lo, hi = sorted((seg.a.x, seg.b.x))
-            iy = int((seg.a.y - self.ylo) // self.cell)
-            for ix, length in scan_cells(self.xlo, self.cell, lo, hi):
-                out.append(((ix, iy), length))
-        else:
-            lo, hi = sorted((seg.a.y, seg.b.y))
-            ix = int((seg.a.x - self.xlo) // self.cell)
-            for iy, length in scan_cells(self.ylo, self.cell, lo, hi):
-                out.append(((ix, iy), length))
-        return out
-
-    def segment_cost(self, seg: Segment) -> float:
-        """Weight-integrated length of one axis-parallel segment."""
-        if seg.is_horizontal:
-            lo, hi = sorted((seg.a.x, seg.b.x))
-            return self._axis_cost(seg.a.y, lo, hi, horizontal=True)
-        lo, hi = sorted((seg.a.y, seg.b.y))
-        return self._axis_cost(seg.a.x, lo, hi, horizontal=False)
-
-    def edge_cost(self, a: PointLike, b: PointLike, lower_l: bool = True) -> float:
-        """Cost of one tree edge under a fixed L-shape convention."""
-        return sum(self.segment_cost(s) for s in embed_edge(a, b, lower_l))
-
-    def best_edge_cost(self, a: PointLike, b: PointLike) -> Tuple[float, bool]:
-        """Cheaper of the two L embeddings: ``(cost, lower_l_flag)``.
-
-        Ties break deterministically towards the lower L.
-        """
-        lo = self.edge_cost(a, b, lower_l=True)
-        hi = self.edge_cost(a, b, lower_l=False)
-        return (lo, True) if lo <= hi else (hi, False)
-
-    def tree_cost(self, tree: "RoutingTree", per_edge_choice: bool = True) -> float:
-        """Congestion cost of a whole tree.
-
-        With ``per_edge_choice`` each edge independently takes its cheaper
-        L embedding (legal: the objectives w/d are embedding-invariant).
-        """
-        total = 0.0
-        for child, parent in tree.edges():
-            a, b = tree.points[parent], tree.points[child]
-            if per_edge_choice:
-                total += self.best_edge_cost(a, b)[0]
-            else:
-                total += self.edge_cost(a, b)
-        return total
-
-
-@dataclass
-class CongestionMap(_GridCostModel):
-    """Per-cell congestion weights on a uniform grid.
-
-    Attributes
-    ----------
-    xlo, ylo:
-        Lower-left corner of the covered region.
-    cell:
-        Cell edge length (> 0).
-    weights:
-        ``weights[ix][iy]`` — the congestion weight of cell ``(ix, iy)``.
-        Points outside the covered region use ``outside_weight``.
-    """
-
-    xlo: float
-    ylo: float
-    cell: float
-    weights: List[List[float]]
-    outside_weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        """Validate the grid frame."""
-        if self.cell <= 0:
-            raise ValueError(f"cell size must be positive, got {self.cell}")
-        if not self.weights or not self.weights[0]:
-            raise ValueError("congestion map needs at least one cell")
-
-    @property
-    def nx(self) -> int:
-        """Grid width in cells."""
-        return len(self.weights)
-
-    @property
-    def ny(self) -> int:
-        """Grid height in cells."""
-        return len(self.weights[0])
-
-    @classmethod
-    def uniform(
-        cls, xlo: float, ylo: float, xhi: float, yhi: float,
-        nx: int, ny: int, weight: float = 1.0,
-    ) -> "CongestionMap":
-        """A constant-weight map covering ``[xlo, xhi] x [ylo, yhi]``.
-
-        The cell size derives from the x-extent; the grid is ``nx x ny``.
-        """
-        cell = (xhi - xlo) / nx
-        if abs((yhi - ylo) / ny - cell) > 1e-9:
-            raise ValueError("uniform map requires square cells")
-        return cls(
-            xlo=xlo, ylo=ylo, cell=cell,
-            weights=[[weight] * ny for _ in range(nx)],
-        )
-
-    @classmethod
-    def random_hotspots(
-        cls, xlo: float, ylo: float, span: float, cells: int,
-        hotspots: int = 3, hot_weight: float = 8.0,
-        rng: Optional[random.Random] = None,
-    ) -> "CongestionMap":
-        """A base-weight-1 map with a few square hot regions."""
-        rng = rng or random.Random()
-        cmap = cls.uniform(xlo, ylo, xlo + span, ylo + span, cells, cells)
-        for _ in range(hotspots):
-            cx = rng.randrange(cells)
-            cy = rng.randrange(cells)
-            radius = rng.randint(0, max(1, cells // 6))
-            for ix in range(max(0, cx - radius), min(cells, cx + radius + 1)):
-                for iy in range(max(0, cy - radius), min(cells, cy + radius + 1)):
-                    cmap.weights[ix][iy] = hot_weight
-        return cmap
-
-    # --------------------------------------------------------------- costs
-
-    def weight_at(self, ix: int, iy: int) -> float:
-        """The weight of cell ``(ix, iy)``; outside cells use the default."""
-        if 0 <= ix < self.nx and 0 <= iy < self.ny:
-            return self.weights[ix][iy]
-        return self.outside_weight
-
-    def deposit(self, seg: Segment, scale: float = 1.0) -> None:
-        """Accumulate ``length * scale`` into every crossed in-range cell
-        (demand tracking for sequential routing flows)."""
-        for (ix, iy), length in self.segment_cells(seg):
-            if 0 <= ix < self.nx and 0 <= iy < self.ny:
-                self.weights[ix][iy] += length * scale
-
-
-class CapacityGrid(_GridCostModel):
-    """Array-backed congestion state: the PathFinder negotiation substrate.
+class CapacityGrid:
+    """Per-cell congestion state on a uniform grid.
 
     Holds four ``(nx, ny)`` float64 arrays — static ``base`` weights,
     per-cell ``capacity``, accumulated ``demand``, and the ``history``
@@ -303,12 +102,18 @@ class CapacityGrid(_GridCostModel):
                 * (1 + pres_fac * max(0, demand - capacity))
 
     which is exactly ``base`` while demand and history are zero, so a
-    fresh grid is cost-bit-identical to the :class:`CongestionMap` it was
-    built from (:meth:`from_congestion_map`). Demand is committed and
-    ripped up through flat-index arrays (:meth:`rasterize_segment` /
-    :meth:`commit` / :meth:`ripup`), the shape
-    :class:`~repro.congestion.negotiate.NegotiatedRouter` re-prices whole
-    frontiers with.
+    fresh grid is a static weight map for the single-net APIs. Demand is
+    committed and ripped up through flat-index arrays
+    (:meth:`rasterize_segment` / :meth:`commit` / :meth:`ripup`), the
+    shape :class:`~repro.congestion.negotiate.NegotiatedRouter` re-prices
+    whole frontiers with.
+
+    Every scalar cost (:meth:`segment_cost` / :meth:`edge_cost` /
+    :meth:`best_edge_cost` / :meth:`tree_cost`) integrates the current
+    prices over the :func:`scan_cells` rasterization, reading the price
+    array once per query. The price cache is keyed on the demand/history
+    version and the two factors, not on ``base``: build the base weights
+    before constructing a grid instead of editing ``base`` in place.
 
     Cells outside the covered region have no capacity bookkeeping; they
     always price at ``outside_weight``.
@@ -368,7 +173,10 @@ class CapacityGrid(_GridCostModel):
         weight: float = 1.0, capacity: float = math.inf,
         pres_fac: float = 0.0, hist_fac: float = 0.0,
     ) -> "CapacityGrid":
-        """A constant-weight, constant-capacity grid over a square frame."""
+        """A constant-weight, constant-capacity grid over a square frame.
+
+        The cell size derives from the x-extent; the grid is ``nx x ny``.
+        """
         cell = (xhi - xlo) / nx
         if abs((yhi - ylo) / ny - cell) > 1e-9:
             raise ValueError("uniform grid requires square cells")
@@ -380,24 +188,25 @@ class CapacityGrid(_GridCostModel):
         )
 
     @classmethod
-    def from_congestion_map(
-        cls, cmap: CongestionMap, capacity: Array = math.inf,
-        *, pres_fac: float = 0.0, hist_fac: float = 0.0,
+    def random_hotspots(
+        cls, xlo: float, ylo: float, span: float, cells: int,
+        hotspots: int = 3, hot_weight: float = 8.0,
+        rng: Optional[random.Random] = None,
     ) -> "CapacityGrid":
-        """The adapter: a grid whose base weights copy ``cmap``'s.
-
-        While demand and history stay zero the grid prices every cell at
-        exactly the map's weight, so every scalar cost API —
-        ``segment_cost`` / ``edge_cost`` / ``best_edge_cost`` /
-        ``tree_cost`` — is bit-identical between the two (asserted by
-        ``tests/test_congestion.py``).
-        """
-        grid = cls(
-            cmap.xlo, cmap.ylo, cmap.cell, cmap.weights, capacity,
-            pres_fac=pres_fac, hist_fac=hist_fac,
-            outside_weight=cmap.outside_weight,
-        )
-        return grid
+        """A base-weight-1 ``cells x cells`` grid with a few square hot
+        regions of weight ``hot_weight`` (no capacity limit)."""
+        rng = rng or random.Random()
+        base = np.ones((cells, cells))
+        for _ in range(hotspots):
+            cx = rng.randrange(cells)
+            cy = rng.randrange(cells)
+            radius = rng.randint(0, max(1, cells // 6))
+            base[
+                max(0, cx - radius):min(cells, cx + radius + 1),
+                max(0, cy - radius):min(cells, cy + radius + 1),
+            ] = hot_weight
+        # The cell size as uniform() derives it from the frame.
+        return cls(xlo, ylo, ((xlo + span) - xlo) / cells, base)
 
     def fresh(self) -> "CapacityGrid":
         """A new grid with this frame/base/capacity and zeroed state.
@@ -411,28 +220,14 @@ class CapacityGrid(_GridCostModel):
             outside_weight=self.outside_weight,
         )
 
-    def as_congestion_map(self) -> CongestionMap:
-        """A static :class:`CongestionMap` of the *current* prices.
-
-        A snapshot, not a view: later demand/history mutations do not
-        propagate. Useful to hand negotiated prices to code that only
-        speaks the old class (e.g. ``viz.congestion_heatmap_svg``).
-        """
-        prices = self.prices()
-        return CongestionMap(
-            xlo=self.xlo, ylo=self.ylo, cell=self.cell,
-            weights=[[float(v) for v in col] for col in prices],
-            outside_weight=self.outside_weight,
-        )
-
     # ------------------------------------------------------------- pricing
 
     def prices(self) -> Array:
         """The ``(nx, ny)`` price array under the current PathFinder state.
 
-        Cached until demand/history/factors change; the scalar
-        :meth:`weight_at` reads from the same cache, so scalar and
-        vectorized pricing always agree exactly.
+        Cached until demand/history/factors change; the scalar costs read
+        the same cache, so scalar and vectorized pricing always agree
+        exactly.
         """
         key = (self._version, self.pres_fac, self.hist_fac)
         if self._prices is None or self._price_key != key:
@@ -452,6 +247,87 @@ class CapacityGrid(_GridCostModel):
         if 0 <= ix < self.nx and 0 <= iy < self.ny:
             return float(self.prices()[ix, iy])
         return self.outside_weight
+
+    # --------------------------------------------------------------- costs
+
+    def segment_cells(self, seg: Segment) -> List[Tuple[Tuple[int, int], float]]:
+        """Cells a segment crosses, with the length inside each.
+
+        Out-of-region runs are reported with their out-of-range indices
+        (as produced by floor division); callers accumulating demand
+        should ignore indices outside ``[0, nx) x [0, ny)``. Zero-length
+        segments cross no cells.
+        """
+        if seg.is_horizontal:
+            lo, hi = sorted((seg.a.x, seg.b.x))
+            iy = int((seg.a.y - self.ylo) // self.cell)
+            return [
+                ((ix, iy), length)
+                for ix, length in scan_cells(self.xlo, self.cell, lo, hi)
+            ]
+        lo, hi = sorted((seg.a.y, seg.b.y))
+        ix = int((seg.a.x - self.xlo) // self.cell)
+        return [
+            ((ix, iy), length)
+            for iy, length in scan_cells(self.ylo, self.cell, lo, hi)
+        ]
+
+    def _segment_cost(self, rows: List[List[float]], seg: Segment) -> float:
+        """Length of one segment integrated over the prices ``rows`` (the
+        price array as nested floats), in scan order."""
+        nx, ny = len(rows), len(rows[0])
+        cost = 0.0
+        for (ix, iy), length in self.segment_cells(seg):
+            if 0 <= ix < nx and 0 <= iy < ny:
+                cost += length * rows[ix][iy]
+            else:
+                cost += length * self.outside_weight
+        return cost
+
+    def _edge_cost(
+        self, rows: List[List[float]], a: PointLike, b: PointLike, lower_l: bool
+    ) -> float:
+        """Cost of one tree edge embedded as the given L."""
+        return sum(self._segment_cost(rows, s) for s in embed_edge(a, b, lower_l))
+
+    def _best_edge_cost(
+        self, rows: List[List[float]], a: PointLike, b: PointLike
+    ) -> Tuple[float, bool]:
+        """Cheaper L embedding; ties break towards the lower L."""
+        lo = self._edge_cost(rows, a, b, True)
+        hi = self._edge_cost(rows, a, b, False)
+        return (lo, True) if lo <= hi else (hi, False)
+
+    def segment_cost(self, seg: Segment) -> float:
+        """Weight-integrated length of one axis-parallel segment."""
+        return self._segment_cost(self.prices().tolist(), seg)
+
+    def edge_cost(self, a: PointLike, b: PointLike, lower_l: bool = True) -> float:
+        """Cost of one tree edge under a fixed L-shape convention."""
+        return self._edge_cost(self.prices().tolist(), a, b, lower_l)
+
+    def best_edge_cost(self, a: PointLike, b: PointLike) -> Tuple[float, bool]:
+        """Cheaper of the two L embeddings: ``(cost, lower_l_flag)``.
+
+        Ties break deterministically towards the lower L.
+        """
+        return self._best_edge_cost(self.prices().tolist(), a, b)
+
+    def tree_cost(self, tree: "RoutingTree", per_edge_choice: bool = True) -> float:
+        """Congestion cost of a whole tree.
+
+        With ``per_edge_choice`` each edge independently takes its cheaper
+        L embedding (legal: the objectives w/d are embedding-invariant).
+        """
+        rows = self.prices().tolist()
+        total = 0.0
+        for child, parent in tree.edges():
+            a, b = tree.points[parent], tree.points[child]
+            if per_edge_choice:
+                total += self._best_edge_cost(rows, a, b)[0]
+            else:
+                total += self._edge_cost(rows, a, b, True)
+        return total
 
     # ------------------------------------------------------ demand editing
 
@@ -504,15 +380,18 @@ class CapacityGrid(_GridCostModel):
         """How many cells currently exceed their capacity."""
         return int((self.demand > self.capacity).sum())
 
-    def max_utilization(self) -> float:
-        """Peak demand/capacity ratio over capacitated cells (0 if none)."""
+    def utilization(self) -> Array:
+        """Per-cell demand/capacity (0 where capacity is 0 or infinite)."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            util = np.where(
+            return np.where(
                 np.isfinite(self.capacity) & (self.capacity > 0),
                 self.demand / self.capacity,
                 0.0,
             )
-        return float(util.max()) if util.size else 0.0
+
+    def max_utilization(self) -> float:
+        """Peak demand/capacity ratio over capacitated cells (0 if none)."""
+        return float(self.utilization().max())
 
     def update_history(self, gain: float = 1.0) -> None:
         """Accumulate the PathFinder history penalty from current overuse."""

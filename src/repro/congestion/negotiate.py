@@ -146,7 +146,7 @@ class _CompiledNet:
 
         Returns ``(costs, group_costs)``: per-point totals (each edge
         taking its cheaper orientation, ties to the lower L — the same
-        rule as ``CongestionMap.best_edge_cost``) and the per-group costs
+        rule as ``CapacityGrid.best_edge_cost``) and the per-group costs
         needed to recover the chosen orientations.
         """
         if self.cat_idx.size:
@@ -435,17 +435,35 @@ class NegotiatedRouter:
         """Negotiate until overuse hits zero or the iteration cap."""
         compiled = self.prepare()
         grid = self.scenario.grid.fresh()
+        n = len(compiled)
+        chosen: List[Optional[int]] = [None] * n
+        committed: List[Optional[Tuple[Array, Array]]] = [None] * n
+        converged, iterations = self._negotiate(
+            compiled, grid, list(range(n)), chosen, committed
+        )
+        return self._result(
+            compiled, grid, converged, iterations, chosen, committed
+        )
+
+    def _negotiate(
+        self,
+        compiled: List[_CompiledNet],
+        grid: CapacityGrid,
+        dirty: List[int],
+        chosen: List[Optional[int]],
+        committed: List[Optional[Tuple[Array, Array]]],
+    ) -> Tuple[bool, List[IterationStats]]:
+        """The PathFinder loop over the ``dirty`` nets.
+
+        Every other net keeps the demand already committed on ``grid``.
+        ``chosen`` / ``committed`` are updated in place; returns whether
+        overuse reached zero and the per-pass statistics.
+        """
         grid.pres_fac = self.config.pres_fac_first
         grid.hist_fac = self.config.hist_fac
-        candidates = [self._candidate_points(c) for c in compiled]
-        order = sorted(
-            range(len(compiled)),
-            key=lambda i: (-compiled[i].criticality, i),
-        )
-        chosen: List[Optional[int]] = [None] * len(compiled)
-        committed: List[Optional[Tuple[Array, Array]]] = [None] * len(compiled)
+        candidates = {i: self._candidate_points(compiled[i]) for i in dirty}
+        order = sorted(dirty, key=lambda i: (-compiled[i].criticality, i))
         iterations: List[IterationStats] = []
-        converged = False
         for iteration in range(1, self.config.max_iterations + 1):
             t0 = time.perf_counter()
             swaps = 0
@@ -481,10 +499,21 @@ class NegotiatedRouter:
             iterations.append(stats)
             self._publish_iteration(stats)
             if stats.total_overuse == 0.0:
-                converged = True
-                break
+                return True, iterations
             grid.update_history(self.config.hist_gain)
             grid.escalate(self.config.pres_fac_mult)
+        return False, iterations
+
+    def _result(
+        self,
+        compiled: List[_CompiledNet],
+        grid: CapacityGrid,
+        converged: bool,
+        iterations: List[IterationStats],
+        chosen: List[Optional[int]],
+        committed: List[Optional[Tuple[Array, Array]]],
+    ) -> "NegotiationResult":
+        """Key the per-net choices by name and publish the final gauges."""
         chosen_map: Dict[str, int] = {}
         committed_map: Dict[str, Tuple[Array, Array]] = {}
         for i, c in enumerate(compiled):
@@ -595,8 +624,6 @@ class NegotiatedRouter:
         committed: List[Optional[Tuple[Array, Array]]] = [None] * len(compiled)
         grid = scenario.grid.fresh()
         grid.history = previous.grid.history.copy()
-        grid.pres_fac = self.config.pres_fac_first
-        grid.hist_fac = self.config.hist_fac
         for i, c in enumerate(compiled):
             name = c.net.name or f"net{i}"
             prev_arrays = previous.committed.get(name)
@@ -613,74 +640,18 @@ class NegotiatedRouter:
                 chosen[i] = previous.chosen.get(name, 0)
         obs.counter_add("negotiate.eco_rerouted", len(dirty))
         obs.counter_add("negotiate.eco_replayed", len(compiled) - len(dirty))
-        candidates = {i: self._candidate_points(compiled[i]) for i in dirty}
-        order = sorted(dirty, key=lambda i: (-compiled[i].criticality, i))
-        iterations: List[IterationStats] = []
-        converged = False
-        for iteration in range(1, self.config.max_iterations + 1):
-            t0 = time.perf_counter()
-            swaps = 0
-            with obs.span("negotiate.iteration"):
-                for i in order:
-                    c = compiled[i]
-                    prev = committed[i]
-                    if prev is not None:
-                        grid.ripup(*prev)
-                    costs, gcost = c.point_costs(grid.flat_prices())
-                    best: Optional[Tuple[float, float, float, int]] = None
-                    for k in candidates[i]:
-                        key = (
-                            float(costs[k]),
-                            float(c.point_w[k]),
-                            float(c.point_d[k]),
-                            k,
-                        )
-                        if best is None or key < best:
-                            best = key
-                    assert best is not None
-                    k = best[3]
-                    arrays = c.commit_arrays(k, gcost)
-                    grid.commit(*arrays)
-                    if chosen[i] is not None and chosen[i] != k:
-                        swaps += 1
-                    chosen[i] = k
-                    committed[i] = arrays
-            seconds = time.perf_counter() - t0
-            stats = self._iteration_stats(
-                iteration, grid, compiled, chosen, swaps, seconds
-            )
-            iterations.append(stats)
-            self._publish_iteration(stats)
-            if stats.total_overuse == 0.0:
-                converged = True
-                break
-            grid.update_history(self.config.hist_gain)
-            grid.escalate(self.config.pres_fac_mult)
+        converged, iterations = self._negotiate(
+            compiled, grid, dirty, chosen, committed
+        )
         if not converged:
             # The frozen background can wedge negotiation (a clean net may
             # need to move to free a cell) — widen to a full re-run; the
             # cached compiled state makes this pure negotiation work.
             obs.counter_add("negotiate.eco_fallbacks")
             return self.run()
-        chosen_map: Dict[str, int] = {}
-        committed_map: Dict[str, Tuple[Array, Array]] = {}
-        for i, c in enumerate(compiled):
-            name = c.net.name or f"net{i}"
-            final_k = chosen[i]
-            chosen_map[name] = int(final_k) if final_k is not None else 0
-            arrays = committed[i]
-            if arrays is not None:
-                committed_map[name] = arrays
-        result = NegotiationResult(
-            converged=converged,
-            iterations=iterations,
-            chosen=chosen_map,
-            grid=grid,
-            committed=committed_map,
+        return self._result(
+            compiled, grid, converged, iterations, chosen, committed
         )
-        obs.gauge_set("negotiate.final_overuse", result.final_overuse)
-        obs.gauge_set("negotiate.worst_delay", result.worst_delay)
-        return result
 
     def _iteration_stats(
         self,

@@ -19,39 +19,24 @@ optimisation to congestion — on top of the existing machinery:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from ..core.pareto_dw import _collect_edges
 from ..core.patlabor import PatLabor
 from ..exceptions import DegreeTooLargeError
 from ..geometry.hanan import GridNode, HananGrid
 from ..geometry.net import Net
 from ..routing.embedding import Segment, embed_edge
 from ..routing.tree import RoutingTree
-from .model import CongestionMap
+from .model import CapacityGrid
 from .pareto3 import Solution3, pareto_filter3
 
 DEFAULT_MAX_DEGREE3 = 6
 
 
-def _collect_edges(payload: Any, out: Set[Tuple[GridNode, GridNode]]) -> None:
-    stack = [payload]
-    while stack:
-        p = stack.pop()
-        if p[0] == "leaf":
-            continue
-        if p[0] == "ext":
-            _, u, v, child = p
-            if u != v:
-                out.add((u, v))
-            stack.append(child)
-        else:
-            stack.append(p[1])
-            stack.append(p[2])
-
-
 def pareto_dw3(
     net: Net,
-    cmap: CongestionMap,
+    cmap: CapacityGrid,
     max_degree: int = DEFAULT_MAX_DEGREE3,
 ) -> List[Solution3]:
     """Exact (wirelength, delay, congestion) Pareto frontier.
@@ -161,7 +146,7 @@ def pareto_dw3(
 
 
 def embed_min_congestion(
-    tree: RoutingTree, cmap: CongestionMap
+    tree: RoutingTree, cmap: CapacityGrid
 ) -> Tuple[List[Segment], float]:
     """Per-edge L-orientation choice minimising total congestion.
 
@@ -180,7 +165,7 @@ def embed_min_congestion(
 
 def congestion_annotated_front(
     net: Net,
-    cmap: CongestionMap,
+    cmap: CapacityGrid,
     router: Optional[PatLabor] = None,
 ) -> List[Solution3]:
     """Practical tri-objective front for any degree.

@@ -37,11 +37,11 @@ from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
-if TYPE_CHECKING:  # circular at runtime: engine imports this module
-    from ..engine.protocol import RouterCapabilities
+if TYPE_CHECKING:
     from .cache_store import PersistentStore
 
 from ..core.pareto import Solution
+from ..engine.middleware import CACHE_MODES, RouterMiddleware
 from ..geometry.net import Net
 from ..geometry.point import Point
 from ..geometry.transforms import ALL_TRANSFORMS, IDENTITY, GridTransform
@@ -49,9 +49,6 @@ from ..obs import counter_add, enabled as obs_enabled, span, timer_observe
 from ..routing.tree import RoutingTree
 
 CacheKey = Tuple[Tuple[float, float], ...]
-
-#: Accepted ``canonicalize`` modes of :class:`CachedRouter`.
-CANONICALIZE_MODES = ("translation", "symmetry")
 
 
 def translation_key(net: Net) -> CacheKey:
@@ -128,8 +125,12 @@ def _map_tree(
     return RoutingTree.from_parent(net, points, list(tree.parent))
 
 
-class CachedRouter:
+class CachedRouter(RouterMiddleware):
     """Memoising wrapper around a Pareto router (LRU, canonicalizing).
+
+    A :class:`~repro.engine.middleware.RouterMiddleware`: ``name``,
+    ``capabilities`` and every other attribute it does not define come
+    from the wrapped router (``inner``).
 
     Parameters
     ----------
@@ -158,16 +159,16 @@ class CachedRouter:
         canonicalize: str = "translation",
         store: Union["PersistentStore", str, Path, None] = None,
     ) -> None:
-        if canonicalize not in CANONICALIZE_MODES:
+        if canonicalize not in CACHE_MODES:
             raise ValueError(
-                f"unknown canonicalize mode {canonicalize!r}; "
-                f"expected one of {CANONICALIZE_MODES}"
+                f"unknown cache mode {canonicalize!r} for canonicalize; "
+                f"expected one of {CACHE_MODES}"
             )
         if isinstance(store, (str, Path)):
             from .cache_store import PersistentStore
 
             store = PersistentStore(store)
-        self.router = router
+        super().__init__(router)
         self.max_entries = max_entries
         self.canonicalize = canonicalize
         self.store = store
@@ -178,21 +179,6 @@ class CachedRouter:
         self._cache: "OrderedDict[CacheKey, Tuple[Net, GridTransform, List[Solution]]]" = (
             OrderedDict()
         )
-
-    @property
-    def name(self) -> str:
-        """The wrapped router's name (middleware transparency)."""
-        return getattr(self.router, "name", type(self.router).__name__)
-
-    @property
-    def capabilities(self) -> "RouterCapabilities":
-        """The wrapped router's capabilities (middleware transparency)."""
-        return getattr(self.router, "capabilities")
-
-    def __getattr__(self, item: str) -> object:
-        # Forward anything else (dispatch_tier, config, ...) to the
-        # wrapped router so the cache composes transparently.
-        return getattr(self.router, item)
 
     def _key(self, net: Net) -> Tuple[CacheKey, GridTransform]:
         if self.canonicalize == "symmetry":
@@ -273,7 +259,7 @@ class CachedRouter:
             counter_add("cache.store_misses")
         self.misses += 1
         counter_add("cache.misses")
-        solutions = self.router.route(net)
+        solutions = self.inner.route(net)
         self._insert(key, (net, t_query, list(solutions)))
         if self.store is not None:
             t2 = perf_counter() if timed else 0.0

@@ -46,8 +46,13 @@ from .registry import (
     register_router,
     router_entry,
 )
-from .middleware import ObservedRouter, RouterMiddleware, ValidatingRouter
-from .build import CACHE_MODES, SERVING_ENGINE, EngineSpec, build_engine
+from .middleware import (
+    CACHE_MODES,
+    ObservedRouter,
+    RouterMiddleware,
+    ValidatingRouter,
+)
+from .build import SERVING_ENGINE, EngineSpec, build_engine
 from . import adapters as _adapters  # noqa: F401  (populates the registry)
 from .adapters import FunctionRouter, single_tree_router
 

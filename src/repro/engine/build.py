@@ -27,9 +27,6 @@ from .middleware import ObservedRouter, ValidatingRouter
 from .protocol import Router
 from .registry import create_router, router_entry
 
-#: Cache canonicalization modes accepted by :class:`EngineSpec.cache`.
-CACHE_MODES = (None, "translation", "symmetry")
-
 
 @dataclass(frozen=True)
 class EngineSpec:
@@ -56,9 +53,11 @@ class EngineSpec:
         :data:`repro.lut.default.DATA_FILE`. Tables are loaded once per
         process and shared by every engine naming the same file.
     cache:
-        ``None`` (no cache), ``"translation"`` (source-relative keys, the
-        historical behaviour), or ``"symmetry"`` (translation plus the
-        eight dihedral symmetries, serving mirrored nets from one entry).
+        ``None`` (no cache) or one of
+        :data:`~repro.engine.middleware.CACHE_MODES`:
+        ``"translation"`` (source-relative keys, the historical
+        behaviour) or ``"symmetry"`` (translation plus the eight
+        dihedral symmetries, serving mirrored nets from one entry).
     cache_entries:
         LRU capacity of the cache layer.
     cache_store:
@@ -66,14 +65,6 @@ class EngineSpec:
         :class:`~repro.core.cache_store.PersistentStore` SQLite file
         installed underneath the LRU (requires ``cache`` to be set);
         disk hits compound across runs and processes.
-    cache_store_readonly:
-        Open the persistent store without write intent (pre-warmed
-        read-mostly deployments).
-    validate:
-        Install :class:`~repro.engine.middleware.ValidatingRouter`.
-    observe:
-        Install :class:`~repro.engine.middleware.ObservedRouter` (no-op
-        unless :mod:`repro.obs` layers are enabled).
     incremental:
         Wrap the assembled stack in an
         :class:`~repro.incremental.IncrementalRouter`, the ECO session
@@ -88,9 +79,6 @@ class EngineSpec:
     cache: Optional[str] = None
     cache_entries: int = 100_000
     cache_store: Optional[str] = None
-    cache_store_readonly: bool = False
-    validate: bool = True
-    observe: bool = True
     incremental: bool = False
 
 
@@ -119,10 +107,6 @@ def build_engine(spec: Union[EngineSpec, str, None] = None) -> Router:
         spec = EngineSpec()
     elif isinstance(spec, str):
         spec = EngineSpec(router=spec)
-    if spec.cache not in CACHE_MODES:
-        raise ValueError(
-            f"unknown cache mode {spec.cache!r}; expected one of {CACHE_MODES}"
-        )
     if spec.cache_store is not None and spec.cache is None:
         raise ValueError(
             "cache_store requires a cache mode; set EngineSpec.cache to "
@@ -138,27 +122,17 @@ def build_engine(spec: Union[EngineSpec, str, None] = None) -> Router:
         if not takes_lut(spec.router):
             raise ValueError(f"router {spec.router!r} takes no lookup table")
         options["lut"] = load_table(os.path.abspath(spec.lut))
-    engine: Router = create_router(spec.router, **options)
-    if spec.observe:
-        engine = ObservedRouter(engine)
+    engine: Router = ObservedRouter(create_router(spec.router, **options))
     if spec.cache is not None:
         from ..core.cache import CachedRouter
 
-        store = None
-        if spec.cache_store is not None:
-            from ..core.cache_store import PersistentStore
-
-            store = PersistentStore(
-                spec.cache_store, readonly=spec.cache_store_readonly
-            )
         engine = CachedRouter(
             engine,
             max_entries=spec.cache_entries,
             canonicalize=spec.cache,
-            store=store,
+            store=spec.cache_store,
         )
-    if spec.validate:
-        engine = ValidatingRouter(engine)
+    engine = ValidatingRouter(engine)
     if spec.incremental:
         # Imported lazily: repro.incremental imports this module.
         from ..incremental.engine import IncrementalRouter

@@ -36,6 +36,10 @@ from ..obs import (
 )
 from .protocol import Router, RouterCapabilities
 
+#: Canonicalization modes of the cache layer
+#: (:class:`~repro.core.cache.CachedRouter`, ``EngineSpec.cache``).
+CACHE_MODES = ("translation", "symmetry")
+
 
 class RouterMiddleware:
     """Base wrapper: a :class:`Router` around another :class:`Router`.

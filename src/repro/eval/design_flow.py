@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..congestion.model import CongestionMap
+from ..congestion.model import CapacityGrid
 from ..core.pareto import Solution
 from ..core.patlabor import PatLabor
 from ..geometry.net import Net
@@ -63,10 +63,14 @@ class NetOutcome:
 
 @dataclass
 class DesignFlowResult:
-    """Whole-flow summary."""
+    """Whole-flow summary.
+
+    ``demand`` is the flow's grid: committed wirelength per cell in its
+    ``demand`` array, ``capacity`` in every cell.
+    """
 
     outcomes: List[NetOutcome]
-    demand: CongestionMap
+    demand: CapacityGrid
     capacity: float
 
     @property
@@ -79,36 +83,34 @@ class DesignFlowResult:
 
     @property
     def overflow(self) -> float:
-        """Total demand beyond capacity, summed over cells."""
-        total = 0.0
-        for col in self.demand.weights:
-            for demand in col:
-                total += max(0.0, demand - self.capacity)
-        return total
+        """Total demand beyond capacity, summed over cells in scan order."""
+        return sum(self.demand.overuse().ravel().tolist())
 
     @property
     def max_utilization(self) -> float:
-        peak = max(max(col) for col in self.demand.weights)
-        return peak / self.capacity if self.capacity > 0 else 0.0
+        return self.demand.max_utilization()
 
 
-def _negotiation_cost_map(
-    demand: CongestionMap, capacity: float, exponent: float
-) -> CongestionMap:
-    """Cell weights 1 + (utilisation)^exponent — the negotiation pricing."""
+def _negotiation_cost_grid(
+    demand: CapacityGrid, capacity: float, exponent: float
+) -> CapacityGrid:
+    """Cell weights 1 + (utilisation)^exponent — the negotiation pricing.
+
+    Evaluated in Python floats: NumPy's vectorised ``power`` need not
+    round like ``float.__pow__``.
+    """
     weights = [
         [1.0 + (d / capacity) ** exponent for d in col]
-        for col in demand.weights
+        for col in demand.demand.tolist()
     ]
-    return CongestionMap(
-        xlo=demand.xlo, ylo=demand.ylo, cell=demand.cell, weights=weights
-    )
+    return CapacityGrid(demand.xlo, demand.ylo, demand.cell, weights)
 
 
-def _commit(tree: RoutingTree, demand: CongestionMap) -> None:
+def _commit(tree: RoutingTree, demand: CapacityGrid) -> None:
+    """Commit a tree's lower-L demand one segment at a time, in scan order."""
     for child, parent in tree.edges():
         for seg in embed_edge(tree.points[parent], tree.points[child]):
-            demand.deposit(seg)
+            demand.commit(*demand.rasterize_segment(seg)[:2])
 
 
 def route_design(
@@ -120,21 +122,22 @@ def route_design(
     """Run the sequential congestion-negotiated flow over a net list."""
     config = config or DesignFlowConfig()
     router = router or PatLabor()
-    demand = CongestionMap.uniform(
-        0, 0, config.span, config.span, config.cells, config.cells, weight=0.0
+    demand = CapacityGrid.uniform(
+        0, 0, config.span, config.span, config.cells, config.cells,
+        capacity=config.capacity,
     )
     ordered = sorted(nets, key=lambda n: -n.degree)
     outcomes: List[NetOutcome] = []
     for net in ordered:
         budget = (1.0 + config.delay_slack) * net.delay_lower_bound()
         candidates = _candidates(net, strategy, router)
-        cost_map = _negotiation_cost_map(
+        cost_grid = _negotiation_cost_grid(
             demand, config.capacity, config.congestion_exponent
         )
         best: Optional[Tuple[float, Solution]] = None
         for sol in candidates:
             w, d, tree = sol
-            cost = cost_map.tree_cost(tree)
+            cost = cost_grid.tree_cost(tree)
             feasible = d <= budget + 1e-9
             # Feasible candidates compete on congestion; infeasible ones
             # only matter when nothing is feasible (then min delay wins).
@@ -150,7 +153,7 @@ def route_design(
                 delay=d,
                 delay_budget=budget,
                 met_budget=d <= budget + 1e-9,
-                congestion_cost=cost_map.tree_cost(tree),
+                congestion_cost=cost_grid.tree_cost(tree),
             )
         )
     return DesignFlowResult(
@@ -176,7 +179,6 @@ def route_design_negotiated(
 
     Returns the :class:`repro.congestion.negotiate.NegotiationResult`.
     """
-    from ..congestion.model import CapacityGrid
     from ..congestion.negotiate import (
         NegotiatedRouter,
         NegotiatorConfig,

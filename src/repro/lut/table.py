@@ -408,9 +408,13 @@ def _instantiate(
         qn = t_inv.apply_node(node, n, n)
         return Point(float(xs[qn[0]]), float(ys[qn[1]]))
 
+    # Sorted, as in ``pareto_dw.reconstruct_tree``: the edges and extra
+    # points decide the tree's node numbering, which must not depend on
+    # set iteration order (a table built in process and its saved and
+    # loaded copy hold equal topologies in different set orders).
     edges: List[Tuple[Point, Point]] = []
     referenced: Set[Point] = set()
-    for a, b in canonical_edges:
+    for a, b in sorted(canonical_edges):
         pa, pb = coord(a), coord(b)
         referenced.add(pa)
         referenced.add(pb)
@@ -418,7 +422,7 @@ def _instantiate(
             edges.append((pa, pb))
     if not edges:
         edges = [(net.source, s) for s in net.sinks]
-    return RoutingTree.from_edges(net, edges, extra_points=list(referenced))
+    return RoutingTree.from_edges(net, edges, extra_points=sorted(referenced))
 
 
 def _degree2_frontier(net: Net) -> List[Solution]:

@@ -1,16 +1,17 @@
-"""SVG heatmaps of congestion / demand grids.
+"""SVG heatmaps of congestion grids.
 
-Renders a :class:`~repro.congestion.model.CongestionMap` (or any cell
-grid) as a colour-graded SVG, optionally overlaying routed trees — the
-classic global-router congestion picture. For negotiated runs,
-:func:`overuse_heatmap_svg` renders a :class:`~repro.congestion.model.
-CapacityGrid`'s utilisation with overused cells outlined — the picture
-``repro negotiate --heatmap-svg`` writes per scenario.
+Renders a :class:`~repro.congestion.model.CapacityGrid` as a
+colour-graded SVG, optionally overlaying routed trees — the classic
+global-router congestion picture. :func:`congestion_heatmap_svg` shows
+the grid's current cell prices; :func:`overuse_heatmap_svg` shows its
+utilisation with overused cells outlined — the picture
+``repro negotiate --heatmap-svg`` writes per scenario. Both draw into
+one frame (:func:`_grid_svg`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..routing.embedding import embed_tree
 from ..routing.tree import RoutingTree
@@ -18,7 +19,7 @@ from ..routing.tree import RoutingTree
 if TYPE_CHECKING:
     # Annotations only: rendering a tree or a front never loads the
     # congestion package.
-    from ..congestion.model import CapacityGrid, CongestionMap
+    from ..congestion.model import CapacityGrid
 
 
 def _heat_color(value: float) -> str:
@@ -38,53 +39,49 @@ def _heat_color(value: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def congestion_heatmap_svg(
-    cmap: CongestionMap,
-    trees: Sequence[RoutingTree] = (),
-    size: float = 480.0,
-    title: str = "congestion",
-    vmax: Optional[float] = None,
+def _grid_svg(
+    grid: CapacityGrid,
+    values: List[List[float]],
+    top: float,
+    outlined: Optional[List[List[bool]]],
+    trees: Sequence[RoutingTree],
+    size: float,
+    caption: str,
 ) -> str:
-    """A standalone SVG heatmap of the map's weights with tree overlays.
-
-    ``vmax`` sets the saturation point of the colour ramp (defaults to the
-    maximum cell weight).
-    """
-    nx, ny = cmap.nx, cmap.ny
-    top = vmax if vmax is not None else max(
-        (w for col in cmap.weights for w in col), default=1.0
-    )
-    top = max(top, 1e-12)
+    """One cell per ``values[ix][iy]`` coloured at ``value / top``,
+    ``outlined`` cells stroked in black, trees drawn on top."""
+    nx, ny = grid.nx, grid.ny
     margin = 28.0
     board = size - 2 * margin
     cell_px = board / max(nx, ny)
-
-    span_x = nx * cmap.cell
-    span_y = ny * cmap.cell
+    span_x = nx * grid.cell
+    span_y = ny * grid.cell
 
     def tx(x: float) -> float:
-        return margin + (x - cmap.xlo) / span_x * (nx * cell_px)
+        return margin + (x - grid.xlo) / span_x * (nx * cell_px)
 
     def ty(y: float) -> float:
-        return size - margin - (y - cmap.ylo) / span_y * (ny * cell_px)
+        return size - margin - (y - grid.ylo) / span_y * (ny * cell_px)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
         f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">'
         f'<rect width="100%" height="100%" fill="white"/>'
         f'<text x="{size / 2:.0f}" y="16" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif">{title} '
-        f"(max {top:.1f})</text>"
+        f'font-size="13" font-family="sans-serif">{caption}</text>'
     ]
     for ix in range(nx):
         for iy in range(ny):
-            color = _heat_color(cmap.weights[ix][iy] / top)
+            color = _heat_color(values[ix][iy] / top)
+            over = outlined is not None and outlined[ix][iy]
+            stroke = "#000" if over else "#ddd"
+            width = "1.5" if over else "0.5"
             x = margin + ix * cell_px
             y = size - margin - (iy + 1) * cell_px
             parts.append(
                 f'<rect x="{x:.1f}" y="{y:.1f}" width="{cell_px:.1f}" '
                 f'height="{cell_px:.1f}" fill="{color}" '
-                f'stroke="#ddd" stroke-width="0.5"/>'
+                f'stroke="{stroke}" stroke-width="{width}"/>'
             )
     for tree in trees:
         for seg in embed_tree(tree):
@@ -95,6 +92,26 @@ def congestion_heatmap_svg(
             )
     parts.append("</svg>")
     return "".join(parts)
+
+
+def congestion_heatmap_svg(
+    grid: CapacityGrid,
+    trees: Sequence[RoutingTree] = (),
+    size: float = 480.0,
+    title: str = "congestion",
+    vmax: Optional[float] = None,
+) -> str:
+    """A standalone SVG heatmap of the grid's cell prices with tree overlays.
+
+    ``vmax`` sets the saturation point of the colour ramp (defaults to the
+    maximum cell price).
+    """
+    prices = grid.prices()
+    top = max(vmax if vmax is not None else float(prices.max()), 1e-12)
+    return _grid_svg(
+        grid, prices.tolist(), top, None, trees, size,
+        f"{title} (max {top:.1f})",
+    )
 
 
 def overuse_heatmap_svg(
@@ -114,63 +131,10 @@ def overuse_heatmap_svg(
     NegotiatedRouter` run. Tree overlays mirror
     :func:`congestion_heatmap_svg`.
     """
-    nx, ny = grid.nx, grid.ny
-    utils = [
-        [
-            (
-                float(grid.demand[ix, iy]) / float(grid.capacity[ix, iy])
-                if float(grid.capacity[ix, iy]) > 0
-                and float(grid.capacity[ix, iy]) != float("inf")
-                else 0.0
-            )
-            for iy in range(ny)
-        ]
-        for ix in range(nx)
-    ]
-    top = vmax if vmax is not None else max(
-        1.0, max((u for col in utils for u in col), default=1.0)
-    )
+    top = vmax if vmax is not None else max(1.0, grid.max_utilization())
     top = max(top, 1e-12)
-    margin = 28.0
-    board = size - 2 * margin
-    cell_px = board / max(nx, ny)
-    span_x = nx * grid.cell
-    span_y = ny * grid.cell
-
-    def tx(x: float) -> float:
-        return margin + (x - grid.xlo) / span_x * (nx * cell_px)
-
-    def ty(y: float) -> float:
-        return size - margin - (y - grid.ylo) / span_y * (ny * cell_px)
-
-    overused = grid.overused_cells()
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
-        f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">'
-        f'<rect width="100%" height="100%" fill="white"/>'
-        f'<text x="{size / 2:.0f}" y="16" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif">{title} '
-        f"(peak util {top:.2f}, {overused} overused)</text>"
-    ]
-    for ix in range(nx):
-        for iy in range(ny):
-            color = _heat_color(utils[ix][iy] / top)
-            over = float(grid.demand[ix, iy]) > float(grid.capacity[ix, iy])
-            stroke = "#000" if over else "#ddd"
-            width = "1.5" if over else "0.5"
-            x = margin + ix * cell_px
-            y = size - margin - (iy + 1) * cell_px
-            parts.append(
-                f'<rect x="{x:.1f}" y="{y:.1f}" width="{cell_px:.1f}" '
-                f'height="{cell_px:.1f}" fill="{color}" '
-                f'stroke="{stroke}" stroke-width="{width}"/>'
-            )
-    for tree in trees:
-        for seg in embed_tree(tree):
-            parts.append(
-                f'<line x1="{tx(seg.a.x):.1f}" y1="{ty(seg.a.y):.1f}" '
-                f'x2="{tx(seg.b.x):.1f}" y2="{ty(seg.b.y):.1f}" '
-                f'stroke="#1f77b4" stroke-width="1.2" opacity="0.75"/>'
-            )
-    parts.append("</svg>")
-    return "".join(parts)
+    return _grid_svg(
+        grid, grid.utilization().tolist(), top,
+        (grid.demand > grid.capacity).tolist(), trees, size,
+        f"{title} (peak util {top:.2f}, {grid.overused_cells()} overused)",
+    )

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.congestion.model import CongestionMap
+from repro.congestion.model import CapacityGrid, np, scan_cells
 from repro.congestion.pareto3 import (
     dominates3,
     is_pareto_front3,
@@ -20,24 +20,38 @@ from repro.core.pareto_dw import pareto_frontier
 from repro.exceptions import DegreeTooLargeError
 from repro.geometry.net import Net, random_net
 from repro.baselines.rsmt import rsmt
-from repro.routing.embedding import Segment
+from repro.routing.embedding import Segment, embed_edge
 from repro.geometry.point import Point
 
 
 def flat_map(weight=1.0, span=100.0, cells=10):
-    return CongestionMap.uniform(0, 0, span, span, cells, cells, weight=weight)
+    return CapacityGrid.uniform(0, 0, span, span, cells, cells, weight=weight)
 
 
 def hotspot_map(span=100.0, cells=10, where=(4, 4), radius=2, hot=10.0):
-    cmap = flat_map(span=span, cells=cells)
+    # The base weights are final before the grid is built: the price
+    # cache does not watch in-place edits of ``base``.
+    base = [[1.0] * cells for _ in range(cells)]
     cx, cy = where
     for ix in range(max(0, cx - radius), min(cells, cx + radius + 1)):
         for iy in range(max(0, cy - radius), min(cells, cy + radius + 1)):
-            cmap.weights[ix][iy] = hot
-    return cmap
+            base[ix][iy] = hot
+    return CapacityGrid(0, 0, span / cells, base)
+
+
+def hot_cells(grid):
+    return sorted(
+        (ix, iy)
+        for ix in range(grid.nx)
+        for iy in range(grid.ny)
+        if grid.base[ix, iy] != 1.0
+    )
 
 
 class TestCongestionMap:
+    """A fresh grid as a static congestion map: costs integrate its
+    base weights."""
+
     def test_uniform_cost_equals_length(self):
         cmap = flat_map()
         seg = Segment(Point(10, 20), Point(60, 20))
@@ -76,16 +90,45 @@ class TestCongestionMap:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CongestionMap(0, 0, 0.0, [[1.0]])
+            CapacityGrid(0, 0, 0.0, [[1.0]])
         with pytest.raises(ValueError):
-            CongestionMap(0, 0, 1.0, [])
+            CapacityGrid(0, 0, 1.0, [])
         with pytest.raises(ValueError):
-            CongestionMap.uniform(0, 0, 100, 50, 10, 10)
+            CapacityGrid.uniform(0, 0, 100, 50, 10, 10)
 
     def test_random_hotspots_deterministic(self):
-        a = CongestionMap.random_hotspots(0, 0, 100, 10, rng=random.Random(1))
-        b = CongestionMap.random_hotspots(0, 0, 100, 10, rng=random.Random(1))
-        assert a.weights == b.weights
+        a = CapacityGrid.random_hotspots(0, 0, 100, 10, rng=random.Random(1))
+        b = CapacityGrid.random_hotspots(0, 0, 100, 10, rng=random.Random(1))
+        assert np.array_equal(a.base, b.base)
+
+    # Hot cells (and the next draw of the rng) recorded from the weight
+    # map class CapacityGrid replaced: same draws, same cells.
+    HOTSPOTS = {
+        (1, 8.0): (
+            [(2, 9), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2), (5, 0),
+             (5, 1), (5, 2), (6, 6), (6, 7), (6, 8), (7, 6), (7, 7), (7, 8),
+             (8, 6), (8, 7), (8, 8)],
+            807,
+        ),
+        (100, 10.0): (
+            [(1, 5), (1, 6), (1, 7), (1, 8), (2, 5), (2, 6), (2, 7), (2, 8),
+             (3, 5), (3, 6), (3, 7), (3, 8), (6, 8)],
+            545,
+        ),
+    }
+
+    @pytest.mark.parametrize("seed, hot", list(HOTSPOTS))
+    def test_random_hotspots_pinned_cells(self, seed, hot):
+        cells, next_draw = self.HOTSPOTS[(seed, hot)]
+        rng = random.Random(seed)
+        grid = CapacityGrid.random_hotspots(
+            0, 0, 100, 10, hotspots=3, hot_weight=hot, rng=rng
+        )
+        assert (grid.nx, grid.ny, grid.cell) == (10, 10, 10.0)
+        assert hot_cells(grid) == cells
+        assert set(grid.base.ravel().tolist()) == {1.0, hot}
+        assert rng.randrange(1000) == next_draw
+        assert np.isinf(grid.capacity).all()
 
 
 class TestPareto3:
@@ -133,7 +176,7 @@ class TestParetoDw3:
 
     def test_front_is_3d_antichain_of_valid_trees(self):
         net = random_net(5, rng=random.Random(2), span=100.0)
-        cmap = CongestionMap.random_hotspots(
+        cmap = CapacityGrid.random_hotspots(
             0, 0, 100, 10, rng=random.Random(3)
         )
         front = pareto_dw3(net, cmap)
@@ -165,7 +208,7 @@ class TestEmbedding:
         for _ in range(3):
             net = random_net(8, rng=rng, span=100.0)
             tree = rsmt(net)
-            cmap = CongestionMap.random_hotspots(
+            cmap = CapacityGrid.random_hotspots(
                 0, 0, 100, 10, rng=random.Random(5)
             )
             _, best = embed_min_congestion(tree, cmap)
@@ -185,7 +228,7 @@ class TestEmbedding:
 class TestAnnotatedFront:
     def test_any_degree(self):
         net = random_net(14, rng=random.Random(7), span=100.0)
-        cmap = CongestionMap.random_hotspots(0, 0, 100, 10, rng=random.Random(8))
+        cmap = CapacityGrid.random_hotspots(0, 0, 100, 10, rng=random.Random(8))
         front = congestion_annotated_front(net, cmap)
         assert front and is_pareto_front3(front)
 
@@ -256,10 +299,7 @@ class TestScanCells:
         assert cmap.segment_cells(seg) == []
 
 
-# ------------------------------------------------- CapacityGrid bit-identity
-
-
-from repro.congestion.model import CapacityGrid, np  # noqa: E402
+# ------------------------------------------------------- CapacityGrid state
 
 
 class TestCapacityGrid:
@@ -325,26 +365,77 @@ class TestCapacityGrid:
             grid.cell,
         )
 
-    def test_adapter_round_trip_preserves_weights(self):
-        cmap = CongestionMap.random_hotspots(
-            0, 0, 100, 10, rng=random.Random(11)
-        )
-        grid = CapacityGrid.from_congestion_map(cmap)
-        back = grid.as_congestion_map()
-        assert back.weights == cmap.weights
-        assert back.outside_weight == cmap.outside_weight
+    def test_scalar_costs_follow_the_current_prices(self):
+        grid = CapacityGrid.uniform(0, 0, 100, 100, 10, 10, capacity=5.0)
+        probe = Segment(Point(0, 5), Point(30, 5))
+        assert grid.segment_cost(probe) == 30.0
+        arrays = grid.rasterize_segment(Segment(Point(0, 5), Point(10, 5)))
+        grid.commit(*arrays[:2])
+        grid.pres_fac = 0.5
+        # Cell (0, 0) is 5 over capacity: price 1 + 0.5 * 5.
+        assert grid.segment_cost(probe) == 10.0 * 3.5 + 20.0
+        grid.escalate(2.0)
+        assert grid.edge_cost((0, 5), (30, 5)) == 10.0 * 6.0 + 20.0
+        grid.ripup(*arrays[:2])
+        assert grid.tree_cost(rsmt(Net.from_points((0, 5), [(30, 5)]))) == 30.0
+
+
+class ListMap:
+    """Test oracle: a plain list-of-lists weight map whose costs are
+    integrated straight from :func:`scan_cells`, one cell at a time."""
+
+    def __init__(self, weights, cell, outside_weight):
+        self.weights = weights
+        self.cell = cell
+        self.outside_weight = outside_weight
+
+    def _w(self, ix, iy):
+        if 0 <= ix < len(self.weights) and 0 <= iy < len(self.weights[0]):
+            return self.weights[ix][iy]
+        return self.outside_weight
+
+    def segment_cost(self, seg):
+        cost = 0.0
+        if seg.is_horizontal:
+            iy = int(seg.a.y // self.cell)
+            lo, hi = sorted((seg.a.x, seg.b.x))
+            for ix, length in scan_cells(0.0, self.cell, lo, hi):
+                cost += length * self._w(ix, iy)
+        else:
+            ix = int(seg.a.x // self.cell)
+            lo, hi = sorted((seg.a.y, seg.b.y))
+            for iy, length in scan_cells(0.0, self.cell, lo, hi):
+                cost += length * self._w(ix, iy)
+        return cost
+
+    def edge_cost(self, a, b, lower_l=True):
+        return sum(self.segment_cost(s) for s in embed_edge(a, b, lower_l))
+
+    def best_edge_cost(self, a, b):
+        lo = self.edge_cost(a, b, True)
+        hi = self.edge_cost(a, b, False)
+        return (lo, True) if lo <= hi else (hi, False)
+
+    def tree_cost(self, tree):
+        total = 0.0
+        for child, parent in tree.edges():
+            total += self.best_edge_cost(
+                tree.points[parent], tree.points[child]
+            )[0]
+        return total
 
 
 class TestCapacityGridBitIdentity:
-    """With zero demand/history, CapacityGrid costs are bit-identical to
-    CongestionMap's — the adapter contract the single-net APIs rely on."""
+    """A grid's costs are bit-identical to the cell-by-cell oracle on its
+    weights, in and outside the covered region, for every single-net
+    API."""
 
     def _pair(self, seed):
-        cmap = CongestionMap.random_hotspots(
+        grid = CapacityGrid.random_hotspots(
             0, 0, 100, 10, rng=random.Random(seed)
         )
-        cmap.outside_weight = 2.5
-        return cmap, CapacityGrid.from_congestion_map(cmap)
+        grid.outside_weight = 2.5
+        return ListMap(grid.base.tolist(), grid.cell, 2.5), grid
 
     def test_segment_costs_bit_identical(self):
         cmap, grid = self._pair(20)
@@ -474,7 +565,7 @@ class TestEmbedDeterminismProperties:
         # cache tiers above it) depend on.
         net = random_net(5, rng=random.Random(net_seed), span=100.0)
         tree = rsmt(net)
-        cmap = CongestionMap.random_hotspots(
+        cmap = CapacityGrid.random_hotspots(
             0, 0, 100, 10, rng=random.Random(map_seed)
         )
         segs_a, cost_a = embed_min_congestion(tree, cmap)
@@ -490,7 +581,7 @@ class TestEmbedDeterminismProperties:
         rng = random.Random(seed)
         net = random_net(5, rng=rng, span=100.0)
         tree = rsmt(net)
-        cmap = CongestionMap.random_hotspots(
+        cmap = CapacityGrid.random_hotspots(
             0, 0, 100, 10, rng=random.Random(seed + 1)
         )
         segs, cost = embed_min_congestion(tree, cmap)

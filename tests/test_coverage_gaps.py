@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.congestion.model import CongestionMap
+from repro.congestion.model import CapacityGrid
 from repro.core.batch import BatchResult
 from repro.core.pareto_dw import pareto_frontier
 from repro.exceptions import (
@@ -116,22 +116,26 @@ class TestTransformGroupClosure:
 
 class TestCongestionCells:
     def test_segment_cells_partition_length(self):
-        cmap = CongestionMap.uniform(0, 0, 100, 100, 10, 10)
+        grid = CapacityGrid.uniform(0, 0, 100, 100, 10, 10)
         seg = Segment(Point(7, 33), Point(81, 33))
-        cells = cmap.segment_cells(seg)
+        cells = grid.segment_cells(seg)
         assert abs(sum(length for _c, length in cells) - seg.length) < 1e-9
         assert all(length > 0 for _c, length in cells)
 
     def test_deposit_accumulates_in_range_only(self):
-        cmap = CongestionMap.uniform(0, 0, 100, 100, 10, 10, weight=0.0)
-        cmap.deposit(Segment(Point(-20, 5), Point(20, 5)))
-        total = sum(sum(col) for col in cmap.weights)
-        assert abs(total - 20) < 1e-9  # only the in-range half lands
+        grid = CapacityGrid.uniform(0, 0, 100, 100, 10, 10)
+        idx, lengths, outside = grid.rasterize_segment(
+            Segment(Point(-20, 5), Point(20, 5))
+        )
+        grid.commit(idx, lengths)
+        assert abs(grid.demand.sum() - 20) < 1e-9  # only the in-range half lands
+        assert abs(outside - 20) < 1e-9
 
     def test_deposit_scale(self):
-        cmap = CongestionMap.uniform(0, 0, 100, 100, 10, 10, weight=0.0)
-        cmap.deposit(Segment(Point(0, 5), Point(10, 5)), scale=2.0)
-        assert abs(cmap.weights[0][0] - 20) < 1e-9
+        grid = CapacityGrid.uniform(0, 0, 100, 100, 10, 10)
+        idx, lengths, _ = grid.rasterize_segment(Segment(Point(0, 5), Point(10, 5)))
+        grid.commit(idx, 2.0 * lengths)
+        assert abs(grid.demand[0, 0] - 20) < 1e-9
 
 
 class TestBatchResult:

@@ -12,6 +12,7 @@ from repro.engine import (
     FunctionRouter,
     Router,
     RouterCapabilities,
+    RouterMiddleware,
     available_routers,
     build_engine,
     create_router,
@@ -184,10 +185,9 @@ class TestEngineSpecLut:
     def test_shipped_path_arms_the_default_table_object(self):
         from repro.lut.default import DATA_FILE, default_table
 
-        engine = build_engine(
-            EngineSpec(lut=DATA_FILE, validate=False, observe=False)
-        )
-        assert isinstance(engine, PatLabor)
+        engine = build_engine(EngineSpec(lut=DATA_FILE))
+        # ``lut`` forwards through the validating and observing layers.
+        assert isinstance(engine, RouterMiddleware)
         assert engine.lut is default_table()
 
     def test_every_spelling_of_a_path_shares_one_table(self):
@@ -196,7 +196,7 @@ class TestEngineSpecLut:
         from repro.lut.default import DATA_FILE
 
         tables = {
-            id(build_engine(EngineSpec(lut=lut, validate=False, observe=False)).lut)
+            id(build_engine(EngineSpec(lut=lut)).lut)
             for lut in (DATA_FILE, str(DATA_FILE), os.path.relpath(DATA_FILE))
         }
         assert len(tables) == 1

@@ -138,6 +138,25 @@ class TestLookupTable:
             for w, d, tree in lut45.lookup(net):
                 check_tree(tree, hanan=True)
 
+    def test_saved_and_loaded_table_numbers_trees_alike(self, lut45, tmp_path):
+        """A table and its save_lut/load_lut copy return equal trees, node
+        numbering included: lookup does not depend on the set order the
+        topologies were built in."""
+        from repro.eval.benchmarks import synth_net
+        from repro.io.lut_io import load_lut, save_lut
+
+        save_lut(lut45, tmp_path / "lut45.npz")
+        loaded = load_lut(tmp_path / "lut45.npz")
+        rng = random.Random(7)
+        for degree in (4, 5) * 200:
+            net = synth_net(degree, rng)
+            built, copied = lut45.lookup(net), loaded.lookup(net)
+            assert [(w, d) for w, d, _t in built] == [
+                (w, d) for w, d, _t in copied
+            ]
+            for (_w, _d, a), (_w2, _d2, b) in zip(built, copied):
+                assert a.points == b.points and a.parent == b.parent
+
     def test_symmetry_consistency(self, lut45, assert_fronts_equal):
         """Reflected/rotated nets get reflected frontiers (same values)."""
         rng = random.Random(6)

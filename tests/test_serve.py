@@ -507,7 +507,7 @@ class TestWorkerSpec:
             layer = layer.inner
         assert layer.canonicalize == "symmetry"
         assert layer.max_entries == 100_000
-        router = layer.router
+        router = layer.inner
         while not isinstance(router, PatLabor):
             router = router.inner
         assert router.lut is default_table()

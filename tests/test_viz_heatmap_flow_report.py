@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.baselines.rsmt import rsmt
-from repro.congestion.model import CongestionMap
+from repro.congestion.model import CapacityGrid
 from repro.eval.design_flow import DesignFlowConfig, route_design
 from repro.eval.flow_report import render_flow_detail, render_flow_summary
 from repro.geometry.net import random_net
@@ -27,9 +27,9 @@ class TestHeatColor:
 
 class TestHeatmapSvg:
     def _map(self):
-        cmap = CongestionMap.uniform(0, 0, 100, 100, 4, 4)
-        cmap.weights[1][1] = 9.0
-        return cmap
+        base = [[1.0] * 4 for _ in range(4)]
+        base[1][1] = 9.0
+        return CapacityGrid(0, 0, 25.0, base)
 
     def test_well_formed(self):
         svg = congestion_heatmap_svg(self._map(), title="demand")
@@ -46,6 +46,11 @@ class TestHeatmapSvg:
     def test_vmax_override(self):
         svg = congestion_heatmap_svg(self._map(), vmax=100.0)
         assert "max 100.0" in svg
+
+    def test_default_vmax_is_the_peak_price(self):
+        svg = congestion_heatmap_svg(self._map())
+        assert "max 9.0" in svg
+        assert svg.count('fill="rgb(214,39,40)"') == 1  # the one hot cell
 
 
 class TestFlowReport:
