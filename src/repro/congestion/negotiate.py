@@ -358,10 +358,15 @@ class NegotiatedRouter:
         len_parts: List[Array] = []
         gid_parts: List[Array] = []
         for _w, _d, tree in front:
-            edges = list(tree.edges())
+            # Edges in geometric order, (parent point, child point): the
+            # per-point cost sums and commit_arrays' np.add.at then follow
+            # the tree's shape, not how its nodes happen to be numbered.
+            edges = sorted(
+                (tree.points[parent], tree.points[child])
+                for child, parent in tree.edges()
+            )
             point_slices.append((len(group_cells), len(edges)))
-            for child, parent in edges:
-                a, b = tree.points[parent], tree.points[child]
+            for a, b in edges:
                 for lower_l in (True, False):
                     seg_idx: List[Array] = []
                     seg_len: List[Array] = []

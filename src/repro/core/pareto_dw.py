@@ -51,8 +51,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set
-from typing import Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
+from typing import Sequence, Set, Tuple
 
 from ..exceptions import DegreeTooLargeError
 from ..geometry.hanan import GridNode, HananGrid
@@ -609,12 +609,8 @@ def _pareto_dw_impl(
     num_sinks = len(sink_nodes)
     full = (1 << num_sinks) - 1
 
-    if lemma2:
-        corner = set(grid.corner_nodes())
-        nodes = [v for v in grid.nodes() if v not in corner]
-    else:
-        corner = set()
-        nodes = list(grid.nodes())
+    corner = set(grid.corner_nodes()) if lemma2 else set()
+    nodes = [v for v in grid.nodes() if v not in corner]
     if stats is not None:
         stats.grid_nodes = len(nodes)
         stats.pruned_corner_nodes = len(corner)
@@ -749,7 +745,14 @@ def _pareto_dw_impl(
             # is bounded by 2^(n-1) * |nodes| * |S|, fine for n <= 12.)
 
     top = S[full]
-    result = top[0] if top is not None else []
+    return _finish(net, grid, top[0] if top is not None else [], with_trees)
+
+
+def _finish(
+    net: Net, grid: HananGrid, result: List[Solution], with_trees: bool
+) -> List[Solution]:
+    """The returned front of either engine: ``result`` (payloads are
+    backpointers), or with ``with_trees`` each payload's realised tree."""
     if not with_trees:
         return clean_front(result)
 
@@ -762,6 +765,517 @@ def _pareto_dw_impl(
             # tree can only be equal or better in both objectives.
             final.append((min(w, tw), min(d, td), tree))
     return clean_front(final)
+
+
+class _Store:
+    """Equal-length columns, appended batch by batch, joined when read.
+
+    The array engine keeps two: its elements ``(kind, ea, eb)`` and its
+    front slots ``(fe, sw, sd)``.
+    """
+
+    def __init__(self, *columns: Any) -> None:
+        self._chunks: List[List[Any]] = [[col] for col in columns]
+        self.size = int(columns[0].shape[0])
+
+    def append(self, *columns: Any) -> int:
+        """Append one batch of rows; returns the batch's first row id."""
+        base = self.size
+        for chunks, col in zip(self._chunks, columns):
+            chunks.append(col)
+        self.size += int(columns[0].shape[0])
+        return base
+
+    def columns(self) -> Tuple[Any, ...]:
+        """Each column as one array; it replaces the chunks, so no copy stays."""
+        import numpy as np
+
+        for chunks in self._chunks:
+            if len(chunks) > 1:
+                chunks[:] = [np.concatenate(chunks)]
+        return tuple(chunks[0] for chunks in self._chunks)
+
+
+class _Sources(NamedTuple):
+    """The closure inputs of one cardinality: the merged fronts of
+    ``masks`` back to back (block ``m`` is ``ptr[m]:ptr[m + 1]``), each
+    ordered by source node then front position — the reference closure
+    bucket order — as element ids, source nodes and objectives."""
+
+    masks: Any
+    ptr: Any
+    eids: Any
+    vis: Any
+    w: Any
+    d: Any
+
+
+class _ArraySolve:
+    """One array-engine solve: its state and its stages.
+
+    Construction prepares the grid, the Lemma-2 node index, the node
+    distance matrix ``dmat``, the incumbent-bound tables, the stores and
+    ``PTR`` / ``CNT`` (each ``(mask, node)`` front's slot range;
+    uncomputed masks read as empty), installing the ``warm`` rows. Then,
+    per subset cardinality:
+
+    * :meth:`merge` — the live ``(mask, node, split)`` rows
+      (:func:`_live_merge_rows`) expand into cross products
+      (:func:`~repro.core.frontier_array.ragged_product_indices`),
+      filtered by segmented exact sweeps, one segment per ``(mask,
+      node)`` bucket;
+    * :meth:`close` — every merged front is extended to every grid
+      node via broadcasts against the distance matrix and filtered the
+      same way, reusing source elements for identity extensions exactly
+      like the tuple DP reuses tuples.
+
+    :meth:`front` reads the result, :meth:`tables` the compacted tables.
+    Elements are struct-of-arrays backpointers: kind 0 = leaf(sink node
+    index), 1 = ext(child, ``u * num_nodes + v``), 2 = merge(left,
+    right). Objectives live only in the slots, so the merge phase reads
+    them with plain float gathers (an identity closure adds a bitwise
+    0.0, so a reused element's objectives are its slot's).
+    """
+
+    def __init__(
+        self,
+        net: Net,
+        *,
+        lemma2: bool,
+        lemma3: bool,
+        lemma4: bool,
+        stats: Optional[DWStats],
+        warm: Optional[Tuple["DWState", Sequence[int]]],
+        incumbents: Optional[Sequence[RoutingTree]],
+        retaining: bool,
+    ) -> None:
+        import numpy as np
+
+        self.net = net
+        self.stats = stats
+        self.budget = _CANDIDATE_BUDGET
+        self.grid = grid = HananGrid.of_net(net)
+        pin_nodes = grid.pin_nodes()
+        self.sink_nodes = sink_nodes = pin_nodes[1:]
+        self.num_sinks = len(sink_nodes)
+        self.full = (1 << self.num_sinks) - 1
+        corner = set(grid.corner_nodes()) if lemma2 else set()
+        self.nodes = nodes = [v for v in grid.nodes() if v not in corner]
+        if stats is not None:
+            stats.grid_nodes = len(nodes)
+            stats.pruned_corner_nodes = len(corner)
+        self.boundary_rank = _boundary_order(grid, sink_nodes) if lemma4 else None
+        self.num_nodes = len(nodes)
+        self.node_index = {v: vi for vi, v in enumerate(nodes)}
+        self.source_vi = self.node_index[pin_nodes[0]]
+        # The full sink set is read at the source node only, so a solve
+        # that retains no state closes it there alone; a retained table
+        # keeps the full set at every node for an edit that moves the source.
+        self.full_col = None if retaining else self.source_vi
+        node_ix, node_iy = np.array(nodes, dtype=np.int64).T
+        node_flat = node_ix * grid.ny + node_iy
+        # Node-indexed distance matrix, gathered from the same float values
+        # grid.dist() produces (bit-identical by the distance_array contract).
+        dist = grid.distance_array()
+        self.dmat = dist[np.ix_(node_flat, node_flat)]
+        self.beyond: Optional[Callable[[Any, Any], Any]] = None
+        if incumbents is not None:
+            self.beyond, self.lb_w, self.lb_d = _incumbent_bound(
+                grid, dist, node_flat, incumbents
+            )
+        self.box_all = None
+        if lemma3:
+            lo_x, hi_x, lo_y, hi_y = _mask_box(
+                _sink_membership(self.num_sinks), *np.array(sink_nodes).T
+            )
+            box = (node_ix >= lo_x) & (node_ix <= hi_x)
+            self.box_all = box & (node_iy >= lo_y) & (node_iy <= hi_y)
+
+        self.PTR = np.zeros((self.full + 1, self.num_nodes), dtype=np.int64)
+        self.CNT = np.zeros_like(self.PTR)
+        i8, i64, f64 = (np.empty(0, dtype=t) for t in (np.int8, np.int64, np.float64))
+        #: The installed masks, ascending.
+        self.reused = i64
+        if warm is None:
+            self.elems = _Store(i8, i64, i64)
+            self.slots = _Store(i64, f64, f64)
+        else:
+            # The retained stores come first, so the installed rows'
+            # slot and element ids stay valid as they are.
+            state, reuse_masks = warm
+            self.reused = np.array(sorted(set(reuse_masks)), dtype=np.int64)
+            self.elems = _Store(state.kind, state.ea, state.eb)
+            self.slots = _Store(state.fe, state.sw, state.sd)
+            self.PTR[self.reused] = state.ptr[self.reused]
+            self.CNT[self.reused] = state.cnt[self.reused]
+
+    def _unbeaten(self, bw: Any, bd: Any, cols: Tuple[Any, ...]) -> List[Any]:
+        """``cols`` without the entries whose lower bounds ``(bw, bd)`` an
+        incumbent beats (counted as ``bound_pruned``)."""
+        import numpy as np
+
+        hit = self.beyond(bw, bd)
+        if self.stats is not None:
+            self.stats.bound_pruned += int(np.count_nonzero(hit))
+        kept = np.flatnonzero(~hit)
+        return [col.take(kept) for col in cols]
+
+    def merge(self, size: int) -> Optional[_Sources]:
+        """The closure sources of the ``size``-sink masks not installed
+        from warm state, or ``None`` when there are none: one leaf
+        element per sink at size 1, else every split merge."""
+        import numpy as np
+
+        stats = self.stats
+        if size == 1:
+            reused = set(self.reused.tolist())
+            leaves = [si for si in range(self.num_sinks) if (1 << si) not in reused]
+            if not leaves:
+                return None
+            n = len(leaves)
+            vis = np.array(
+                [self.node_index[self.sink_nodes[si]] for si in leaves], dtype=np.int64
+            )
+            ids = np.arange(n + 1, dtype=np.int64)
+            base = self.elems.append(np.zeros(n, np.int8), vis, np.zeros_like(vis))
+            if stats is not None:
+                stats.subsets += n
+            zeros = np.zeros(n, dtype=np.float64)
+            leaf_masks = 1 << np.array(leaves, dtype=np.int64)
+            return _Sources(leaf_masks, ids, base + ids[:-1], vis, zeros, zeros)
+        if self.boundary_rank is None:
+            masks, sub = _shared_split_table(self.num_sinks, size)
+        else:
+            masks, sub = _split_table(self.num_sinks, size, self.boundary_rank)
+        if self.reused.size:
+            fresh = ~np.isin(masks, self.reused)
+            masks, sub = masks[fresh], sub[fresh]
+            if not masks.size:
+                return None
+        box = self.box_all[masks] if self.box_all is not None else None
+        if stats is not None:
+            stats.subsets += masks.shape[0]
+            # Pad entries are 0; a mask without Lemma 4 has every split.
+            stats.splits_saved_lemma4 += int(
+                ((1 << (size - 1)) - 1) * masks.shape[0] - np.count_nonzero(sub)
+            )
+            if box is not None:
+                stats.merge_skipped_lemma3 += int(box.size - np.count_nonzero(box))
+        with span("dw.merge"):
+            return self._merge(masks, sub, box)
+
+    def _merge(self, masks: Any, sub: Any, box: Optional[Any]) -> _Sources:
+        """All split merges of one cardinality, in budget-sized batches.
+
+        Takes the cardinality's :func:`_split_table` rows and Lemma-3
+        ``box`` (or ``None``); returns its closure sources, less what the
+        incumbent bound drops. Batches are cut between ``(mask, node)``
+        segments.
+        """
+        import numpy as np
+
+        stats = self.stats
+        num_nodes = self.num_nodes
+        budget = self.budget
+        empty = np.empty(0, dtype=np.int64)
+        pieces: List[Tuple[Any, ...]] = [(empty,) * 3 + (np.empty(0),) * 2]
+        for m, v, _, c1, c2, p1, p2 in _live_merge_rows(
+            self.CNT, self.PTR, masks, sub, box, budget
+        ):
+            if stats is not None:
+                stats.merge_transitions += m.shape[0]
+            key = m * num_nodes + v
+            if self.beyond is not None:
+                # Each row's ideal corner bounds every product it would
+                # build: least w = the two fronts' first w, least d = the
+                # max of their last d (fronts are w-ascending, d-descending).
+                _, sw, sd = self.slots.columns()
+                c1, c2, p1, p2, key = self._unbeaten(
+                    sw.take(p1) + sw.take(p2) + self.lb_w[masks.take(m), v],
+                    np.maximum(sd.take(p1 + c1 - 1), sd.take(p2 + c2 - 1))
+                    + self.lb_d.take(v),
+                    (c1, c2, p1, p2, key),
+                )
+            n_rows = key.shape[0]
+            if not n_rows:
+                continue
+            # Segments are the runs of equal (mask, node). Greedy batch
+            # cuts on segment boundaries: each batch takes the longest
+            # run of segments whose products fit the budget.
+            cnts = c1 * c2
+            first = np.ones(n_rows, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            seg = np.cumsum(first) - 1
+            seg_row = np.append(np.flatnonzero(first), n_rows)
+            seg_cum = np.cumsum(cnts)[seg_row[1:] - 1]
+            rows = (c1, c2, p1, p2, cnts, seg, key)
+            seg_row = seg_row.tolist()
+            n_seg = len(seg_row) - 1
+            s0 = 0
+            while s0 < n_seg:
+                done = int(seg_cum[s0 - 1]) if s0 else 0
+                s1 = int(np.searchsorted(seg_cum, done + budget, side="right"))
+                s1 = max(s1, s0 + 1)
+                pieces.append(
+                    self._merge_batch(rows, seg_row[s0], seg_row[s1], s0, s1)
+                )
+                s0 = s1
+        src_key, src_eids, src_vis, src_w, src_d = (
+            np.concatenate(col) for col in zip(*pieces)
+        )
+        src_m = src_key // num_nodes
+        if self.beyond is not None:
+            src_m, src_eids, src_vis, src_w, src_d = self._unbeaten(
+                src_w + self.lb_w[masks.take(src_m), src_vis],
+                src_d + self.lb_d.take(src_vis),
+                (src_m, src_eids, src_vis, src_w, src_d),
+            )
+        src_ptr = np.searchsorted(src_m, np.arange(masks.shape[0] + 1))
+        return _Sources(masks, src_ptr, src_eids, src_vis, src_w, src_d)
+
+    def _merge_batch(
+        self, rows: Tuple[Any, ...], r0: int, r1: int, s0: int, s1: int
+    ) -> Tuple[Any, Any, Any, Any, Any]:
+        """Merge products of rows ``r0:r1`` = segments ``s0:s1``, filtered.
+
+        Returns ``(src_key, src_eids, src_vis, src_w, src_d)`` of the
+        survivors, grouped by segment in segment order, and appends one
+        merge element per survivor.
+        """
+        import numpy as np
+
+        from .frontier_array import (
+            ragged_product_indices,
+            segment_strict_prune,
+            segmented_pareto_filter,
+        )
+
+        num_nodes = self.num_nodes
+        c1, c2, st1, st2, cnts, seg, key = (col[r0:r1] for col in rows)
+        fe, sw, sd = self.slots.columns()
+        _, i_a, i_b = ragged_product_indices(c1, c2, st1, st2, rows=False)
+        # Merged pair: w adds, d maxes (in place over the fresh gathers).
+        mw = sw.take(i_a)
+        np.add(mw, sw.take(i_b), out=mw)
+        md = sd.take(i_a)
+        np.maximum(md, sd.take(i_b), out=md)
+        n_cand = mw.shape[0]
+        if self.stats is not None:
+            self.stats.merge_candidates += n_cand
+        # Rows are mask-major, node-major, split-minor, so segment ids
+        # are non-decreasing along the candidate axis: per-segment sizes
+        # aggregate per-row product counts, and survivors recover their
+        # segment / row ids by binary search instead of a full-length
+        # expansion (exact: counts stay far below 2**53).
+        local = seg - s0
+        if n_cand >= _PRUNE_MIN:
+            sizes = np.bincount(local, weights=cnts, minlength=s1 - s0).astype(
+                np.int64
+            )
+            seg_cum = np.cumsum(sizes)
+            starts = np.concatenate(([0], seg_cum[:-1]))
+            keep0 = segment_strict_prune(starts, sizes, mw, md)
+            sel = np.nonzero(keep0)[0]
+            w_c = mw.take(sel)
+            d_c = md.take(sel)
+            seg_c = np.searchsorted(seg_cum, sel, side="right")
+        else:
+            sel = None
+            w_c = mw
+            d_c = md
+            seg_c = np.repeat(local, cnts)
+        sidx = segmented_pareto_filter(seg_c, w_c, d_c)
+        picked = sel.take(sidx) if sel is not None else sidx
+        kind = np.full(picked.shape[0], 2, np.int8)
+        elem_base = self.elems.append(kind, fe[i_a[picked]], fe[i_b[picked]])
+        src_eids = elem_base + np.arange(sidx.shape[0], dtype=np.int64)
+        row_of = np.searchsorted(np.cumsum(cnts), picked, side="right")
+        src_key = key.take(row_of)
+        return src_key, src_eids, src_key % num_nodes, w_c.take(sidx), d_c.take(sidx)
+
+    def close(self, size: int, src: _Sources) -> None:
+        """Close every source front of every mask over all nodes (the
+        full sink set over :attr:`full_col` alone, when it is set).
+
+        Cuts the ``len(src) * width`` candidates into batches of at most
+        the budget: consecutive masks are grouped while their rows fit,
+        and a mask whose rows alone exceed the budget is split by
+        target-node columns. Every ``(mask, node)`` segment sees all of
+        its candidates in one batch, in reference order.
+        """
+        import numpy as np
+
+        col = self.full_col if size == self.num_sinks else None
+        c_lo, c_hi = (0, self.num_nodes) if col is None else (col, col + 1)
+        width = c_hi - c_lo
+        budget = self.budget
+        masks = src.masks
+        e_list = np.diff(src.ptr).tolist()
+        with span("dw.closure"):
+            if self.stats is not None:
+                # Every source element extends to each target but its own node.
+                self.stats.closure_extensions += src.vis.shape[0] * width - int(
+                    np.count_nonzero((src.vis >= c_lo) & (src.vis < c_hi))
+                )
+            m0 = 0
+            while m0 < len(masks):
+                rows = e_list[m0]
+                m1 = m0 + 1
+                while m1 < len(masks) and (rows + e_list[m1]) * width <= budget:
+                    rows += e_list[m1]
+                    m1 += 1
+                if rows:
+                    # Masks m0:m1 alone, their block offsets rebased to 0.
+                    r0, r1 = int(src.ptr[m0]), int(src.ptr[m1])
+                    part = _Sources(
+                        masks[m0:m1],
+                        src.ptr[m0 : m1 + 1] - r0,
+                        *(column[r0:r1] for column in src[2:]),
+                    )
+                    cols = max(1, min(width, budget // rows))
+                    for c0 in range(c_lo, c_hi, cols):
+                        self._close_batch(part, c0, min(c0 + cols, c_hi))
+                m0 = m1
+
+    def _close_batch(self, src: _Sources, c0: int, c1: int) -> None:
+        """Extend the source fronts of ``src`` to nodes ``c0:c1``, filter.
+
+        Writes the resulting fronts of target columns ``c0:c1`` into
+        PTR/CNT and the slots, and appends extension elements for the
+        non-identity survivors.
+        """
+        import numpy as np
+
+        from .frontier_array import segmented_pareto_filter
+
+        stats = self.stats
+        masks = src.masks
+        n_masks = masks.shape[0]
+        e_arr = np.diff(src.ptr)
+        n_src = src.vis.shape[0]
+        ncols = c1 - c0
+        # Candidate matrices, element-major: row e = source element,
+        # column v = target node, value = source objectives +
+        # dmat[u_e, v] — both objectives grow by the same wirelength
+        # offset, so two broadcast adds against the shared distance rows
+        # build every candidate with no index expansion at all. The
+        # segment of cell (e, v) is (mask_of_e, v); within a segment the
+        # flattened row-major order is ascending e — the reference
+        # bucket order.
+        drows = self.dmat[src.vis, c0:c1]
+        c_w = src.w[:, None] + drows
+        c_d = src.d[:, None] + drows
+        nz = e_arr > 0
+        mask_of_e = np.repeat(np.arange(n_masks, dtype=np.int64), e_arr)
+        if n_src * ncols >= _PRUNE_MIN:
+            # Strict-dominance pre-pass, per segment (m, v) = the mask's
+            # rows of one column: the same two real witnesses as
+            # segment_strict_prune, computed with axis-0 reduceats over
+            # contiguous row blocks (empty blocks skipped via ``nz``).
+            cblock = np.repeat(
+                np.arange(int(nz.sum()), dtype=np.int64), e_arr[nz]
+            )
+            bstarts = src.ptr[:-1][nz]
+            inf = np.float64("inf")
+            min_d = np.minimum.reduceat(c_d, bstarts, axis=0)[cblock]
+            min_w = np.minimum.reduceat(c_w, bstarts, axis=0)[cblock]
+            w_at = np.minimum.reduceat(
+                np.where(c_d == min_d, c_w, inf), bstarts, axis=0
+            )[cblock]
+            d_at = np.minimum.reduceat(
+                np.where(c_w == min_w, c_d, inf), bstarts, axis=0
+            )[cblock]
+            dom = (w_at < c_w) | ((w_at == c_w) & (min_d < c_d))
+            dom |= (d_at < c_d) | ((d_at == c_d) & (min_w < c_w))
+            sel = np.flatnonzero(~dom)
+            w_c = c_w.ravel().take(sel)
+            d_c = c_d.ravel().take(sel)
+            e_c = sel // ncols
+            v_c = sel - e_c * ncols
+            if self.beyond is not None:
+                # The incumbent bound, on the pre-pass survivors only.
+                v_abs = v_c + c0
+                w_c, d_c, e_c, v_c = self._unbeaten(
+                    w_c + self.lb_w[masks.take(mask_of_e.take(e_c)), v_abs],
+                    d_c + self.lb_d.take(v_abs),
+                    (w_c, d_c, e_c, v_c),
+                )
+        else:
+            w_c = c_w.ravel()
+            d_c = c_d.ravel()
+            e_c = np.repeat(np.arange(n_src, dtype=np.int64), ncols)
+            v_c = np.tile(np.arange(ncols, dtype=np.int64), n_src)
+        seg_c = mask_of_e.take(e_c) * ncols + v_c
+        sidx = segmented_pareto_filter(seg_c, w_c, d_c)
+        s_seg = seg_c.take(sidx)
+        s_w = w_c.take(sidx)
+        s_d = d_c.take(sidx)
+        e_full = e_c.take(sidx)
+        s_child = src.eids.take(e_full)
+        s_u = src.vis.take(e_full)
+        s_v = v_c.take(sidx) + c0
+        is_id = s_u == s_v
+        new = ~is_id
+        n_new = int(new.sum())
+        elem_base = self.elems.append(
+            np.ones(n_new, np.int8), s_child[new], s_u[new] * self.num_nodes + s_v[new]
+        )
+        new_ids = elem_base + np.cumsum(new) - 1
+        fe_vals = np.where(is_id, s_child, new_ids)
+        slot_base = self.slots.append(fe_vals, s_w, s_d)
+        counts = np.bincount(s_seg, minlength=n_masks * ncols).reshape(
+            n_masks, ncols
+        )
+        starts = slot_base + np.concatenate(
+            ([0], np.cumsum(counts.ravel())[:-1])
+        ).reshape(n_masks, ncols)
+        self.PTR[masks, c0:c1] = starts
+        self.CNT[masks, c0:c1] = counts
+        if stats is not None:
+            stats.closure_allocations += n_new
+            top = int(counts.max()) if counts.size else 0
+            if top > stats.max_front_size:
+                stats.max_front_size = top
+
+    def front(self, with_trees: bool) -> List[Solution]:
+        """The full sink set's front at the source node, payload tuples
+        materialized (one walk per solution) so downstream consumers see
+        the tuple DP's exact backpointer structure."""
+        ptr = int(self.PTR[self.full, self.source_vi])
+        top = slice(ptr, ptr + int(self.CNT[self.full, self.source_vi]))
+        fe, sw, sd = (col[top].tolist() for col in self.slots.columns())
+        result = list(zip(sw, sd, self._payloads(fe)))
+        return _finish(self.net, self.grid, result, with_trees)
+
+    def _payloads(self, eids: List[int]) -> List[Any]:
+        """The backpointer tuple of each element of ``eids``, shared
+        structurally like the tuple DP's."""
+        kind, ea, eb = self.elems.columns()
+        nodes = self.nodes
+        memo: Dict[int, Any] = {}
+        stack = list(eids)
+        while stack:
+            e = stack.pop()
+            if e in memo:
+                continue
+            k, a, b = int(kind[e]), int(ea[e]), int(eb[e])
+            todo = [c for c in (a, b)[:k] if c not in memo]
+            if todo:
+                stack += [e, *todo]
+            elif k == 0:
+                memo[e] = ("leaf", nodes[a])
+            elif k == 1:
+                u, v = divmod(b, self.num_nodes)
+                memo[e] = ("ext", nodes[u], nodes[v], memo[a])
+            else:
+                memo[e] = ("merge", memo[a], memo[b])
+        return [memo[e] for e in eids]
+
+    def tables(self) -> Tuple[Any, ...]:
+        """The solved tables, compacted for a :class:`DWState`."""
+        return _compact_tables(
+            self.PTR, self.CNT, *self.slots.columns(), *self.elems.columns()
+        )
 
 
 def _pareto_dw_array_impl(
@@ -781,17 +1295,8 @@ def _pareto_dw_array_impl(
     Same DP, same transitions, same frontiers as :func:`_pareto_dw_impl` —
     but every front lives in contiguous NumPy arrays and the work of one
     subset cardinality is batched into a few vectorized passes, each
-    holding at most :data:`_CANDIDATE_BUDGET` candidates:
-
-    * **merge phase** — the live ``(mask, node, split)`` rows of one
-      cardinality (:func:`_live_merge_rows`) expand into cross products
-      (:func:`~repro.core.frontier_array.ragged_product_indices`),
-      filtered by segmented exact sweeps, one segment per ``(mask,
-      node)`` bucket;
-    * **closure phase** — every merged front is extended to every grid
-      node via broadcasts against the distance matrix and filtered the
-      same way, reusing source elements for identity extensions exactly
-      like the tuple DP reuses tuples.
+    holding at most :data:`_CANDIDATE_BUDGET` candidates; this function
+    runs the stages of one :class:`_ArraySolve`.
 
     Backpointers are struct-of-arrays (kind/arg columns) instead of
     nested tuples; payload tuples are materialized only for the final
@@ -818,525 +1323,19 @@ def _pareto_dw_array_impl(
     the ``(mask, node)`` fronts below it are not, so a bounded solve
     neither installs nor retains state (``docs/numerics.md`` §9).
     """
-    import numpy as np
-
-    from .frontier_array import (
-        ragged_product_indices,
-        segment_strict_prune,
-        segmented_pareto_filter,
+    if incumbents is not None and (warm is not None or retain is not None):
+        raise ValueError("a bounded solve neither installs nor retains state")
+    solve = _ArraySolve(
+        net, lemma2=lemma2, lemma3=lemma3, lemma4=lemma4, stats=stats,
+        warm=warm, incumbents=incumbents, retaining=retain is not None,
     )
-
-    budget = _CANDIDATE_BUDGET
-    grid = HananGrid.of_net(net)
-    pin_nodes = grid.pin_nodes()
-    source_node = pin_nodes[0]
-    sink_nodes = pin_nodes[1:]
-    num_sinks = len(sink_nodes)
-    full = (1 << num_sinks) - 1
-
-    if lemma2:
-        corner = set(grid.corner_nodes())
-        nodes = [v for v in grid.nodes() if v not in corner]
-    else:
-        corner = set()
-        nodes = list(grid.nodes())
-    if stats is not None:
-        stats.grid_nodes = len(nodes)
-        stats.pruned_corner_nodes = len(corner)
-
-    boundary_rank = _boundary_order(grid, sink_nodes) if lemma4 else None
-
-    num_nodes = len(nodes)
-    ny = grid.ny
-    node_index = {v: vi for vi, v in enumerate(nodes)}
-    node_ix, node_iy = np.array(nodes, dtype=np.int64).T
-    node_flat = node_ix * ny + node_iy
-    # Node-indexed distance matrix, gathered from the same float values
-    # grid.dist() produces (bit-identical by the distance_array contract).
-    dist = grid.distance_array()
-    dmat = dist[np.ix_(node_flat, node_flat)]
-    beyond: Optional[Callable[[Any, Any], Any]] = None
-    if incumbents is not None:
-        if warm is not None or retain is not None:
-            raise ValueError("a bounded solve neither installs nor retains state")
-        beyond, lb_w, lb_d = _incumbent_bound(grid, dist, node_flat, incumbents)
-
-    # --- element store: struct-of-arrays backpointers, appended per batch.
-    # kind 0 = leaf(sink node index), 1 = ext(child, u * num_nodes + v),
-    # kind 2 = merge(left, right). Objectives live only in the slots.
-    kind_chunks: List[Any] = []
-    ea_chunks: List[Any] = []
-    eb_chunks: List[Any] = []
-    num_elems = 0
-
-    def _append_elems(kind: int, ea: Any, eb: Any) -> int:
-        """Append one batch of elements; returns the batch's base id."""
-        nonlocal num_elems
-        base = num_elems
-        kind_chunks.append(np.full(ea.shape[0], kind, dtype=np.int8))
-        ea_chunks.append(ea)
-        eb_chunks.append(eb)
-        num_elems += ea.shape[0]
-        return base
-
-    # --- front store: FE maps front slots to element ids; SW/SD hold
-    # each slot's (w, d) objectives in contiguous float columns so the
-    # merge phase reads them with plain float gathers (an identity
-    # closure adds a bitwise 0.0, so a reused element's objectives are
-    # its slot's). PTR/CNT give each (mask, node) front's slot range;
-    # uncomputed masks read as empty.
-    fe_chunks: List[Any] = []
-    sw_chunks: List[Any] = []
-    sd_chunks: List[Any] = []
-    num_slots = 0
-    PTR = np.zeros((full + 1, num_nodes), dtype=np.int64)
-    CNT = np.zeros((full + 1, num_nodes), dtype=np.int64)
-    # Warm start: the retained stores become the first chunks, so the
-    # installed rows' slot and element ids stay valid as they are.
-    reused: Set[int] = set()
-    if warm is not None:
-        state, reuse_masks = warm
-        reused = set(reuse_masks)
-        kind_chunks.append(state.kind)
-        ea_chunks.append(state.ea)
-        eb_chunks.append(state.eb)
-        num_elems = state.kind.shape[0]
-        fe_chunks.append(state.fe)
-        sw_chunks.append(state.sw)
-        sd_chunks.append(state.sd)
-        num_slots = state.fe.shape[0]
-        idx = np.array(list(reused), dtype=np.int64)
-        PTR[idx] = state.ptr[idx]
-        CNT[idx] = state.cnt[idx]
-
-    def _append_slots(fe: Any, sw: Any, sd: Any) -> int:
-        nonlocal num_slots
-        base = num_slots
-        fe_chunks.append(fe)
-        sw_chunks.append(sw)
-        sd_chunks.append(sd)
-        num_slots += fe.shape[0]
-        return base
-
-    def _consolidated(chunks: List[Any]) -> Any:
-        """One array of all ``chunks``; it replaces them, so no copy stays."""
-        if len(chunks) > 1:
-            chunks[:] = [np.concatenate(chunks)]
-        return chunks[0]
-
-    def _slots() -> Tuple[Any, Any, Any]:
-        """Consolidated FE, SW, SD columns."""
-        return (
-            _consolidated(fe_chunks),
-            _consolidated(sw_chunks),
-            _consolidated(sd_chunks),
-        )
-
-    def _closure_batch(
-        masks: Any,
-        src_ptr: Any,
-        src_eids: Any,
-        src_vis: Any,
-        src_w: Any,
-        src_d: Any,
-        c0: int,
-        c1: int,
-    ) -> None:
-        """Extend the source fronts of ``masks`` to nodes ``c0:c1``, filter.
-
-        ``src_*`` hold the merged fronts of all ``masks`` back to back
-        (block ``m`` delimited by ``src_ptr``), each block ordered by
-        source node then front position — the reference's closure bucket
-        order. Writes the resulting fronts of target columns ``c0:c1``
-        into PTR/CNT/FE and appends extension elements for the
-        non-identity survivors.
-        """
-        n_masks = masks.shape[0]
-        e_arr = np.diff(src_ptr)
-        n_src = src_vis.shape[0]
-        ncols = c1 - c0
-        # Candidate matrices, element-major: row e = source element,
-        # column v = target node, value = source objectives +
-        # dmat[u_e, v] — both objectives grow by the same wirelength
-        # offset, so two broadcast adds against the shared distance rows
-        # build every candidate with no index expansion at all. The
-        # segment of cell (e, v) is (mask_of_e, v); within a segment the
-        # flattened row-major order is ascending e — the reference
-        # bucket order.
-        drows = dmat[src_vis, c0:c1]
-        c_w = src_w[:, None] + drows
-        c_d = src_d[:, None] + drows
-        nz = e_arr > 0
-        mask_of_e = np.repeat(np.arange(n_masks, dtype=np.int64), e_arr)
-        if n_src * ncols >= _PRUNE_MIN:
-            # Strict-dominance pre-pass, per segment (m, v) = the mask's
-            # rows of one column: the same two real witnesses as
-            # segment_strict_prune, computed with axis-0 reduceats over
-            # contiguous row blocks (empty blocks skipped via ``nz``).
-            cblock = np.repeat(
-                np.arange(int(nz.sum()), dtype=np.int64), e_arr[nz]
-            )
-            bstarts = src_ptr[:-1][nz]
-            inf = np.float64("inf")
-            min_d = np.minimum.reduceat(c_d, bstarts, axis=0)[cblock]
-            min_w = np.minimum.reduceat(c_w, bstarts, axis=0)[cblock]
-            w_at = np.minimum.reduceat(
-                np.where(c_d == min_d, c_w, inf), bstarts, axis=0
-            )[cblock]
-            d_at = np.minimum.reduceat(
-                np.where(c_w == min_w, c_d, inf), bstarts, axis=0
-            )[cblock]
-            dom = (w_at < c_w) | ((w_at == c_w) & (min_d < c_d))
-            dom |= (d_at < c_d) | ((d_at == c_d) & (min_w < c_w))
-            if beyond is not None:
-                hit = beyond(
-                    c_w + lb_w[masks.take(mask_of_e), c0:c1],
-                    c_d + lb_d[c0:c1],
-                )
-                if stats is not None:
-                    stats.bound_pruned += int(np.count_nonzero(hit & ~dom))
-                dom |= hit
-            sel = np.flatnonzero(~dom)
-            w_c = c_w.ravel().take(sel)
-            d_c = c_d.ravel().take(sel)
-            e_c = sel // ncols
-            v_c = sel - e_c * ncols
-        else:
-            w_c = c_w.ravel()
-            d_c = c_d.ravel()
-            e_c = np.repeat(np.arange(n_src, dtype=np.int64), ncols)
-            v_c = np.tile(np.arange(ncols, dtype=np.int64), n_src)
-        seg_c = mask_of_e.take(e_c) * ncols + v_c
-        sidx = segmented_pareto_filter(seg_c, w_c, d_c)
-        s_seg = seg_c.take(sidx)
-        s_w = w_c.take(sidx)
-        s_d = d_c.take(sidx)
-        e_full = e_c.take(sidx)
-        s_child = src_eids.take(e_full)
-        s_u = src_vis.take(e_full)
-        s_v = v_c.take(sidx) + c0
-        is_id = s_u == s_v
-        new = ~is_id
-        n_new = int(new.sum())
-        elem_base = _append_elems(
-            1, s_child[new], s_u[new] * num_nodes + s_v[new]
-        )
-        new_ids = elem_base + np.cumsum(new) - 1
-        fe_vals = np.where(is_id, s_child, new_ids)
-        slot_base = _append_slots(fe_vals, s_w, s_d)
-        counts = np.bincount(s_seg, minlength=n_masks * ncols).reshape(
-            n_masks, ncols
-        )
-        starts = slot_base + np.concatenate(
-            ([0], np.cumsum(counts.ravel())[:-1])
-        ).reshape(n_masks, ncols)
-        PTR[masks, c0:c1] = starts
-        CNT[masks, c0:c1] = counts
-        if stats is not None:
-            stats.closure_allocations += n_new
-            top = int(counts.max()) if counts.size else 0
-            if top > stats.max_front_size:
-                stats.max_front_size = top
-
-    def _closure(
-        masks: Any,
-        src_ptr: Any,
-        src_eids: Any,
-        src_vis: Any,
-        src_w: Any,
-        src_d: Any,
-        col: Optional[int] = None,
-    ) -> None:
-        """Close every source front of every mask over all nodes, or over
-        node ``col`` alone when it is given.
-
-        Cuts the ``len(src) * width`` candidates into batches of at most
-        ``budget``: consecutive masks are grouped while their rows fit,
-        and a mask whose rows alone exceed the budget is split by
-        target-node columns. Every ``(mask, node)`` segment sees all of
-        its candidates in one batch, in reference order.
-        """
-        c_lo, c_hi = (0, num_nodes) if col is None else (col, col + 1)
-        width = c_hi - c_lo
-        e_list = np.diff(src_ptr).tolist()
-        n_src = src_vis.shape[0]
-        if stats is not None:
-            # Every source element extends to each target but its own node.
-            stats.closure_extensions += n_src * width - int(
-                np.count_nonzero((src_vis >= c_lo) & (src_vis < c_hi))
-            )
-        m0 = 0
-        while m0 < len(masks):
-            rows = e_list[m0]
-            m1 = m0 + 1
-            while m1 < len(masks) and (rows + e_list[m1]) * width <= budget:
-                rows += e_list[m1]
-                m1 += 1
-            if rows:
-                r0, r1 = int(src_ptr[m0]), int(src_ptr[m1])
-                cols = max(1, min(width, budget // rows))
-                for c0 in range(c_lo, c_hi, cols):
-                    _closure_batch(
-                        masks[m0:m1],
-                        src_ptr[m0 : m1 + 1] - r0,
-                        src_eids[r0:r1],
-                        src_vis[r0:r1],
-                        src_w[r0:r1],
-                        src_d[r0:r1],
-                        c0,
-                        min(c0 + cols, c_hi),
-                    )
-            m0 = m1
-
-    def _merge_rows(
-        r0: int, r1: int, s0: int, s1: int, rows: Tuple[Any, ...]
-    ) -> Tuple[Any, Any, Any, Any, Any]:
-        """Merge products of rows ``r0:r1`` = segments ``s0:s1``, filtered.
-
-        Returns ``(src_key, src_eids, src_vis, src_w, src_d)`` of the
-        survivors, grouped by segment in segment order, and appends one
-        merge element per survivor.
-        """
-        c1, c2, st1, st2, cnts, seg, key = (col[r0:r1] for col in rows)
-        fe, sw, sd = _slots()
-        _, i_a, i_b = ragged_product_indices(c1, c2, st1, st2, rows=False)
-        # Merged pair: w adds, d maxes (in place over the fresh gathers).
-        mw = sw.take(i_a)
-        np.add(mw, sw.take(i_b), out=mw)
-        md = sd.take(i_a)
-        np.maximum(md, sd.take(i_b), out=md)
-        n_cand = mw.shape[0]
-        if stats is not None:
-            stats.merge_candidates += n_cand
-        # Rows are mask-major, node-major, split-minor, so segment ids
-        # are non-decreasing along the candidate axis: per-segment sizes
-        # aggregate per-row product counts, and survivors recover their
-        # segment / row ids by binary search instead of a full-length
-        # expansion (exact: counts stay far below 2**53).
-        local = seg - s0
-        if n_cand >= _PRUNE_MIN:
-            sizes = np.bincount(local, weights=cnts, minlength=s1 - s0).astype(
-                np.int64
-            )
-            seg_cum = np.cumsum(sizes)
-            starts = np.concatenate(([0], seg_cum[:-1]))
-            keep0 = segment_strict_prune(starts, sizes, mw, md)
-            sel = np.nonzero(keep0)[0]
-            w_c = mw.take(sel)
-            d_c = md.take(sel)
-            seg_c = np.searchsorted(seg_cum, sel, side="right")
-        else:
-            sel = None
-            w_c = mw
-            d_c = md
-            seg_c = np.repeat(local, cnts)
-        sidx = segmented_pareto_filter(seg_c, w_c, d_c)
-        picked = sel.take(sidx) if sel is not None else sidx
-        elem_base = _append_elems(2, fe[i_a[picked]], fe[i_b[picked]])
-        src_eids = elem_base + np.arange(sidx.shape[0], dtype=np.int64)
-        row_of = np.searchsorted(np.cumsum(cnts), picked, side="right")
-        src_key = key.take(row_of)
-        return src_key, src_eids, src_key % num_nodes, w_c.take(sidx), d_c.take(sidx)
-
-    def _unbeaten(bw: Any, bd: Any, cols: Tuple[Any, ...]) -> List[Any]:
-        """``cols`` without the entries whose lower bounds ``(bw, bd)`` an
-        incumbent beats (counted as ``bound_pruned``)."""
-        hit = beyond(bw, bd)
-        if stats is not None:
-            stats.bound_pruned += int(np.count_nonzero(hit))
-        kept = np.flatnonzero(~hit)
-        return [col.take(kept) for col in cols]
-
-    def _merge(masks: Any, sub: Any, box: Optional[Any]) -> Tuple[Any, ...]:
-        """All split merges of one cardinality, in budget-sized batches.
-
-        Takes the cardinality's :func:`_split_table` rows and Lemma-3
-        ``box`` (or ``None``); returns the closure inputs ``(src_ptr,
-        src_eids, src_vis, src_w, src_d)``, one block per mask ordered by
-        node then front position, less what the incumbent bound drops.
-        Batches are cut between ``(mask, node)`` segments.
-        """
-        empty = np.empty(0, dtype=np.int64)
-        pieces: List[Tuple[Any, ...]] = [(empty,) * 3 + (np.empty(0),) * 2]
-        for m, v, _, c1, c2, p1, p2 in _live_merge_rows(
-            CNT, PTR, masks, sub, box, budget
-        ):
-            if stats is not None:
-                stats.merge_transitions += m.shape[0]
-            key = m * num_nodes + v
-            if beyond is not None:
-                # Each row's ideal corner bounds every product it would
-                # build: least w = the two fronts' first w, least d = the
-                # max of their last d (fronts are w-ascending, d-descending).
-                _, sw, sd = _slots()
-                c1, c2, p1, p2, key = _unbeaten(
-                    sw.take(p1) + sw.take(p2) + lb_w[masks.take(m), v],
-                    np.maximum(sd.take(p1 + c1 - 1), sd.take(p2 + c2 - 1))
-                    + lb_d.take(v),
-                    (c1, c2, p1, p2, key),
-                )
-            n_rows = key.shape[0]
-            if not n_rows:
-                continue
-            # Segments are the runs of equal (mask, node). Greedy batch
-            # cuts on segment boundaries: each batch takes the longest
-            # run of segments whose products fit the budget.
-            cnts = c1 * c2
-            first = np.ones(n_rows, dtype=bool)
-            np.not_equal(key[1:], key[:-1], out=first[1:])
-            seg = np.cumsum(first) - 1
-            seg_row = np.append(np.flatnonzero(first), n_rows)
-            seg_cum = np.cumsum(cnts)[seg_row[1:] - 1]
-            rows = (c1, c2, p1, p2, cnts, seg, key)
-            seg_row = seg_row.tolist()
-            n_seg = len(seg_row) - 1
-            s0 = 0
-            while s0 < n_seg:
-                done = int(seg_cum[s0 - 1]) if s0 else 0
-                s1 = int(np.searchsorted(seg_cum, done + budget, side="right"))
-                s1 = max(s1, s0 + 1)
-                pieces.append(_merge_rows(seg_row[s0], seg_row[s1], s0, s1, rows))
-                s0 = s1
-        src_key, src_eids, src_vis, src_w, src_d = (
-            np.concatenate(col) for col in zip(*pieces)
-        )
-        src_m = src_key // num_nodes
-        if beyond is not None:
-            src_m, src_eids, src_vis, src_w, src_d = _unbeaten(
-                src_w + lb_w[masks.take(src_m), src_vis],
-                src_d + lb_d.take(src_vis),
-                (src_m, src_eids, src_vis, src_w, src_d),
-            )
-        src_ptr = np.searchsorted(src_m, np.arange(masks.shape[0] + 1))
-        return src_ptr, src_eids, src_vis, src_w, src_d
-
-    # The full sink set is read at the source node only, so a solve that
-    # retains no state closes it there alone; a retained table keeps the
-    # full set at every node for an edit that moves the source.
-    full_col = node_index[source_node] if retain is None else None
-
-    # --- singletons: one leaf element per sink, closed over all nodes.
-    leaves = [si for si in range(num_sinks) if (1 << si) not in reused]
-    if leaves:
-        with span("dw.closure"):
-            n_leaves = len(leaves)
-            leaf_vis = np.array(
-                [node_index[sink_nodes[si]] for si in leaves], dtype=np.int64
-            )
-            leaf_base = _append_elems(
-                0, leaf_vis, np.zeros(n_leaves, dtype=np.int64)
-            )
-            _closure(
-                1 << np.array(leaves, dtype=np.int64),
-                np.arange(n_leaves + 1, dtype=np.int64),
-                leaf_base + np.arange(n_leaves, dtype=np.int64),
-                leaf_vis,
-                np.zeros(n_leaves, dtype=np.float64),
-                np.zeros(n_leaves, dtype=np.float64),
-                full_col if num_sinks == 1 else None,
-            )
-        if stats is not None:
-            stats.subsets += n_leaves
-
-    # --- larger subsets, one batched merge + closure pass per cardinality.
-    box_all = None
-    if lemma3:
-        lo_x, hi_x, lo_y, hi_y = _mask_box(
-            _sink_membership(num_sinks), *np.array(sink_nodes).T
-        )
-        box_all = (node_ix >= lo_x) & (node_ix <= hi_x)
-        box_all &= (node_iy >= lo_y) & (node_iy <= hi_y)
-    reused_arr = np.array(sorted(reused), dtype=np.int64)
-    for size in range(2, num_sinks + 1):
-        if boundary_rank is None:
-            masks, sub = _shared_split_table(num_sinks, size)
-        else:
-            masks, sub = _split_table(num_sinks, size, boundary_rank)
-        if reused:
-            fresh = ~np.isin(masks, reused_arr)
-            masks, sub = masks[fresh], sub[fresh]
-            if not masks.size:
-                continue
-        box = box_all[masks] if box_all is not None else None
-        if stats is not None:
-            stats.subsets += masks.shape[0]
-            # Pad entries are 0; a mask without Lemma 4 has every split.
-            stats.splits_saved_lemma4 += int(
-                ((1 << (size - 1)) - 1) * masks.shape[0] - np.count_nonzero(sub)
-            )
-            if box is not None:
-                stats.merge_skipped_lemma3 += int(box.size - np.count_nonzero(box))
-        with span("dw.merge"):
-            merged = _merge(masks, sub, box)
-        with span("dw.closure"):
-            _closure(masks, *merged, full_col if size == num_sinks else None)
-
-    # --- materialize the final frontier's payload tuples (tiny: one walk
-    # per surviving solution) so downstream consumers see the exact same
-    # backpointer structure as the tuple DP.
-    src_vi = node_index[source_node]
-    cnt = int(CNT[full, src_vi])
-    ptr = int(PTR[full, src_vi])
-    fe, sw, sd = _slots()
-    ekind, ea, eb = (
-        _consolidated(col) for col in (kind_chunks, ea_chunks, eb_chunks)
-    )
+    for size in range(1, solve.num_sinks + 1):
+        sources = solve.merge(size)
+        if sources is not None:
+            solve.close(size, sources)
     if retain is not None:
-        retain.append(_compact_tables(PTR, CNT, fe, sw, sd, ekind, ea, eb))
-    if not cnt:
-        return []
-    memo: Dict[int, Any] = {}
-
-    def _payload_of(eid: int) -> Any:
-        stack = [eid]
-        while stack:
-            e = stack[-1]
-            if e in memo:
-                stack.pop()
-                continue
-            k = int(ekind[e])
-            if k == 0:
-                memo[e] = ("leaf", nodes[int(ea[e])])
-                stack.pop()
-            elif k == 1:
-                child = int(ea[e])
-                if child in memo:
-                    u, v = divmod(int(eb[e]), num_nodes)
-                    memo[e] = ("ext", nodes[u], nodes[v], memo[child])
-                    stack.pop()
-                else:
-                    stack.append(child)
-            else:
-                left = int(ea[e])
-                right = int(eb[e])
-                if left in memo and right in memo:
-                    memo[e] = ("merge", memo[left], memo[right])
-                    stack.pop()
-                else:
-                    if left not in memo:
-                        stack.append(left)
-                    if right not in memo:
-                        stack.append(right)
-        return memo[eid]
-
-    result = [
-        (w, d, _payload_of(e))
-        for w, d, e in zip(
-            sw[ptr : ptr + cnt].tolist(),
-            sd[ptr : ptr + cnt].tolist(),
-            fe[ptr : ptr + cnt].tolist(),
-        )
-    ]
-    if not with_trees:
-        return clean_front(result)
-
-    final: List[Solution] = []
-    with span("dw.reconstruct"):
-        for w, d, payload in result:
-            tree = reconstruct_tree(net, grid, payload)
-            tw, td = tree.objective()
-            final.append((min(w, tw), min(d, td), tree))
-    return clean_front(final)
+        retain.append(solve.tables())
+    return solve.front(with_trees)
 
 
 def reconstruct_tree(net: Net, grid: HananGrid, payload: Any) -> RoutingTree:

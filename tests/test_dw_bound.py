@@ -181,6 +181,28 @@ class TestWorkCounters:
         assert st_b.merge_candidates < st_u.merge_candidates
         assert st_b.closure_allocations < st_u.closure_allocations
 
+    @pytest.mark.parametrize(
+        "degree,seed,counts",
+        [
+            # (bound_pruned, merge_candidates, closure_allocations,
+            # closure_extensions) as literals: restructuring the engine
+            # or reordering its bound tests must leave every count as is.
+            (7, 21, (1084, 1755, 520, 6244)),
+            (8, 22, (2081, 19348, 1635, 59760)),
+            (9, 23, (16885, 114658, 7566, 349399)),
+        ],
+    )
+    def test_bounded_work_counts_are_pinned(self, degree, seed, counts):
+        net = random_net(degree, rng=random.Random(seed), span=90.0)
+        stats = DWStats()
+        pareto_dw(net, stats=stats)
+        assert (
+            stats.bound_pruned,
+            stats.merge_candidates,
+            stats.closure_allocations,
+            stats.closure_extensions,
+        ) == counts
+
     def test_flushed_only_by_bounded_solves(self):
         net = random_net(8, rng=random.Random(8), grid=9, span=90.0)
         obs.reset()
