@@ -8,9 +8,9 @@ of one-pin edits and each edit invalidates exactly one net.
 The same 200-edit stream is costed two ways:
 
 * **warm** — one :class:`~repro.incremental.engine.IncrementalRouter`
-  holds per-net sessions (cache short-circuits, retained Dreyfus–Wagner
-  subset fronts, warm local-search seeds) and re-routes only the edited
-  net per delta.
+  holds per-net sessions (cache short-circuits, warm local-search seeds)
+  and re-routes only the edited net per delta; a DW-tier edit is one
+  cold, bounded ``pareto_dw`` of the edited net.
 * **cold** — the full re-route model: a fresh engine (empty caches)
   routes the *entire* design again, which is what a non-incremental
   flow pays per edit. Cold runs are timed on a sample of the stream
@@ -21,14 +21,14 @@ The same 200-edit stream is costed two ways:
 
 Emits
 
-* ``results/eco.txt`` — the warm/cold table, reuse and speedup,
+* ``results/eco.txt`` — the warm/cold table, tiers and speedup,
 * ``results/BENCH_eco.json`` — obs counters plus the workload config,
 * ``results/ledger.jsonl`` — one appended ``eco`` run record carrying
-  ``eco.speedup_rate`` / ``eco.reuse_rate`` / ``eco.warm_mean_ms`` for
+  ``eco.speedup_rate`` / ``eco.warm_mean_ms`` for
   ``repro obs check`` against the committed baseline.
 
 Asserted shape: warm-path speedup **>= 10x** over the full re-route
-model, positive DW mask reuse, and bit-identical sampled fronts.
+model and bit-identical sampled fronts.
 """
 
 import json
@@ -49,9 +49,9 @@ MIN_SPEEDUP = 10.0  # gate: warm path must beat full re-routes by this
 SPAN = 1000.0
 
 #: Shared coordinate lattice the design's pins are drawn from. Pins that
-#: share grid lines make signature-preserving moves common, so the DW
-#: warm path has retained subset fronts to reuse (random off-grid pins
-#: almost always drop a Hanan line and force a full recompute).
+#: share grid lines make signature-preserving moves common (random
+#: off-grid pins almost always drop a Hanan line); the stream is pinned
+#: by ``tests/test_incremental.py``.
 LATTICE = [SPAN * i / 7.0 for i in range(8)]
 
 
@@ -91,16 +91,12 @@ def test_eco_speedup_vs_full_reroute():
 
         current = {net.name: net for net in nets}
         warm_seconds = 0.0
-        reused = 0
-        total_masks = 0
         tiers = {}
         cold_samples = []
         exact_checked = 0
         for index, delta in enumerate(deltas):
             result = engine.apply_delta(delta)
             warm_seconds += result.wall_s
-            reused += result.reused_masks
-            total_masks += result.total_masks
             tiers[result.tier] = tiers.get(result.tier, 0) + 1
             current[delta.net] = apply_delta(current[delta.net], delta)
             if index not in sampled:
@@ -122,11 +118,9 @@ def test_eco_speedup_vs_full_reroute():
         cold_mean = sum(cold_samples) / len(cold_samples)
         cold_seconds = cold_mean * DELTAS  # extrapolated full-stream cost
         speedup = cold_seconds / warm_seconds if warm_seconds else float("inf")
-        reuse_rate = reused / total_masks if total_masks else 0.0
         warm_mean_ms = warm_seconds / DELTAS * 1e3
 
         assert exact_checked > 0, "no sampled edit landed on an exact tier"
-        assert reuse_rate > 0.0, "DW warm path never reused a subset front"
         assert speedup >= MIN_SPEEDUP, (
             f"eco speedup {speedup:.1f}x below the {MIN_SPEEDUP:.0f}x gate "
             f"(cold {cold_seconds:.2f}s vs warm {warm_seconds:.2f}s)"
@@ -141,7 +135,6 @@ def test_eco_speedup_vs_full_reroute():
             f"{warm_mean_ms:>10.2f}ms",
             f"\nspeedup: {speedup:.1f}x over {DELTAS} one-pin edits on "
             f"{NETS} nets ({COLD_SAMPLES} cold runs sampled)",
-            f"dw mask reuse: {reused}/{total_masks} ({reuse_rate:.1%})  "
             f"tiers: {dict(sorted(tiers.items()))}",
             f"bit-identical sampled fronts: {exact_checked}/{exact_checked}",
         ]
@@ -159,7 +152,6 @@ def test_eco_speedup_vs_full_reroute():
                 "cold_seconds": cold_seconds,
                 "warm_seconds": warm_seconds,
                 "speedup": speedup,
-                "reuse_rate": reuse_rate,
                 "tiers": tiers,
             },
         )
@@ -170,7 +162,6 @@ def test_eco_speedup_vs_full_reroute():
         record = obs.make_record(
             {
                 "eco.speedup_rate": speedup,
-                "eco.reuse_rate": reuse_rate,
                 "eco.warm_mean_ms": warm_mean_ms,
                 "eco.deltas": float(DELTAS),
             },

@@ -310,19 +310,14 @@ def _cmd_eco(args: argparse.Namespace) -> int:
     current = {net.name: net for net in nets}
     tiers: dict = {}
     eco_s = 0.0
-    reused = 0
-    total = 0
     identical = 0
     compared = 0
     for index, delta in enumerate(deltas):
         result = engine.apply_delta(delta)
         tiers[result.tier] = tiers.get(result.tier, 0) + 1
         eco_s += result.wall_s
-        reused += result.reused_masks
-        total += result.total_masks
         line = (
             f"#{index} {delta.kind} {delta.net or '-'}: tier={result.tier} "
-            f"reuse={result.reused_masks}/{result.total_masks} "
             f"{result.wall_s:.6f}s"
         )
         if delta.kind != "blockage":
@@ -345,7 +340,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
         "seed_seconds": seed_s,
         "eco_seconds": eco_s,
         "mean_eco_seconds": eco_s / len(deltas) if deltas else 0.0,
-        "reuse_rate": reused / total if total else 0.0,
         "tiers": dict(sorted(tiers.items())),
     }
     if args.compare_cold:
@@ -357,8 +351,7 @@ def _cmd_eco(args: argparse.Namespace) -> int:
         print(
             f"{report['deltas']} delta(s) over {report['nets']} net(s): "
             f"seed {seed_s:.3f}s, eco {eco_s:.3f}s "
-            f"(mean {report['mean_eco_seconds']:.6f}s), "
-            f"mask reuse {report['reuse_rate']:.1%}"
+            f"(mean {report['mean_eco_seconds']:.6f}s)"
         )
         if args.compare_cold:
             print(

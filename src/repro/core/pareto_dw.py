@@ -42,8 +42,7 @@ engine's fixed per-pass cost, and also beats streaming two-pointer
 merges (``docs/performance.md``, "Removed: the sorted-front
 tuple kernels"). ``kernels=False`` runs the tuple DP at every degree —
 the oracle of the equivalence tests and benchmarks. Both engines close
-the full sink set at the source node only, the one node it is read at,
-unless an ECO solve retains its tables.
+the full sink set at the source node only, the one node it is read at.
 """
 
 from __future__ import annotations
@@ -113,7 +112,7 @@ class DWStats:
 
     ``closure_extensions`` counts extension candidates *considered* (one
     per candidate and closed node other than its own; the full sink set
-    is closed at the source only unless state is retained) and is
+    is closed at the source only) and is
     identical between the two engines; the two allocation counters
     measure what each engine actually materializes: ``merge_candidates``
     is the number of merge-product candidates built (tuple DP: ``a · b``
@@ -505,15 +504,12 @@ def _pareto_dw_on(
     with_trees: bool = True,
     max_degree: int = DEFAULT_MAX_DEGREE,
     stats: Optional[DWStats] = None,
-    warm: Optional[Tuple["DWState", Sequence[int]]] = None,
-    retain: Optional[List[Tuple[Any, ...]]] = None,
     bound: bool = False,
 ) -> List[Solution]:
     """:func:`pareto_dw` on a given ``engine``, ``"tuple"`` or ``"array"``
     (same frontier on each), with its counters, span and ``dw_solve``
-    event. ``warm`` / ``retain`` are the array engine's ECO hooks and
-    ``bound=True`` its incumbent bound (see
-    :func:`_pareto_dw_array_impl`); the tuple DP ignores ``bound``."""
+    event. ``bound=True`` is the array engine's incumbent bound (see
+    :func:`_pareto_dw_array_impl`); the tuple DP ignores it."""
     n = net.degree
     if n > max_degree:
         raise DegreeTooLargeError(n, max_degree)
@@ -539,8 +535,6 @@ def _pareto_dw_on(
         if engine == "array":
             result = _pareto_dw_array_impl(
                 net,
-                warm=warm,
-                retain=retain,
                 incumbents=_incumbent_trees(net) if bound else None,
                 **flags,
             )
@@ -816,8 +810,7 @@ class _ArraySolve:
     Construction prepares the grid, the Lemma-2 node index, the node
     distance matrix ``dmat``, the incumbent-bound tables, the stores and
     ``PTR`` / ``CNT`` (each ``(mask, node)`` front's slot range;
-    uncomputed masks read as empty), installing the ``warm`` rows. Then,
-    per subset cardinality:
+    uncomputed masks read as empty). Then, per subset cardinality:
 
     * :meth:`merge` — the live ``(mask, node, split)`` rows
       (:func:`_live_merge_rows`) expand into cross products
@@ -825,11 +818,12 @@ class _ArraySolve:
       filtered by segmented exact sweeps, one segment per ``(mask,
       node)`` bucket;
     * :meth:`close` — every merged front is extended to every grid
-      node via broadcasts against the distance matrix and filtered the
-      same way, reusing source elements for identity extensions exactly
-      like the tuple DP reuses tuples.
+      node (the full sink set to the source node alone) via broadcasts
+      against the distance matrix and filtered the same way, reusing
+      source elements for identity extensions exactly like the tuple DP
+      reuses tuples.
 
-    :meth:`front` reads the result, :meth:`tables` the compacted tables.
+    :meth:`front` reads the result.
     Elements are struct-of-arrays backpointers: kind 0 = leaf(sink node
     index), 1 = ext(child, ``u * num_nodes + v``), 2 = merge(left,
     right). Objectives live only in the slots, so the merge phase reads
@@ -845,9 +839,7 @@ class _ArraySolve:
         lemma3: bool,
         lemma4: bool,
         stats: Optional[DWStats],
-        warm: Optional[Tuple["DWState", Sequence[int]]],
         incumbents: Optional[Sequence[RoutingTree]],
-        retaining: bool,
     ) -> None:
         import numpy as np
 
@@ -868,10 +860,6 @@ class _ArraySolve:
         self.num_nodes = len(nodes)
         self.node_index = {v: vi for vi, v in enumerate(nodes)}
         self.source_vi = self.node_index[pin_nodes[0]]
-        # The full sink set is read at the source node only, so a solve
-        # that retains no state closes it there alone; a retained table
-        # keeps the full set at every node for an edit that moves the source.
-        self.full_col = None if retaining else self.source_vi
         node_ix, node_iy = np.array(nodes, dtype=np.int64).T
         node_flat = node_ix * grid.ny + node_iy
         # Node-indexed distance matrix, gathered from the same float values
@@ -894,20 +882,8 @@ class _ArraySolve:
         self.PTR = np.zeros((self.full + 1, self.num_nodes), dtype=np.int64)
         self.CNT = np.zeros_like(self.PTR)
         i8, i64, f64 = (np.empty(0, dtype=t) for t in (np.int8, np.int64, np.float64))
-        #: The installed masks, ascending.
-        self.reused = i64
-        if warm is None:
-            self.elems = _Store(i8, i64, i64)
-            self.slots = _Store(i64, f64, f64)
-        else:
-            # The retained stores come first, so the installed rows'
-            # slot and element ids stay valid as they are.
-            state, reuse_masks = warm
-            self.reused = np.array(sorted(set(reuse_masks)), dtype=np.int64)
-            self.elems = _Store(state.kind, state.ea, state.eb)
-            self.slots = _Store(state.fe, state.sw, state.sd)
-            self.PTR[self.reused] = state.ptr[self.reused]
-            self.CNT[self.reused] = state.cnt[self.reused]
+        self.elems = _Store(i8, i64, i64)
+        self.slots = _Store(i64, f64, f64)
 
     def _unbeaten(self, bw: Any, bd: Any, cols: Tuple[Any, ...]) -> List[Any]:
         """``cols`` without the entries whose lower bounds ``(bw, bd)`` an
@@ -920,38 +896,28 @@ class _ArraySolve:
         kept = np.flatnonzero(~hit)
         return [col.take(kept) for col in cols]
 
-    def merge(self, size: int) -> Optional[_Sources]:
-        """The closure sources of the ``size``-sink masks not installed
-        from warm state, or ``None`` when there are none: one leaf
+    def merge(self, size: int) -> _Sources:
+        """The closure sources of the ``size``-sink masks: one leaf
         element per sink at size 1, else every split merge."""
         import numpy as np
 
         stats = self.stats
         if size == 1:
-            reused = set(self.reused.tolist())
-            leaves = [si for si in range(self.num_sinks) if (1 << si) not in reused]
-            if not leaves:
-                return None
-            n = len(leaves)
+            n = self.num_sinks
             vis = np.array(
-                [self.node_index[self.sink_nodes[si]] for si in leaves], dtype=np.int64
+                [self.node_index[v] for v in self.sink_nodes], dtype=np.int64
             )
             ids = np.arange(n + 1, dtype=np.int64)
             base = self.elems.append(np.zeros(n, np.int8), vis, np.zeros_like(vis))
             if stats is not None:
                 stats.subsets += n
             zeros = np.zeros(n, dtype=np.float64)
-            leaf_masks = 1 << np.array(leaves, dtype=np.int64)
+            leaf_masks = 1 << np.arange(n, dtype=np.int64)
             return _Sources(leaf_masks, ids, base + ids[:-1], vis, zeros, zeros)
         if self.boundary_rank is None:
             masks, sub = _shared_split_table(self.num_sinks, size)
         else:
             masks, sub = _split_table(self.num_sinks, size, self.boundary_rank)
-        if self.reused.size:
-            fresh = ~np.isin(masks, self.reused)
-            masks, sub = masks[fresh], sub[fresh]
-            if not masks.size:
-                return None
         box = self.box_all[masks] if self.box_all is not None else None
         if stats is not None:
             stats.subsets += masks.shape[0]
@@ -1095,7 +1061,8 @@ class _ArraySolve:
 
     def close(self, size: int, src: _Sources) -> None:
         """Close every source front of every mask over all nodes (the
-        full sink set over :attr:`full_col` alone, when it is set).
+        full sink set over the source node alone, the one node it is
+        read at).
 
         Cuts the ``len(src) * width`` candidates into batches of at most
         the budget: consecutive masks are grouped while their rows fit,
@@ -1105,8 +1072,10 @@ class _ArraySolve:
         """
         import numpy as np
 
-        col = self.full_col if size == self.num_sinks else None
-        c_lo, c_hi = (0, self.num_nodes) if col is None else (col, col + 1)
+        if size == self.num_sinks:
+            c_lo, c_hi = self.source_vi, self.source_vi + 1
+        else:
+            c_lo, c_hi = 0, self.num_nodes
         width = c_hi - c_lo
         budget = self.budget
         masks = src.masks
@@ -1271,12 +1240,6 @@ class _ArraySolve:
                 memo[e] = ("merge", memo[a], memo[b])
         return [memo[e] for e in eids]
 
-    def tables(self) -> Tuple[Any, ...]:
-        """The solved tables, compacted for a :class:`DWState`."""
-        return _compact_tables(
-            self.PTR, self.CNT, *self.slots.columns(), *self.elems.columns()
-        )
-
 
 def _pareto_dw_array_impl(
     net: Net,
@@ -1286,8 +1249,6 @@ def _pareto_dw_array_impl(
     lemma4: bool,
     with_trees: bool,
     stats: Optional[DWStats],
-    warm: Optional[Tuple["DWState", Sequence[int]]] = None,
-    retain: Optional[List[Tuple[Any, ...]]] = None,
     incumbents: Optional[Sequence[RoutingTree]] = None,
 ) -> List[Solution]:
     """The array-native DP engine :func:`pareto_dw` runs from degree 6 up.
@@ -1307,34 +1268,18 @@ def _pareto_dw_array_impl(
     product pair (``a · b`` per transition, like the tuple DP) and
     ``closure_allocations`` only the extension survivors it stores.
 
-    The ECO hooks of :func:`pareto_dw_with_state`: ``warm = (state,
-    masks)`` installs the retained ``(mask, node)`` rows of ``masks``
-    from a :class:`DWState` whose :func:`dw_signature` matches and leaves
-    those masks out of every merge and closure batch (no work, no
-    counters); ``retain``, when given, receives the solved tables
-    compacted to what is still reachable (:func:`_compact_tables`).
-    Neither changes a computed value — an installed front is the one
-    the skipped work would have produced (``docs/numerics.md`` §5).
-
     ``incumbents``, when given, are real trees of ``net`` that bound the
     search (:func:`_incumbent_bound`): merge rows, merged closure
     sources and closure candidates whose lower bound an incumbent
     strictly beats are dropped. The final frontier is unchanged, but
-    the ``(mask, node)`` fronts below it are not, so a bounded solve
-    neither installs nor retains state (``docs/numerics.md`` §9).
+    the ``(mask, node)`` fronts below it are not (``docs/numerics.md`` §9).
     """
-    if incumbents is not None and (warm is not None or retain is not None):
-        raise ValueError("a bounded solve neither installs nor retains state")
     solve = _ArraySolve(
         net, lemma2=lemma2, lemma3=lemma3, lemma4=lemma4, stats=stats,
-        warm=warm, incumbents=incumbents, retaining=retain is not None,
+        incumbents=incumbents,
     )
     for size in range(1, solve.num_sinks + 1):
-        sources = solve.merge(size)
-        if sources is not None:
-            solve.close(size, sources)
-    if retain is not None:
-        retain.append(solve.tables())
+        solve.close(size, solve.merge(size))
     return solve.front(with_trees)
 
 
@@ -1360,250 +1305,3 @@ def reconstruct_tree(net: Net, grid: HananGrid, payload: Any) -> RoutingTree:
 def pareto_frontier(net: Net, **kwargs: Any) -> List[Tuple[float, float]]:
     """Bare ``(w, d)`` frontier of ``net`` (convenience wrapper)."""
     return [(w, d) for w, d, _ in pareto_dw(net, with_trees=False, **kwargs)]
-
-
-# ------------------------------------------------------ solver-state reuse
-#
-# The ECO path (repro.incremental). S[Q][v] depends only on: the grid's
-# coordinate lines, the Lemma-2 surviving node set, the distance matrix
-# (a function of the coordinate lines), the global Lemma-4 boundary flag,
-# and the sink subset Q with its bit indexing — never on the source, which
-# enters only at the final S[full][source_node] readout. Two solves that
-# agree on all of those therefore produce bit-identical fronts for every
-# shared subset, payload tie choices included, because the split
-# enumeration order of _splits_for_mask is a pure function of the same
-# inputs. That is the invariant DWState snapshots and pareto_dw_with_state
-# re-validates before reusing anything.
-
-
-def dw_signature(net: Net) -> Tuple[Any, ...]:
-    """The grid identity two solves must share for DP-state reuse.
-
-    Captures everything ``S[Q][v]`` depends on besides the sink subsets
-    themselves: the Hanan coordinate lines (hence the distance matrix),
-    the Lemma-2 surviving node set (corner pruning depends on the whole
-    pin set), and whether Lemma 4 is globally active (``_boundary_order``
-    is all-or-nothing, and it decides split enumeration — which decides
-    payload survival on exact objective ties). Computed with the default
-    pruning flags, matching what :func:`pareto_dw` runs with.
-    """
-    grid = HananGrid.of_net(net)
-    sink_nodes = grid.pin_nodes()[1:]
-    corner = set(grid.corner_nodes())
-    nodes = tuple(v for v in grid.nodes() if v not in corner)
-    boundary = _boundary_order(grid, sink_nodes) is not None
-    return (tuple(grid.xs), tuple(grid.ys), nodes, boundary)
-
-
-def _compact_tables(
-    PTR: Any, CNT: Any, fe: Any, sw: Any, sd: Any, kind: Any, ea: Any, eb: Any
-) -> Tuple[Any, ...]:
-    """The array engine's solved tables, compacted for a :class:`DWState`.
-
-    Keeps the slots of every ``(mask, node)`` front, repacked in row
-    order, and the elements those slots still reach; everything else —
-    merge survivors the closure dominated, retained rows a warm solve
-    recomputed — is dropped, so retained state never grows with the
-    edit history. Elements only reference lower ids, so reachability is
-    one vectorized pass per DAG level, and renumbering in id order keeps
-    that property for the next solve. Index columns are stored as int32
-    (ids and slot offsets stay far below 2**31).
-    """
-    import numpy as np
-
-    cnt = CNT.ravel()
-    ptr = np.cumsum(cnt) - cnt
-    slot = np.repeat(PTR.ravel() - ptr, cnt) + np.arange(
-        int(cnt.sum()), dtype=np.int64
-    )
-    fe_live = fe.take(slot)
-    # Boolean marks, not np.unique: a level is deduplicated by one
-    # scatter and one flatnonzero instead of a sort.
-    live = np.zeros(kind.shape[0], dtype=bool)
-    live[fe_live] = True
-    level = np.flatnonzero(live)
-    while level.size:
-        k = kind.take(level)
-        fresh = np.zeros_like(live)
-        fresh[ea.take(level[k != 0])] = True
-        fresh[eb.take(level[k == 2])] = True
-        fresh &= ~live
-        live |= fresh
-        level = np.flatnonzero(fresh)
-    new_id = np.cumsum(live) - 1
-    kind_l = kind[live]
-    ea_l = ea[live]
-    eb_l = eb[live]
-    ref = kind_l != 0
-    ea_l[ref] = new_id.take(ea_l[ref])
-    ref = kind_l == 2
-    eb_l[ref] = new_id.take(eb_l[ref])
-    i32 = np.int32
-    return (
-        ptr.reshape(CNT.shape).astype(i32),
-        CNT.astype(i32),
-        new_id.take(fe_live).astype(i32),
-        sw.take(slot),
-        sd.take(slot),
-        kind_l,
-        ea_l.astype(i32),
-        eb_l.astype(i32),
-    )
-
-
-@dataclass(eq=False)
-class DWState:
-    """Retained Dreyfus–Wagner solver state of one array-engine solve.
-
-    The complete solved table in the array engine's own layout:
-
-    * ``ptr`` / ``cnt`` — one row per sink-subset mask, one column per
-      Lemma-2 surviving grid node: where each ``(mask, node)`` front
-      starts in the slot columns, and how many points it has;
-    * ``fe`` / ``sw`` / ``sd`` — the slot columns: each front point's
-      element id and its ``(w, d)`` objectives;
-    * ``kind`` / ``ea`` / ``eb`` — the backpointer element store (0 =
-      leaf of a grid node, 1 = extension of child ``ea`` along edge
-      ``eb = u * nodes + v``, 2 = merge of ``ea`` and ``eb``); elements
-      only reference lower ids.
-
-    Compacted to the elements the fronts still reach, so its size
-    follows one solve's fronts, never the edit history. A later solve
-    whose :func:`dw_signature` equals ``signature`` may install any mask
-    whose sinks are positionally unchanged (same index, same coordinates
-    in ``sink_keys``) and skip its computation; the skipped work would
-    have reproduced the stored fronts bit-for-bit (see the module
-    comment above). Nothing here is mutated after capture.
-    """
-
-    signature: Tuple[Any, ...]
-    sink_keys: Tuple[Tuple[float, float], ...]
-    ptr: Any
-    cnt: Any
-    fe: Any
-    sw: Any
-    sd: Any
-    kind: Any
-    ea: Any
-    eb: Any
-
-    @property
-    def num_masks(self) -> int:
-        """How many sink-subset masks the snapshot holds."""
-        return int(self.cnt.shape[0]) - 1
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the retained arrays (``eco.retained_bytes``)."""
-        return sum(
-            int(col.nbytes)
-            for col in (
-                self.ptr, self.cnt, self.fe, self.sw, self.sd,
-                self.kind, self.ea, self.eb,
-            )
-        )
-
-
-@dataclass
-class DWReuse:
-    """Accounting of one state-reusing solve (what survived the edit)."""
-
-    reused_masks: int = 0
-    computed_masks: int = 0
-
-    @property
-    def total_masks(self) -> int:
-        """All sink-subset masks of the solve (reused + recomputed)."""
-        return self.reused_masks + self.computed_masks
-
-    @property
-    def reuse_rate(self) -> float:
-        """Fraction of subset fronts served from the snapshot (0.0 cold)."""
-        total = self.total_masks
-        return self.reused_masks / total if total else 0.0
-
-
-def _reusable_masks(
-    state: DWState,
-    signature: Tuple[Any, ...],
-    sink_keys: Tuple[Tuple[float, float], ...],
-) -> List[int]:
-    """The masks of ``state`` a solve of ``signature`` / ``sink_keys`` may install.
-
-    Requires the grid signatures to match exactly, then keeps every mask
-    whose sink bits are *positionally unchanged* — sink ``i`` of the new
-    net sits at the same coordinates as sink ``i`` of the snapshot's net.
-    Index-preserving edits (one sink moved in place, a sink appended or
-    dropped from the end, the source moved) keep every untouched subset;
-    edits that renumber sinks invalidate everything, because the bit
-    indexing feeds the split enumeration order.
-    """
-    if state.signature != signature:
-        return []
-    old_sinks = state.sink_keys
-    clean = 0
-    for i in range(min(len(old_sinks), len(sink_keys))):
-        if old_sinks[i] == sink_keys[i]:
-            clean |= 1 << i
-    masks: List[int] = []
-    sub = clean
-    while sub:
-        masks.append(sub)
-        sub = (sub - 1) & clean
-    return masks
-
-
-def pareto_dw_with_state(
-    net: Net,
-    *,
-    state: Optional[DWState] = None,
-    with_trees: bool = True,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-    stats: Optional[DWStats] = None,
-) -> Tuple[List[Solution], Optional[DWState], DWReuse]:
-    """:func:`pareto_dw` with solver-state retention and reuse (the ECO path).
-
-    From degree :data:`_ARRAY_MIN_DEGREE` up, solves ``net`` on the array
-    engine with the default pruning flags, returns a :class:`DWState` of
-    the solved tables and, when ``state`` from a previous solve is
-    supplied, installs every still-valid subset front instead of
-    recomputing it. Below that degree it is the dispatched cold
-    :func:`pareto_dw` — sub-millisecond tuple solves — and retains
-    nothing: the state comes back ``None`` and every mask counts as
-    computed. Either way the returned frontier is **bit-identical** to a
-    cold ``pareto_dw(net)`` — trees and tie choices included (the
-    ``docs/numerics.md`` contract); only the work done differs. Reuse
-    accounting comes back as a :class:`DWReuse`.
-
-    Raises :class:`~repro.exceptions.DegreeTooLargeError` when
-    ``net.degree > max_degree`` (same contract as :func:`pareto_dw`).
-    """
-    n = net.degree
-    if n > max_degree:
-        raise DegreeTooLargeError(n, max_degree)
-    num_masks = (1 << (n - 1)) - 1
-    if n < _ARRAY_MIN_DEGREE:
-        front = pareto_dw(
-            net, with_trees=with_trees, max_degree=max_degree, stats=stats
-        )
-        return front, None, DWReuse(computed_masks=num_masks)
-    signature = dw_signature(net)
-    sink_keys = tuple((p.x, p.y) for p in net.sinks)
-    masks = (
-        _reusable_masks(state, signature, sink_keys) if state is not None else []
-    )
-    retain: List[Tuple[Any, ...]] = []
-    result = _pareto_dw_on(
-        net,
-        "array",
-        with_trees=with_trees,
-        max_degree=max_degree,
-        stats=stats,
-        warm=(state, masks) if masks else None,
-        retain=retain,
-    )
-    new_state = DWState(signature, sink_keys, *retain[0])
-    reuse = DWReuse(
-        reused_masks=len(masks), computed_masks=num_masks - len(masks)
-    )
-    return result, new_state, reuse

@@ -68,8 +68,8 @@ class EngineSpec:
     incremental:
         Wrap the assembled stack in an
         :class:`~repro.incremental.IncrementalRouter`, the ECO session
-        layer: the engine then accepts ``apply_delta`` edits and reuses
-        retained solver state, and its capabilities report
+        layer: the engine then accepts ``apply_delta`` edits, re-routing
+        only the edited net, and its capabilities report
         ``incremental=True``.
     """
 

@@ -1,4 +1,4 @@
-"""Incremental / ECO rerouting: delta-aware reuse of retained solver state.
+"""Incremental / ECO rerouting: re-route only the nets an edit touches.
 
 Production routing traffic is a stream of small edits — a pin moves, a
 blockage appears, a net gains a sink — not batches of fresh nets. This
@@ -8,10 +8,9 @@ package makes those edits cheap without giving up exactness:
   diff-friendly ``.deltas`` replay format and deterministic
   perturbation generators.
 * :class:`~repro.incremental.engine.IncrementalRouter` — engine
-  middleware holding per-net sessions: cache short-circuits, retained
-  Dreyfus–Wagner solver state
-  (:func:`~repro.core.pareto_dw.pareto_dw_with_state`), and
-  warm-started local search. Exact tiers stay bit-identical to cold
+  middleware holding per-net sessions: cache short-circuits, a cold
+  exact re-solve of the edited net (:func:`~repro.core.pareto_dw.pareto_dw`),
+  and warm-started local search. Exact tiers stay bit-identical to cold
   re-routes.
 * :func:`~repro.congestion.negotiate.NegotiatedRouter.run_incremental`
   (in :mod:`repro.congestion`) — connection-based rip-up: only nets

@@ -18,9 +18,8 @@ The text replay format (``.deltas``) mirrors the ``.nets`` format of
 Deterministic perturbation generators live here too:
 :func:`perturb_nets` drives the benchmark/test delta streams, and
 :func:`grid_preserving_move` constructs one-pin moves guaranteed (by
-construction *and* by an explicit :func:`~repro.core.pareto_dw.\
-dw_signature` check) to keep the Hanan-grid distance structure intact,
-so the DW warm path has subproblems to reuse.
+construction *and* by an explicit :func:`_dw_signature` check) to keep
+the Hanan-grid distance structure intact.
 """
 
 from __future__ import annotations
@@ -286,25 +285,44 @@ def delta_from_payload(payload: Dict[str, Any]) -> NetDelta:
 # ------------------------------------------------- perturbation generators
 
 
+def _dw_signature(net: Net) -> Tuple[Any, ...]:
+    """The Hanan-grid identity a :func:`grid_preserving_move` keeps.
+
+    Captures everything a Pareto-DW subset front ``S[Q][v]`` depends on
+    besides the sink subsets themselves: the Hanan coordinate lines
+    (hence the distance matrix), the Lemma-2 surviving node set (corner
+    pruning depends on the whole pin set), and whether Lemma 4 is
+    globally active (``_boundary_order`` is all-or-nothing, and it
+    decides split enumeration). Computed with the default pruning flags,
+    matching what :func:`~repro.core.pareto_dw.pareto_dw` runs with.
+    """
+    from ..core.pareto_dw import _boundary_order
+    from ..geometry.hanan import HananGrid
+
+    grid = HananGrid.of_net(net)
+    sink_nodes = grid.pin_nodes()[1:]
+    corner = set(grid.corner_nodes())
+    nodes = tuple(v for v in grid.nodes() if v not in corner)
+    boundary = _boundary_order(grid, sink_nodes) is not None
+    return (tuple(grid.xs), tuple(grid.ys), nodes, boundary)
+
+
 def grid_preserving_move(
     net: Net, rng: random.Random
 ) -> Optional[NetDelta]:
-    """A one-sink move that keeps the DW solver state reusable, or None.
+    """A one-sink move that keeps the net's Hanan grid, or None.
 
     Tries rng-ordered (sink, Hanan-lattice vacancy) pairs and returns the
-    first whose edited net has the same
-    :func:`~repro.core.pareto_dw.dw_signature` as ``net`` — same
-    coordinate lines, same Lemma-2 survivors, same Lemma-4 boundary flag
-    — so every subset front not containing the moved sink is reused
-    verbatim by :func:`~repro.core.pareto_dw.pareto_dw_with_state`. The
-    signature check is explicit, not assumed: candidates that would drop
-    a grid line or flip the boundary flag are rejected. Returns ``None``
-    when no such move exists (dense nets can pin every lattice point).
+    first whose edited net has the same :func:`_dw_signature` as ``net``
+    — same coordinate lines, same Lemma-2 survivors, same Lemma-4
+    boundary flag. The signature check is explicit, not assumed:
+    candidates that would drop a grid line or flip the boundary flag are
+    rejected. Returns ``None`` when no such move exists (dense nets can
+    pin every lattice point).
     """
-    from ..core.pareto_dw import dw_signature
     from ..geometry.hanan import HananGrid
 
-    signature = dw_signature(net)
+    signature = _dw_signature(net)
     grid = HananGrid.of_net(net)
     occupied = {(p.x, p.y) for p in net.pins}
     vacancies = [
@@ -316,7 +334,7 @@ def grid_preserving_move(
     for target in vacancies:
         for si in sink_order:
             delta = NetDelta("move", net=net.name, sink_index=si, point=target)
-            if dw_signature(apply_delta(net, delta)) == signature:
+            if _dw_signature(apply_delta(net, delta)) == signature:
                 return delta
     return None
 
@@ -342,8 +360,7 @@ def perturb_nets(
     The stream is generated against the *evolving* design: each delta is
     produced from the nets as edited by every previous delta, so the
     whole stream replays cleanly in order (no stale sink indices, no
-    pin collisions) and repeat edits of one net keep its solver state
-    reusable.
+    pin collisions) and repeat edits of one net keep its Hanan grid.
     """
     if kind not in DELTA_KINDS or kind == "source":
         raise SerializationError(

@@ -1,9 +1,9 @@
 """The ECO session layer: :class:`IncrementalRouter` middleware.
 
 Wraps a fully-assembled engine stack and keeps, per tracked net, the
-state that makes the next edit cheap — the previous net, its routed
-frontier, and (for exact-DP nets) the retained Dreyfus–Wagner solver
-state of :func:`~repro.core.pareto_dw.pareto_dw_with_state`.
+state that makes the next edit cheap — the previous net and its routed
+frontier. No solver tables are kept: an edit re-routes the one net it
+touches, never the design.
 
 :meth:`IncrementalRouter.apply_delta` is the warm path. For each
 :class:`~repro.incremental.delta.NetDelta` it tries, in order:
@@ -11,9 +11,9 @@ state of :func:`~repro.core.pareto_dw.pareto_dw_with_state`.
 1. **cache short-circuit** — the edited net's canonical key may already
    be cached (the cache layer's ``lookup``/``seed`` peek API); an ECO
    hit then costs one key computation and zero solver work,
-2. **DW state reuse** — for exact-DP nets, re-solve with the previous
-   solve's surviving subset fronts installed (bit-identical to a cold
-   solve; see the exactness argument in :mod:`repro.core.pareto_dw`),
+2. **exact re-solve** — for exact-DP nets, a cold
+   :func:`~repro.core.pareto_dw.pareto_dw` of the edited net (bounded
+   from degree 7, like every other exact solve),
 3. **warm-started local search** — for ``n > λ`` nets, adapt the
    previous tree to the edit (:func:`adapt_tree`) and seed
    ``PatLabor.local_search`` from it instead of a fresh RSMT,
@@ -37,13 +37,13 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from ..core.pareto import Solution
-from ..core.pareto_dw import DWReuse, DWState, pareto_dw_with_state
+from ..core.pareto_dw import pareto_dw
 from ..engine.middleware import RouterMiddleware
 from ..engine.protocol import RouterCapabilities
 from ..exceptions import InvalidNetError, InvalidTreeError, ReproError
 from ..geometry.net import Net
 from ..geometry.point import l1
-from ..obs import counter_add, emit_event, events_enabled, gauge_set, span
+from ..obs import counter_add, emit_event, events_enabled, span
 from ..routing.tree import RoutingTree
 from .delta import NetDelta, apply_delta
 
@@ -64,8 +64,7 @@ class EcoResult:
     ``front`` is the edited net's routed frontier (with trees). ``tier``
     says which warm path served it: ``"cache"``, a PatLabor dispatch
     tier (``"closed_form"`` / ``"lut"`` / ``"dw"`` / ``"local_search"``),
-    or ``"unchanged"`` for net-independent deltas. The mask counters are
-    non-zero only on the DW path.
+    or ``"unchanged"`` for net-independent deltas.
     """
 
     net: Optional[Net]
@@ -73,14 +72,7 @@ class EcoResult:
     tier: str = NOOP_TIER
     kind: str = ""
     cache_hit: bool = False
-    reused_masks: int = 0
-    total_masks: int = 0
     wall_s: float = 0.0
-
-    @property
-    def reuse_rate(self) -> float:
-        """Fraction of DW subset fronts served from retained state."""
-        return self.reused_masks / self.total_masks if self.total_masks else 0.0
 
 
 def adapt_tree(
@@ -123,27 +115,20 @@ def adapt_tree(
 
 @dataclass
 class _NetSession:
-    """Per-net retained state: previous net, frontier, DW solver state."""
+    """Per-net retained state: the previous net and its frontier."""
 
     net: Net
     front: List[Solution]
-    dw_state: Optional[DWState] = None
-
-    @property
-    def retained_bytes(self) -> int:
-        """Bytes of retained DW solver state (0 without any)."""
-        return self.dw_state.nbytes if self.dw_state is not None else 0
 
 
 class IncrementalRouter(RouterMiddleware):
-    """ECO middleware: delta-aware re-routing over retained state.
+    """ECO middleware: delta-aware re-routing of the edited net alone.
 
     Ordinary ``route`` calls delegate to the wrapped stack and
     additionally *track* the net (by name) so later ``apply_delta``
     calls have a session to edit against. Sessions are LRU-bounded by
     ``max_sessions``; untracked nets must be routed (seeded) before
-    they can take deltas. :attr:`retained_bytes` tracks the memory the
-    sessions' DW solver state holds.
+    they can take deltas.
     """
 
     def __init__(self, inner: object, max_sessions: int = 10_000) -> None:
@@ -151,7 +136,6 @@ class IncrementalRouter(RouterMiddleware):
         super().__init__(inner)  # type: ignore[arg-type]
         self.max_sessions = max_sessions
         self._sessions: "OrderedDict[str, _NetSession]" = OrderedDict()
-        self._retained_bytes = 0
         self._caps_of: Optional[RouterCapabilities] = None
         self._caps: Optional[RouterCapabilities] = None
 
@@ -170,13 +154,8 @@ class IncrementalRouter(RouterMiddleware):
         return caps
 
     @property
-    def retained_bytes(self) -> int:
-        """Bytes of DW solver state held across all ECO sessions."""
-        return self._retained_bytes
-
-    @property
     def num_sessions(self) -> int:
-        """How many nets currently hold retained ECO state."""
+        """How many nets currently hold an ECO session."""
         return len(self._sessions)
 
     def route(self, net: Net) -> List[Solution]:
@@ -192,26 +171,19 @@ class IncrementalRouter(RouterMiddleware):
         return session.net if session is not None else None
 
     def forget(self, name: str) -> None:
-        """Drop the retained state of one net (no-op when untracked)."""
-        session = self._sessions.pop(name, None)
-        if session is not None:
-            self._retained_bytes -= session.retained_bytes
+        """Drop the session of one net (no-op when untracked)."""
+        self._sessions.pop(name, None)
 
     def clear_sessions(self) -> None:
-        """Drop every retained ECO session."""
+        """Drop every ECO session."""
         self._sessions.clear()
-        self._retained_bytes = 0
 
     def _remember(self, name: str, session: _NetSession) -> None:
-        old = self._sessions.get(name)
-        if old is not None:
-            self._retained_bytes -= old.retained_bytes
-        elif len(self._sessions) >= self.max_sessions:
-            _, evicted = self._sessions.popitem(last=False)
-            self._retained_bytes -= evicted.retained_bytes
-        self._sessions[name] = session
-        self._sessions.move_to_end(name)
-        self._retained_bytes += session.retained_bytes
+        sessions = self._sessions
+        if name not in sessions and len(sessions) >= self.max_sessions:
+            sessions.popitem(last=False)
+        sessions[name] = session
+        sessions.move_to_end(name)
 
     # ------------------------------------------------------------ warm path
 
@@ -243,9 +215,6 @@ class IncrementalRouter(RouterMiddleware):
         counter_add("eco.solves")
         if result.cache_hit:
             counter_add("eco.cache_hits")
-        counter_add("eco.masks_reused", result.reused_masks)
-        counter_add("eco.masks_total", result.total_masks)
-        gauge_set("eco.retained_bytes", self._retained_bytes)
         if events_enabled():
             emit_event(
                 "eco_solve",
@@ -253,8 +222,6 @@ class IncrementalRouter(RouterMiddleware):
                 kind=delta.kind,
                 tier=result.tier,
                 cache_hit=result.cache_hit,
-                reused_masks=result.reused_masks,
-                total_masks=result.total_masks,
                 front_size=len(result.front),
                 wall_s=result.wall_s,
             )
@@ -275,14 +242,8 @@ class IncrementalRouter(RouterMiddleware):
                 )
         tier_fn = getattr(self.inner, "dispatch_tier", None)
         tier = str(tier_fn(new_net)) if callable(tier_fn) else ""
-        reuse = DWReuse()
         if tier == "dw":
-            front, state, reuse = pareto_dw_with_state(
-                new_net, state=session.dw_state
-            )
-            self._retained_bytes -= session.retained_bytes
-            session.dw_state = state
-            self._retained_bytes += session.retained_bytes
+            front = pareto_dw(new_net)
         elif tier == "local_search" and session.front:
             seed_tree = adapt_tree(session.front[0][2], new_net, delta)
             try:
@@ -301,10 +262,4 @@ class IncrementalRouter(RouterMiddleware):
             seed(new_net, front)
         session.net = new_net
         session.front = front
-        return EcoResult(
-            net=new_net,
-            front=front,
-            tier=tier,
-            reused_masks=reuse.reused_masks,
-            total_masks=reuse.total_masks,
-        )
+        return EcoResult(net=new_net, front=front, tier=tier)

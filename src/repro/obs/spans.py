@@ -1,8 +1,8 @@
 """Nestable tracing spans: ``with span("dw.merge"): ...``.
 
 A span measures one timed region. Spans nest: each thread keeps a stack of
-active span names, and a span's duration is recorded under its full
-``parent/child/...`` path (e.g. ``patlabor.route/patlabor.local_search/
+the active spans' full ``parent/child/...`` paths, and a span's duration
+is recorded under its path (e.g. ``patlabor.route/patlabor.local_search/
 dw.solve``), which is what the span-tree report renders.
 
 A span is closed by its context manager even when the body raises; the
@@ -26,14 +26,14 @@ from .live import current_request_id
 from .registry import _REGISTRY
 from .trace import _TRACE
 
-_tls = threading.local()
+class _Paths(threading.local):
+    """Per-thread stack of the active spans' full paths, innermost last."""
+
+    def __init__(self) -> None:
+        self.stack: List[str] = []
 
 
-def _stack() -> List[str]:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = _tls.stack = []
-    return stack
+_tls = _Paths()
 
 
 class _NoopSpan:
@@ -60,7 +60,8 @@ class _Span:
         self._wall0 = 0.0
 
     def __enter__(self) -> "_Span":
-        _stack().append(self.name)
+        stack = _tls.stack
+        stack.append(stack[-1] + "/" + self.name if stack else self.name)
         if _TRACE.enabled:
             self._wall0 = time()
         self._t0 = perf_counter()
@@ -68,9 +69,7 @@ class _Span:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         dt = perf_counter() - self._t0
-        stack = _stack()
-        path = "/".join(stack)
-        stack.pop()
+        path = _tls.stack.pop()
         error = exc_type is not None
         _REGISTRY.span_observe(path, dt, error=error)
         if _TRACE.enabled:
@@ -100,4 +99,5 @@ def span(name: str):
 
 def current_span_path() -> str:
     """The active span path of the calling thread ("" outside any span)."""
-    return "/".join(_stack())
+    stack = _tls.stack
+    return stack[-1] if stack else ""

@@ -265,9 +265,8 @@ class ServeClient:
     ) -> Dict[str, Any]:
         """Apply one :class:`~repro.incremental.delta.NetDelta` to a session.
 
-        Returns the daemon's reuse accounting — ``kind``, ``tier``,
-        ``cache_hit``, ``reused_masks``, ``total_masks``,
-        ``reuse_rate``, ``seconds`` — plus, for net edits, ``name`` and
+        Returns the daemon's account of the edit — ``kind``, ``tier``,
+        ``cache_hit``, ``seconds`` — plus, for net edits, ``name`` and
         the decoded ``front``. Trees are materialised only when
         ``with_trees`` is set *and* the post-edit ``net`` is supplied
         (tree validation needs the pin frame; compute it client-side
@@ -283,15 +282,7 @@ class ServeClient:
         )
         out = {
             key: response.get(key)
-            for key in (
-                "kind",
-                "tier",
-                "cache_hit",
-                "reused_masks",
-                "total_masks",
-                "reuse_rate",
-                "seconds",
-            )
+            for key in ("kind", "tier", "cache_hit", "seconds")
         }
         result = response.get("result")
         if result is not None:

@@ -29,7 +29,7 @@ The ``eco`` op speaks to a server-held incremental session: the
 ``nets`` form routes and *tracks* the nets (creating the session), the
 ``delta`` form applies one ``DELTA``
 (:func:`repro.incremental.delta.delta_to_payload` wire shape) and
-returns the re-routed result plus reuse accounting.
+returns the re-routed result with its tier and time.
 
 where ``NET`` is ``{"name": str, "pins": [[x, y], ...]}`` with the source
 at index 0 — exactly :class:`~repro.geometry.net.Net`'s pin convention.
@@ -204,11 +204,12 @@ def result_front(
     Trees are only rebuilt when the payload carries them *and* the
     matching ``net`` is supplied (tree validation needs the pin frame).
     """
-    objectives = [(float(w), float(d)) for w, d in payload["front"]]
-    trees: List[Optional[RoutingTree]] = [None] * len(objectives)
-    if net is not None and payload.get("trees"):
-        trees = [
-            tree_from_payload(net, t) if t is not None else None
-            for t in payload["trees"]
-        ]
-    return [(w, d, tree) for (w, d), tree in zip(objectives, trees)]
+    if net is None or not payload.get("trees"):
+        return [(float(w), float(d), None) for w, d in payload["front"]]
+    trees = [
+        tree_from_payload(net, t) if t is not None else None
+        for t in payload["trees"]
+    ]
+    return [
+        (float(w), float(d), tree) for (w, d), tree in zip(payload["front"], trees)
+    ]

@@ -84,8 +84,9 @@ TIERS = ("memory", "store", "routed")
 #: are JSON lines that can far exceed asyncio's 64 KiB default.
 STREAM_LIMIT = 64 * 1024 * 1024
 
-#: Cap on concurrently-held ECO sessions (each holds an engine + per-net
-#: retained solver state; a runaway client must not exhaust the daemon).
+#: Cap on concurrently-held ECO sessions (each holds an engine with its
+#: caches and every tracked net's last net and front; a runaway client
+#: must not exhaust the daemon).
 MAX_ECO_SESSIONS = 64
 
 
@@ -181,7 +182,7 @@ class RouteServer:
         self._metrics_endpoint: Optional[TelemetryEndpoint] = None
         self._ready_task: Optional["asyncio.Task[None]"] = None
         #: Daemon-held ECO sessions: one IncrementalRouter (own engine +
-        #: per-net retained state) per session id. Session engines never
+        #: per-net last net and front) per session id. Session engines never
         #: attach the persistent store — it is flock single-writer and
         #: belongs to the pool workers. All ECO work runs serialized on a
         #: lazily-created single-thread executor (IncrementalRouter is
@@ -540,11 +541,11 @@ class RouteServer:
         keyed by the client-chosen ``session`` string. The ``nets`` form
         routes and *tracks* the nets (creating the session on first
         touch, up to :data:`MAX_ECO_SESSIONS`); the ``delta`` form
-        applies one edit against the retained state and answers with the
-        re-routed front plus reuse accounting. All session work runs
+        applies one edit against the session and answers with the
+        re-routed front, its tier and its time. All session work runs
         serialized on a single-thread executor — IncrementalRouter is
         stateful and not thread-safe — so concurrent clients interleave
-        at delta granularity without corrupting retained solver state.
+        at delta granularity without corrupting session state.
         """
         from ..incremental.delta import delta_from_payload
 
@@ -626,9 +627,6 @@ class RouteServer:
             "kind": eco.kind,
             "tier": eco.tier,
             "cache_hit": eco.cache_hit,
-            "reused_masks": eco.reused_masks,
-            "total_masks": eco.total_masks,
-            "reuse_rate": eco.reuse_rate,
             "seconds": eco.wall_s,
         }
         if eco.net is not None and eco.front is not None:

@@ -5,7 +5,7 @@ a deployment would: start ``repro serve`` as a real subprocess on a Unix
 socket with a fresh persistent store and the HTTP telemetry sidecar,
 route a small workload containing repeats over the socket, assert a warm
 hit rate above zero, run one ``eco`` session end to end (seed nets,
-apply a pin-move delta, check the reuse accounting and the protocol-v2
+apply a pin-move delta, check its tier and the protocol-v2
 version gate), then check the sidecar — ``/healthz`` answers,
 ``/readyz`` reports ready, and ``/metrics`` serves a **structurally
 valid** Prometheus exposition (``validate_exposition``) whose merged
@@ -118,7 +118,7 @@ def _check_eco(client: ServeClient, socket_path: str) -> Optional[str]:
     """One ECO session end to end; the failure diagnostic, or None.
 
     Seeds a session with a fresh workload, applies one deterministic
-    pin-move delta, and checks the reuse accounting comes back. Also
+    pin-move delta, and checks its serving tier comes back. Also
     probes the protocol-v2 version gate: an *unversioned* (v1) ``eco``
     request must be rejected with ``error_type`` ``ProtocolVersionError``
     — which the client surfaces as the typed exception.
@@ -132,8 +132,8 @@ def _check_eco(client: ServeClient, socket_path: str) -> Optional[str]:
     result = client.eco_apply("smoke-eco", delta)
     if not result.get("front"):
         return f"eco apply returned no front: {result!r}"
-    if not isinstance(result.get("total_masks"), int):
-        return f"eco apply carries no reuse accounting: {result!r}"
+    if not isinstance(result.get("tier"), str):
+        return f"eco apply carries no serving tier: {result!r}"
     stats = client.stats()
     if stats.get("eco_sessions") != 1 or stats.get("eco_deltas") != 1:
         return (
@@ -161,7 +161,6 @@ def _check_eco(client: ServeClient, socket_path: str) -> Optional[str]:
         return f"unversioned eco request not version-gated: {response!r}"
     print(
         f"eco OK: tier={result['tier']} "
-        f"reuse={result['reused_masks']}/{result['total_masks']} "
         f"v1 rejected with ProtocolVersionError"
     )
     return None

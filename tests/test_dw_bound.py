@@ -1,11 +1,11 @@
 """The incumbent bound of the array Pareto-DW engine changes no frontier.
 
 :func:`repro.core.pareto_dw.pareto_dw` runs the array engine bounded by
-two heuristic trees; the unbounded engine (``bound=False``, what
-``pareto_dw_with_state`` and the engine-equivalence matrix run) is the
-oracle. Fronts must agree exactly: objectives by ``==`` and every tree's
-points and edges. The bound tables are checked against a direct
-per-``(mask, node)`` computation, and the ECO path must stay unbounded.
+two heuristic trees; the unbounded engine (``bound=False``, what the
+engine-equivalence matrix runs) is the oracle. Fronts must agree
+exactly: objectives by ``==`` and every tree's points and edges. The
+bound tables are checked against a direct per-``(mask, node)``
+computation, and the matrix's entry points must stay unbounded.
 """
 
 import importlib
@@ -24,10 +24,8 @@ from repro.core.pareto_dw import (
     _grid_objective,
     _incumbent_bound,
     _incumbent_trees,
-    _pareto_dw_array_impl,
     _pareto_dw_on,
     pareto_dw,
-    pareto_dw_with_state,
 )
 from repro.geometry.hanan import HananGrid
 from repro.geometry.net import Net, random_net
@@ -257,28 +255,8 @@ class TestBoundTables:
 
 
 class TestEcoPathStaysUnbounded:
-    def test_retained_state_equals_an_unbounded_solve(self):
-        net = random_net(9, rng=random.Random(11), grid=9, span=90.0)
-        st_b, _ = assert_bound_exact(net)
-        assert st_b.bound_pruned > 0  # a bounded table would differ here
-        front, state, _ = pareto_dw_with_state(net)
-        retain = []
-        unbounded = _pareto_dw_array_impl(
-            net, lemma2=True, lemma3=True, lemma4=True, with_trees=True,
-            stats=None, retain=retain,
-        )
-        assert tree_signature(front) == tree_signature(unbounded)
-        names = ("ptr", "cnt", "fe", "sw", "sd", "kind", "ea", "eb")
-        for name, want in zip(names, retain[0]):
-            assert np.array_equal(getattr(state, name), want), name
-
-    def test_bounded_solve_refuses_state_hooks(self):
-        net = random_net(6, rng=random.Random(12), grid=9, span=90.0)
-        with pytest.raises(ValueError):
-            _pareto_dw_array_impl(
-                net, lemma2=True, lemma3=True, lemma4=True, with_trees=False,
-                stats=None, retain=[], incumbents=_incumbent_trees(net),
-            )
+    """Only :func:`pareto_dw`'s dispatch bounds a solve; the private
+    entry points the engine-equivalence matrix runs stay unbounded."""
 
     def test_engine_matrix_entry_point_is_unbounded(self, monkeypatch):
         # The engine-equivalence tests call the impl without incumbents;
@@ -293,5 +271,5 @@ class TestEcoPathStaysUnbounded:
         monkeypatch.setattr(pareto_dw_module, "_pareto_dw_array_impl", spy)
         net = random_net(7, rng=random.Random(13), grid=9, span=90.0)
         pareto_dw(net)
-        pareto_dw_with_state(net)
+        _pareto_dw_on(net, "array")
         assert seen[0] is not None and seen[1] is None

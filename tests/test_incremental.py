@@ -1,4 +1,4 @@
-"""Incremental / ECO engine: deltas, state reuse, exactness, rip-up.
+"""Incremental / ECO engine: deltas, edit streams, exactness, rip-up.
 
 The load-bearing property here is the exactness contract: an incremental
 solve through :class:`~repro.incremental.engine.IncrementalRouter` must
@@ -10,21 +10,18 @@ quality is asserted there.
 """
 
 import dataclasses
+import hashlib
 import importlib
+import io
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.frontier_array import front_to_arrays
-from repro.core.pareto_dw import (
-    DWState,
-    dw_signature,
-    pareto_dw,
-    pareto_dw_with_state,
-)
-from repro import obs
+from repro.core.pareto_dw import pareto_dw
 from repro.engine import EngineSpec, build_engine
 from repro.exceptions import (
     InvalidNetError,
@@ -41,6 +38,7 @@ from repro.incremental import (
     apply_delta,
     delta_from_payload,
     delta_to_payload,
+    dump_deltas,
     format_delta,
     grid_preserving_move,
     load_deltas,
@@ -48,11 +46,13 @@ from repro.incremental import (
     perturb_nets,
     save_deltas,
 )
+from repro.incremental.delta import _dw_signature
 from repro.routing.tree import RoutingTree
 from repro.serve.protocol import PROTOCOL_VERSION, check_version
 
 
 pareto_dw_module = importlib.import_module("repro.core.pareto_dw")
+engine_module = importlib.import_module("repro.incremental.engine")
 
 
 def _objectives(front):
@@ -69,8 +69,7 @@ def _lattice_net(name="lattice"):
 
     Every pin sits on the 4x3 Hanan lattice's boundary, so moving a sink
     onto the vacancy keeps the coordinate lines, the Lemma-2 survivors,
-    and the Lemma-4 boundary flag — i.e. the DW signature — unchanged,
-    guaranteeing the warm path has subset fronts to reuse.
+    and the Lemma-4 boundary flag — i.e. the DW signature — unchanged.
     """
     xs, ys = (0.0, 333.0, 666.0, 1000.0), (0.0, 500.0, 1000.0)
     boundary = [
@@ -82,6 +81,22 @@ def _lattice_net(name="lattice"):
     source, vacancy = (0.0, 0.0), (666.0, 0.0)
     sinks = [p for p in boundary if p not in (source, vacancy)][:7]
     return Net.from_points(source, sinks, name=name)
+
+
+def _eco_design():
+    """``benchmarks/bench_eco.py``'s design: 30 degree 7..9 nets on an
+    8x8 coordinate lattice (seed 2028)."""
+    lattice = [1000.0 * i / 7.0 for i in range(8)]
+    rng = random.Random(2028)
+    nets = []
+    for i in range(30):
+        pts = set()
+        while len(pts) < 7 + i % 3:
+            pts.add((rng.choice(lattice), rng.choice(lattice)))
+        ordered = sorted(pts)
+        rng.shuffle(ordered)
+        nets.append(Net.from_points(ordered[0], ordered[1:], name=f"d{i:03d}"))
+    return nets
 
 
 # ------------------------------------------------------------- deltas
@@ -200,10 +215,22 @@ class TestNetDelta:
         net = _lattice_net()
         delta = grid_preserving_move(net, random.Random(8))
         assert delta is not None
-        assert dw_signature(apply_delta(net, delta)) == dw_signature(net)
+        assert _dw_signature(apply_delta(net, delta)) == _dw_signature(net)
+
+    def test_eco_benchmark_stream_is_pinned(self):
+        """The 200 one-pin moves ``benchmarks/bench_eco.py`` and
+        ``perfbench``'s ECO lane replay, hashed as their ``.deltas``
+        text: a change to the move generator must not change them."""
+        deltas = perturb_nets(_eco_design(), seed=2029, kind="move", count=200)
+        text = io.StringIO()
+        dump_deltas(deltas, text)
+        digest = hashlib.sha256(text.getvalue().encode()).hexdigest()
+        assert digest == (
+            "3186ed05cd82aa729c6e17c77d5792501450cf0478e84ff24f6b338540b55b6d"
+        )
 
 
-# ------------------------------------------------------- DW state reuse
+# ------------------------------------------------- ECO DW-tier re-solves
 
 #: Coordinate lines of the 5x5 lattice the edit-kind cases draw pins from.
 _LINES = (0.0, 250.0, 500.0, 750.0, 1000.0)
@@ -225,7 +252,7 @@ def _case_net(degree, seed, ring):
     return Net.from_points(pins[0], pins[1:], name=f"case{seed}")
 
 
-def _reusing_edit(net, kind, rng):
+def _grid_keeping_edit(net, kind, rng):
     """A ``kind`` edit of ``net`` that keeps its DW signature, or None."""
     grid = HananGrid.of_net(net)
     occupied = {(p.x, p.y) for p in net.pins}
@@ -245,30 +272,21 @@ def _reusing_edit(net, kind, rng):
         ]
     else:  # add, source
         candidates = [NetDelta(kind, net=net.name, point=p) for p in vacancies]
-    signature = dw_signature(net)
+    signature = _dw_signature(net)
     for delta in candidates:
-        if dw_signature(apply_delta(net, delta)) == signature:
+        if _dw_signature(apply_delta(net, delta)) == signature:
             return delta
     return None
 
 
-def _reusing_case(kind, degree, ring):
+def _grid_keeping_case(kind, degree, ring):
     """The first lattice net (by seed) with a signature-keeping ``kind`` edit."""
     for seed in range(50):
         net = _case_net(degree, seed, ring)
-        delta = _reusing_edit(net, kind, random.Random(seed))
+        delta = _grid_keeping_edit(net, kind, random.Random(seed))
         if delta is not None:
             return net, delta
     raise AssertionError(f"no signature-keeping {kind} edit at degree {degree}")
-
-
-def _positional_masks(old, new):
-    """The masks the positional rule reuses: sinks at the same index and place."""
-    clean = 0
-    for i, (a, b) in enumerate(zip(old.sinks, new.sinks)):
-        if (a.x, a.y) == (b.x, b.y):
-            clean |= 1 << i
-    return {m for m in range(1, clean + 1) if m & ~clean == 0}
 
 
 #: (kind, degree before the edit): every edited net stays at degree 6..9.
@@ -284,126 +302,115 @@ EDIT_CASES = [
 ]
 
 
+def _eco_edit(net, delta):
+    """Route ``net`` on a fresh incremental engine, then apply ``delta``."""
+    engine = build_engine(
+        EngineSpec(router="patlabor", cache="symmetry", incremental=True)
+    )
+    engine.route(net)
+    return engine.apply_delta(delta)
+
+
 class TestDWStateReuse:
+    """Edits on the DW tier keep no solver state between solves: each is
+    one cold :func:`~repro.core.pareto_dw.pareto_dw` of the edited net,
+    bit-identical to a fresh route (the class name predates that)."""
+
     def test_warm_solve_bit_identical_with_reuse(self):
         net = _lattice_net()
-        cold, state, reuse0 = pareto_dw_with_state(net)
-        assert isinstance(state, DWState)
-        assert reuse0.reused_masks == 0
         delta = grid_preserving_move(net, random.Random(8))
         assert delta is not None
         edited = apply_delta(net, delta)
-        warm, _state2, reuse = pareto_dw_with_state(edited, state=state)
-        assert reuse.reused_masks > 0
-        reference = pareto_dw(edited)
-        assert warm == reference  # trees included — bit identical
+        result = _eco_edit(net, delta)
+        assert result.tier == "dw"
+        assert result.front == pareto_dw(edited)  # trees included
 
     def test_warm_solve_array_parity(self):
+        """The ECO front's objective arrays equal the tuple DP's."""
         net = _lattice_net("parity")
-        _cold, state, _r = pareto_dw_with_state(net)
         delta = grid_preserving_move(net, random.Random(3))
         assert delta is not None
         edited = apply_delta(net, delta)
-        warm, _s, _r2 = pareto_dw_with_state(edited, state=state)
-        import numpy as np
-
-        warm_w, warm_d = front_to_arrays(warm)[:2]
-        ref_w, ref_d = front_to_arrays(pareto_dw(edited))[:2]
-        assert np.array_equal(warm_w, ref_w)
-        assert np.array_equal(warm_d, ref_d)
+        result = _eco_edit(net, delta)
+        assert result.tier == "dw"
+        eco_w, eco_d = front_to_arrays(result.front)[:2]
+        ref_w, ref_d = front_to_arrays(pareto_dw(edited, kernels=False))[:2]
+        assert np.array_equal(eco_w, ref_w)
+        assert np.array_equal(eco_d, ref_d)
 
     def test_signature_mismatch_means_no_reuse(self):
+        """A move off the lattice adds a coordinate line; it is served
+        like every other edit, by a cold solve of the edited net."""
         net = _lattice_net("off-grid")
-        _cold, state, _r = pareto_dw_with_state(net)
-        # A move off the lattice adds a coordinate line: full recompute.
-        edited = apply_delta(
-            net,
-            NetDelta("move", net=net.name, sink_index=0, point=(123.0, 77.0)),
+        delta = NetDelta(
+            "move", net=net.name, sink_index=0, point=(123.0, 77.0)
         )
-        warm, _s, reuse = pareto_dw_with_state(edited, state=state)
-        assert reuse.reused_masks == 0
-        assert warm == pareto_dw(edited)
+        edited = apply_delta(net, delta)
+        assert _dw_signature(edited) != _dw_signature(net)
+        result = _eco_edit(net, delta)
+        assert result.tier == "dw"
+        assert result.front == pareto_dw(edited)
 
     @pytest.mark.parametrize("ring", [False, True], ids=["lattice", "ring"])
     @pytest.mark.parametrize("kind,degree", EDIT_CASES)
     def test_warm_solve_equals_cold_per_edit_kind(
         self, kind, degree, ring, monkeypatch
     ):
-        net, delta = _reusing_case(kind, degree, ring)
+        net, delta = _grid_keeping_case(kind, degree, ring)
         edited = apply_delta(net, delta)
-        _cold, state, _r = pareto_dw_with_state(net)
-        installed = []
-        real = pareto_dw_module._pareto_dw_array_impl
+        solved = []
+        real = engine_module.pareto_dw
 
-        def spy(n, *, warm=None, **kw):
-            installed.append(set(warm[1]) if warm is not None else set())
-            return real(n, warm=warm, **kw)
+        def spy(n, **kw):
+            solved.append((n, kw))
+            return real(n, **kw)
 
-        monkeypatch.setattr(pareto_dw_module, "_pareto_dw_array_impl", spy)
-        warm, new_state, reuse = pareto_dw_with_state(edited, state=state)
+        monkeypatch.setattr(engine_module, "pareto_dw", spy)
+        result = _eco_edit(net, delta)
         monkeypatch.undo()
-        # Trees and tie choices equal the dispatched cold solve; the
-        # objectives equal the enumerate-and-sort reference.
-        assert warm == pareto_dw(edited)
-        assert _objectives(warm) == _objectives(
+        # One solve, of the edited net, with the defaults of every
+        # other exact solve (bounded from degree 7).
+        assert solved == [(edited, {})]
+        assert result.tier == "dw"
+        # Trees and tie choices equal the dispatched cold solve and a
+        # fresh engine's route; the objectives equal the tuple DP's.
+        assert result.front == pareto_dw(edited)
+        assert result.front == _fresh_engine().route(edited)
+        assert _objectives(result.front) == _objectives(
             pareto_dw(edited, kernels=False)
         )
-        # Reuse is exactly the positional rule's mask set.
-        predicted = _positional_masks(net, edited)
-        assert installed == [predicted]
-        assert reuse.reused_masks == len(predicted) > 0
-        assert reuse.total_masks == (1 << len(edited.sinks)) - 1
-        # The retained state is complete: a second warm solve from it
-        # reuses every mask and still equals the cold front.
-        again, _s, full = pareto_dw_with_state(edited, state=new_state)
-        assert full.computed_masks == 0
-        assert again == warm
 
     @pytest.mark.parametrize("ring", [False, True], ids=["lattice", "ring"])
     @pytest.mark.parametrize("degree", [6, 7, 8])
     def test_source_move_reads_full_set_at_new_source(self, degree, ring):
-        """A solve that retains nothing closes the full sink set at its
-        source alone; a retaining solve closes it at every node, so a
-        warm source move reads it at the new source."""
-        net, delta = _reusing_case("source", degree, ring)
+        """A source move re-solves with the full sink set closed at the
+        new source: every tree is rooted there."""
+        net, delta = _grid_keeping_case("source", degree, ring)
         edited = apply_delta(net, delta)
         assert edited.source != net.source
-        _cold, state, _r = pareto_dw_with_state(net)
-        full = (1 << len(net.sinks)) - 1
-        assert (state.cnt[full] > 0).all()
-        warm, _s, reuse = pareto_dw_with_state(edited, state=state)
-        assert reuse.computed_masks == 0  # the full set is installed too
-        assert warm == pareto_dw(edited)  # trees included
+        result = _eco_edit(net, delta)
+        assert result.tier == "dw"
+        assert result.front == pareto_dw(edited)  # trees included
+        for _w, _d, tree in result.front:
+            assert tree.points[0] == edited.source
+            assert tree.parent[0] == -1
 
     def test_small_degree_is_cold_and_retains_nothing(self):
+        """An edit below the array engine's degree runs the tuple DP,
+        and the session keeps only the edited net and its front."""
         big = _case_net(6, 3, ring=False)
-        _front, state, _r = pareto_dw_with_state(big)
-        small = apply_delta(
-            big, NetDelta("remove", net=big.name, sink_index=4)
-        )
+        delta = NetDelta("remove", net=big.name, sink_index=4)
+        small = apply_delta(big, delta)
         assert small.degree < pareto_dw_module._ARRAY_MIN_DEGREE
-        for prior in (None, state):
-            front, new_state, reuse = pareto_dw_with_state(small, state=prior)
-            assert front == pareto_dw(small)
-            assert new_state is None
-            assert reuse.reused_masks == 0
-            assert reuse.computed_masks == (1 << len(small.sinks)) - 1
-
-    def test_retained_state_stays_bounded(self):
-        """200 grid-preserving edits: never above 2x a cold state's bytes."""
-        net = _lattice_net("bounded")
-        _f, state, _r = pareto_dw_with_state(net, with_trees=False)
-        rng = random.Random(11)
-        for _ in range(200):
-            delta = grid_preserving_move(net, rng)
-            assert delta is not None
-            net = apply_delta(net, delta)
-            _f, state, reuse = pareto_dw_with_state(
-                net, state=state, with_trees=False
-            )
-            assert reuse.reused_masks > 0
-            _f, cold, _r = pareto_dw_with_state(net, with_trees=False)
-            assert state.nbytes <= 2 * cold.nbytes
+        engine = build_engine(
+            EngineSpec(router="patlabor", cache="symmetry", incremental=True)
+        )
+        engine.route(big)
+        result = engine.apply_delta(delta)
+        assert result.tier == "dw"
+        assert result.front == pareto_dw(small)
+        session = engine._sessions[big.name]
+        assert vars(session) == {"net": small, "front": result.front}
 
 
 # -------------------------------------------------- incremental engine
@@ -427,36 +434,6 @@ class TestIncrementalRouter:
         inner.config.lam = 7
         assert engine.capabilities.exact_up_to == 7
         assert engine.capabilities.incremental is True
-
-    def test_retained_bytes_gauge(self):
-        """``eco.retained_bytes`` is the sum of the sessions' DW state bytes."""
-        engine = self._engine()
-        nets = [_lattice_net("g0"), _lattice_net("g1")]
-        for net in nets:
-            engine.route(net)
-        obs.reset()
-        obs.enable()
-        try:
-            current = {net.name: net for net in nets}
-            rng = random.Random(4)
-            for name in ("g0", "g1", "g0"):
-                delta = grid_preserving_move(current[name], rng)
-                current[name] = apply_delta(current[name], delta)
-                assert engine.apply_delta(delta).tier == "dw"
-            gauge = obs.snapshot()["gauges"]["eco.retained_bytes"]
-        finally:
-            obs.disable()
-            obs.reset()
-        sessions = engine._sessions.values()
-        held = sum(s.dw_state.nbytes for s in sessions if s.dw_state)
-        assert gauge == held == engine.retained_bytes > 0
-        engine.forget("g0")
-        held = sum(s.dw_state.nbytes for s in sessions if s.dw_state)
-        assert engine.retained_bytes == held > 0
-        engine.route(current["g1"])  # a plain route drops the DW state
-        assert engine.retained_bytes == 0
-        engine.clear_sessions()
-        assert engine.retained_bytes == 0
 
     def test_unknown_net_raises(self):
         engine = self._engine()
@@ -511,26 +488,6 @@ class TestIncrementalRouter:
                     cold_best = min(w for w, _d, _t in cold_front)
                     assert best <= cold_best * 1.10
         assert checked_exact > 0
-
-    def test_dw_reuse_on_lattice_stream(self):
-        """Repeat grid-preserving edits reuse retained subset fronts."""
-        net = _lattice_net("warm")
-        engine = self._engine()
-        engine.route(net)
-        rng = random.Random(9)
-        current = net
-        saw_reuse = False
-        for _ in range(3):
-            delta = grid_preserving_move(current, rng)
-            assert delta is not None
-            result = engine.apply_delta(delta)
-            current = apply_delta(current, delta)
-            assert result.tier == "dw"
-            assert _objectives(result.front) == _objectives(
-                _fresh_engine().route(current)
-            )
-            saw_reuse = saw_reuse or result.reused_masks > 0
-        assert saw_reuse
 
     def test_cache_short_circuit(self):
         """An edit that undoes the previous one is served from cache."""

@@ -9,7 +9,7 @@ node-major, split-minor, with each mask's bounding box and split list
 computed in Python, kept where both factor counts are positive. The two
 must agree row for row and in order — ``(mask, node, q1, p1, p2)`` —
 on every call of a solve, for every lemma flag, candidate budget,
-bounded or not, and on warm ECO solves that skip retained masks.
+bounded or not, and on the solves ECO pin moves on a lattice run.
 """
 
 import importlib
@@ -24,10 +24,8 @@ from hypothesis import strategies as st
 from repro.core.pareto_dw import (
     _boundary_order,
     _pareto_dw_on,
-    _reusable_masks,
     _splits_for_mask,
-    dw_signature,
-    pareto_dw_with_state,
+    pareto_dw,
 )
 from repro.geometry.hanan import HananGrid
 from repro.geometry.net import Net
@@ -221,8 +219,9 @@ class TestLiveRowsEqualTheOracle:
     @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("ring", [False, True])
     def test_warm_eco_solves(self, budget, ring, row_calls, monkeypatch):
-        # Lattice nets whose edits keep the DW signature, so a warm solve
-        # installs the untouched masks and merges only the rest.
+        # Lattice nets and their grid-preserving pin moves, as the ECO
+        # lane replays them; each edited net is solved as pareto_dw runs
+        # it (bounded from degree 7) and merges every mask.
         monkeypatch.setattr(pareto_dw_module, "_CANDIDATE_BUDGET", budget)
         lines = (0.0, 250.0, 500.0, 750.0, 1000.0)
         points = [
@@ -235,21 +234,15 @@ class TestLiveRowsEqualTheOracle:
         while net is None or grid_preserving_move(net, random.Random(0)) is None:
             pins = rng.sample(points, degree)
             net = Net.from_points(pins[0], pins[1:], name="eco")
-        _, state, _ = pareto_dw_with_state(net)
         warm_checked = 0
         for _ in range(2):
             delta = grid_preserving_move(net, rng)
             if delta is None:
                 break
             edited = apply_delta(net, delta)
-            reused = _reusable_masks(
-                state, dw_signature(edited), tuple((p.x, p.y) for p in edited.sinks)
-            )
             row_calls.clear()
-            _, state, reuse = pareto_dw_with_state(edited, state=state)
-            assert reuse.reused_masks == len(reused) > 0
-            expected = [m for m in all_masks(edited) if m not in set(reused)]
-            check_rows(row_calls, edited, expected)
+            pareto_dw(edited, with_trees=False)
+            check_rows(row_calls, edited, all_masks(edited))
             warm_checked += 1
             net = edited
         assert warm_checked >= 1
