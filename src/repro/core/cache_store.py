@@ -22,9 +22,17 @@ Design constraints, in order:
   the run ledger); any :class:`sqlite3.Error` — truncated file, garbage
   bytes, concurrent schema surprise — flips the store into a degraded
   mode where every ``get`` is a miss and every ``put`` a no-op.
+* **Cheap commits, a cache's durability.** The writer runs SQLite in
+  write-ahead-log mode (``journal_mode=WAL``) with ``synchronous=NORMAL``:
+  a commit appends to ``<path>-wal`` without an fsync. Other processes
+  see each committed entry at once, and a process that exits without
+  :meth:`PersistentStore.close` (a torn-down pool worker) keeps every
+  commit. An OS crash or power loss may drop the last commits but never
+  corrupts the file; the store is a cache, so a lost entry is re-solved.
 * **Append-only.** Entries are immutable once written and never evicted;
   recency management stays in the memory LRU in front. ``repro cache
-  stats`` reports entry counts and file size so growth is observable.
+  stats`` reports entry counts and file size (main file plus WAL) so
+  growth is observable.
 
 The module has no dependency on the router stack; it serialises plain
 ``(Net, GridTransform, [Solution])`` triples.
@@ -131,6 +139,14 @@ def _decode_entry(payload: str) -> Optional[StoreEntry]:
         return None
 
 
+def _file_size(path: Path) -> int:
+    """Bytes in ``path`` (0 when absent, e.g. a WAL removed at close)."""
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0
+
+
 class PersistentStore:
     """Append-only SQLite store of routed frontiers, keyed canonically.
 
@@ -176,6 +192,11 @@ class PersistentStore:
         """The sidecar file writers flock while appending."""
         return self.path.with_name(self.path.name + ".lock")
 
+    @property
+    def wal_path(self) -> Path:
+        """The write-ahead log beside the store, where commits land first."""
+        return self.path.with_name(self.path.name + "-wal")
+
     def _connect(self) -> Optional[sqlite3.Connection]:
         """The lazily-opened connection (None while degraded/absent)."""
         if self._degraded:
@@ -189,6 +210,8 @@ class PersistentStore:
             conn.execute("PRAGMA busy_timeout=5000")
             if not self.readonly:
                 with self._writer_lock():
+                    conn.execute("PRAGMA journal_mode=WAL")
+                    conn.execute("PRAGMA synchronous=NORMAL")
                     conn.executescript(_SCHEMA)
                     conn.execute(
                         "INSERT OR IGNORE INTO meta (k, v) VALUES (?, ?)",
@@ -353,7 +376,7 @@ class PersistentStore:
             "path": str(self.path),
             "healthy": self.healthy,
             "entries": len(self),
-            "size_bytes": self.path.stat().st_size if self.path.exists() else 0,
+            "size_bytes": _file_size(self.path) + _file_size(self.wal_path),
             "session_hits": self.hits,
             "session_misses": self.misses,
             "session_puts": self.puts,

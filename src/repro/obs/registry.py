@@ -9,7 +9,12 @@ One process-global :class:`Registry` (module singleton, accessed through
   exporters can report percentiles (``eval.net_seconds``).
 
 Span durations (see :mod:`repro.obs.spans`) land in a fourth family keyed
-by the full ``parent/child`` path.
+by the full ``parent/child`` path. A closing span only appends its
+``(path, seconds, error)`` to a pending buffer; the registry folds that
+buffer into the span stats whenever anything reads them (``spans``,
+``events``, :meth:`Registry.snapshot`, :meth:`Registry.merge_snapshot`)
+and once the buffer holds :data:`_SPAN_FOLD_AT` entries, so readers see
+exact numbers while a span exit stays O(1).
 
 The registry starts **disabled**. Every primitive checks a single flag and
 returns immediately when disabled, so instrumented hot paths pay one
@@ -24,13 +29,18 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from .live import LatencyHistogram
 
 #: Raw samples kept per timer for percentile estimation; older samples are
 #: overwritten ring-buffer style once the cap is reached.
 SAMPLE_CAP = 8192
+
+#: Pending span observations that make the appending thread fold the
+#: buffer into the span stats itself (bounds the buffer's memory).
+_SPAN_FOLD_AT = 1024
 
 
 class TimerStat:
@@ -112,16 +122,35 @@ class Registry:
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         self.timers: Dict[str, TimerStat] = {}
-        self.spans: Dict[str, TimerStat] = {}
+        self._spans: Dict[str, TimerStat] = {}
+        #: Closed spans not yet folded into ``_spans``, oldest first.
+        #: ``deque.append`` is atomic, so span exits skip the lock.
+        self._pending_spans: Deque[Tuple[str, float, bool]] = deque()
         #: One fixed-bucket histogram per timer name, maintained alongside
         #: the sample ring by :meth:`timer_observe`. Unlike samples, bucket
         #: counts are exact and merge associatively across workers, so a
         #: live daemon can serve stable percentiles (see repro.obs.live).
         self.histograms: Dict[str, LatencyHistogram] = {}
-        #: Number of primitive calls recorded while enabled. The overhead
-        #: test uses this as an exact count of instrumentation call sites
-        #: executed per operation (control flow is identical disabled).
-        self.events = 0
+        self._events = 0
+
+    @property
+    def spans(self) -> Dict[str, TimerStat]:
+        """Span stats by tree path, with every closed span folded in."""
+        with self._lock:
+            self._fold_spans()
+            return self._spans
+
+    @property
+    def events(self) -> int:
+        """Number of primitive calls recorded while enabled.
+
+        The overhead test uses this as an exact count of instrumentation
+        call sites executed per operation (control flow is identical
+        disabled).
+        """
+        with self._lock:
+            self._fold_spans()
+            return self._events
 
     # ------------------------------------------------------------ lifecycle
 
@@ -139,9 +168,10 @@ class Registry:
             self.counters.clear()
             self.gauges.clear()
             self.timers.clear()
-            self.spans.clear()
+            self._spans.clear()
+            self._pending_spans.clear()
             self.histograms.clear()
-            self.events = 0
+            self._events = 0
 
     # ----------------------------------------------------------- primitives
 
@@ -150,7 +180,7 @@ class Registry:
         if not self.enabled:
             return
         with self._lock:
-            self.events += 1
+            self._events += 1
             self.counters[name] = self.counters.get(name, 0) + value
 
     def gauge_set(self, name: str, value: float) -> None:
@@ -158,7 +188,7 @@ class Registry:
         if not self.enabled:
             return
         with self._lock:
-            self.events += 1
+            self._events += 1
             self.gauges[name] = value
 
     def gauge_max(self, name: str, value: float) -> None:
@@ -166,7 +196,7 @@ class Registry:
         if not self.enabled:
             return
         with self._lock:
-            self.events += 1
+            self._events += 1
             cur = self.gauges.get(name)
             if cur is None or value > cur:
                 self.gauges[name] = value
@@ -176,7 +206,7 @@ class Registry:
         if not self.enabled:
             return
         with self._lock:
-            self.events += 1
+            self._events += 1
             stat = self.timers.get(name)
             if stat is None:
                 stat = self.timers[name] = TimerStat()
@@ -188,17 +218,33 @@ class Registry:
 
     def span_observe(self, path: str, seconds: float, error: bool = False) -> None:
         """Record one span duration at tree ``path``; ``error`` marks a
-        span whose body raised."""
+        span whose body raised.
+
+        The observation is queued and folded into the span stats on the
+        next read (or by this call once the queue is full).
+        """
         if not self.enabled:
             return
-        with self._lock:
-            self.events += 1
-            stat = self.spans.get(path)
+        pending = self._pending_spans
+        pending.append((path, seconds, error))
+        if len(pending) >= _SPAN_FOLD_AT:
+            with self._lock:
+                self._fold_spans()
+
+    def _fold_spans(self) -> None:
+        """Move every pending span observation into its stat (lock held)."""
+        pending, spans = self._pending_spans, self._spans
+        # Appends racing this fold wait for the next one.
+        folded = len(pending)
+        for _ in range(folded):
+            path, seconds, error = pending.popleft()
+            stat = spans.get(path)
             if stat is None:
-                stat = self.spans[path] = TimerStat()
+                stat = spans[path] = TimerStat()
             stat.observe(seconds)
             if error:
                 stat.errors += 1
+        self._events += folded
 
     # -------------------------------------------------- snapshot / merging
 
@@ -209,11 +255,12 @@ class Registry:
         process can merge percentile data from workers.
         """
         with self._lock:
+            self._fold_spans()
             snap: Dict[str, object] = {
                 "counters": dict(self.counters),
                 "gauges": dict(self.gauges),
                 "timers": {k: v.as_dict() for k, v in self.timers.items()},
-                "spans": {k: v.as_dict() for k, v in self.spans.items()},
+                "spans": {k: v.as_dict() for k, v in self._spans.items()},
                 "histograms": {
                     k: v.as_dict() for k, v in self.histograms.items()
                 },
@@ -233,6 +280,7 @@ class Registry:
         bucket counts exactly (associative — fold order never matters).
         """
         with self._lock:
+            self._fold_spans()
             for name, value in snap.get("counters", {}).items():  # type: ignore[union-attr]
                 self.counters[name] = self.counters.get(name, 0) + value
             for name, value in snap.get("gauges", {}).items():  # type: ignore[union-attr]
@@ -240,7 +288,7 @@ class Registry:
                 if cur is None or value > cur:
                     self.gauges[name] = value
             samples = snap.get("timer_samples", {})
-            for family, store in (("timers", self.timers), ("spans", self.spans)):
+            for family, store in (("timers", self.timers), ("spans", self._spans)):
                 for name, stat_dict in snap.get(family, {}).items():  # type: ignore[union-attr]
                     stat = store.get(name)
                     if stat is None:

@@ -3,7 +3,11 @@
 A span measures one timed region. Spans nest: each thread keeps a stack of
 the active spans' full ``parent/child/...`` paths, and a span's duration
 is recorded under its path (e.g. ``patlabor.route/patlabor.local_search/
-dw.solve``), which is what the span-tree report renders.
+dw.solve``), which is what the span-tree report renders. Closing a span
+reads the clock, pops its path and queues ``(path, seconds, error)`` on
+the registry, which folds the queue into its span stats on every read
+(:meth:`~repro.obs.registry.Registry.snapshot`, ``spans``, ``events``),
+so a span exit costs O(1) and readers still see every closed span.
 
 A span is closed by its context manager even when the body raises; the
 recorded stat (and the Chrome-trace event, when tracing is on) is then
@@ -71,7 +75,7 @@ class _Span:
         dt = perf_counter() - self._t0
         path = _tls.stack.pop()
         error = exc_type is not None
-        _REGISTRY.span_observe(path, dt, error=error)
+        _REGISTRY.span_observe(path, dt, error)
         if _TRACE.enabled:
             _TRACE.record(
                 self.name,

@@ -10,8 +10,11 @@ version gate), then check the sidecar — ``/healthz`` answers,
 ``/readyz`` reports ready, and ``/metrics`` serves a **structurally
 valid** Prometheus exposition (``validate_exposition``) whose merged
 per-tier histogram counts equal the daemon's net total — and shut the
-daemon down cleanly (exit code 0). Any failed step exits non-zero with a
-diagnostic, so CI catches daemon bit-rot without the full benchmark.
+daemon down cleanly (exit code 0). After the shutdown, a fresh readonly
+:class:`~repro.core.cache_store.PersistentStore` on the daemon's store
+must hit every net the daemon served as ``routed``, so the store's
+commits survive the pool's teardown. Any failed step exits non-zero with
+a diagnostic, so CI catches daemon bit-rot without the full benchmark.
 """
 
 from __future__ import annotations
@@ -26,10 +29,13 @@ import urllib.request
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from ..core.cache import canonical_key
+from ..core.cache_store import PersistentStore
 from ..geometry.net import Net, random_net
 from ..incremental.delta import perturb_nets
 from ..obs import parse_prometheus_text, validate_exposition
 from .client import ServeClient, ServeError
+from .protocol import net_to_payload, result_front
 
 #: Unique patterns in the smoke workload; each is queried twice (the
 #: second pass must be served warm).
@@ -166,6 +172,27 @@ def _check_eco(client: ServeClient, socket_path: str) -> Optional[str]:
     return None
 
 
+def _check_store(store_path: str, routed: List[Net]) -> Optional[str]:
+    """Every freshly routed net must hit a fresh readonly store after
+    shutdown; the failure diagnostic, or None.
+
+    The daemon's engine keys its cache on the symmetry-canonical form
+    (:data:`repro.engine.SERVING_ENGINE`), so the store does too.
+    """
+    if not routed:
+        return "the daemon routed no net fresh, so nothing reached the store"
+    store = PersistentStore(store_path, readonly=True)
+    missing = [
+        net.name for net in routed if store.get(canonical_key(net)[0]) is None
+    ]
+    healthy = store.healthy
+    store.close()
+    if missing or not healthy:
+        return f"no entry for {missing} (healthy={healthy})"
+    print(f"store OK: {len(routed)} routed nets hit after shutdown")
+    return None
+
+
 def main() -> int:
     """Run the smoke sequence; return a process exit code."""
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
@@ -184,14 +211,20 @@ def main() -> int:
             client = _wait_for_socket(socket_path, proc)
             with client:
                 nets = _workload()
-                results = client.route(nets)
+                results = client.request(
+                    "route", nets=[net_to_payload(n) for n in nets]
+                )["results"]
                 if len(results) != len(nets):
                     print(f"FAIL: {len(results)} results for {len(nets)} nets")
                     return 1
-                for name, front in results:
-                    if not front:
-                        print(f"FAIL: empty front for {name}")
+                for net, payload in zip(nets, results):
+                    if not result_front(payload):
+                        print(f"FAIL: empty front for {net.name}")
                         return 1
+                routed = [
+                    net for net, payload in zip(nets, results)
+                    if payload.get("served") == "routed"
+                ]
                 stats = client.stats()
                 print(
                     f"routed {stats['nets']} nets in {stats['requests']} "
@@ -221,6 +254,10 @@ def main() -> int:
             rc = proc.wait(timeout=60)
             if rc != 0:
                 print(f"FAIL: daemon exited with code {rc} after shutdown")
+                return 1
+            problem = _check_store(store_path, routed)
+            if problem is not None:
+                print(f"FAIL: persistent store: {problem}")
                 return 1
         finally:
             if proc.poll() is None:  # pragma: no cover - only on failure

@@ -351,3 +351,129 @@ class TestCacheStatsCli:
         assert daemon["nets"] == 1
         assert 0.0 <= daemon["warm_hit_rate"] <= 1.0
         assert {"served_memory", "served_store", "served_routed"} <= set(daemon)
+
+
+def _child_env():
+    """Environment for a child interpreter that imports ``repro`` from src/."""
+    env = {"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
+
+
+#: Puts the fronts of ``count`` seeded nets into the store at ``db``.
+_WRITER = """
+import random, sys
+from repro.core.cache import canonical_key
+from repro.core.cache_store import PersistentStore
+from repro.core.patlabor import PatLabor
+from repro.geometry.net import random_net
+db, count = sys.argv[1], int(sys.argv[2])
+store = PersistentStore(db)
+for i in range(count):
+    net = random_net(4 + i % 3, rng=random.Random(500 + i))
+    key, t = canonical_key(net)
+    assert store.put(key, net, t, list(PatLabor().route(net)))
+"""
+
+
+def _written_keys(count):
+    """The canonical keys :data:`_WRITER` puts for ``count`` nets."""
+    return [
+        canonical_key(random_net(4 + i % 3, rng=random.Random(500 + i)))[0]
+        for i in range(count)
+    ]
+
+
+def _journal_mode(db):
+    import sqlite3
+
+    conn = sqlite3.connect(db)
+    try:
+        return conn.execute("PRAGMA journal_mode").fetchone()[0]
+    finally:
+        conn.close()
+
+
+class TestWriteAheadLog:
+    """WAL commits: visible to other processes, durable across a torn exit."""
+
+    REPO = str(Path(__file__).resolve().parent.parent)
+
+    def test_writer_store_runs_in_wal_mode(self, tmp_path):
+        db = tmp_path / "s.sqlite"
+        net = random_net(4, rng=random.Random(31))
+        key, t = canonical_key(net)
+        store = PersistentStore(db)
+        assert store.put(key, net, t, list(PatLabor().route(net)))
+        assert store.wal_path.exists()
+        assert _journal_mode(db) == "wal"
+        store.close()
+
+    def test_entries_survive_exit_without_close(self, tmp_path):
+        # A torn-down pool worker ends by os._exit: no close(), no atexit,
+        # no checkpoint. Its commits sit in the WAL and must still be hits.
+        db = tmp_path / "s.sqlite"
+        count = 12
+        subprocess.run(
+            [sys.executable, "-c", _WRITER + "import os\nos._exit(0)\n",
+             str(db), str(count)],
+            check=True, cwd=self.REPO, env=_child_env(),
+        )
+        assert (tmp_path / "s.sqlite-wal").stat().st_size > 0
+        keys = _written_keys(count)
+        readonly = PersistentStore(db, readonly=True)
+        assert all(readonly.get(key) is not None for key in keys)
+        assert readonly.hits == count and readonly.healthy
+        fresh = PersistentStore(db)
+        assert all(fresh.get(key) is not None for key in keys)
+        assert fresh.hits == count and len(fresh) == count
+        fresh.close()
+
+    def test_readonly_store_reads_while_writer_is_open(self, tmp_path):
+        db = tmp_path / "s.sqlite"
+        count = 6
+        with subprocess.Popen(
+            [sys.executable, "-c",
+             _WRITER + "print('ready', flush=True)\nsys.stdin.readline()\n"
+             "store.close()\n",
+             str(db), str(count)],
+            cwd=self.REPO, env=_child_env(),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        ) as writer:
+            try:
+                assert writer.stdout is not None and writer.stdin is not None
+                assert writer.stdout.readline().strip() == "ready"
+                reader = PersistentStore(db, readonly=True)
+                keys = _written_keys(count)
+                assert all(reader.get(key) is not None for key in keys)
+                assert reader.hits == count and len(reader) == count
+                assert writer.poll() is None  # the writer still holds its connection
+                writer.stdin.write("done\n")
+                writer.stdin.flush()
+                assert writer.wait(timeout=60) == 0
+            finally:
+                if writer.poll() is None:
+                    writer.kill()
+
+    def test_cache_stats_counts_uncheckpointed_entries(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        db = tmp_path / "live.sqlite"
+        store = PersistentStore(db)
+        rng = random.Random(81)
+        for _ in range(3):
+            net = random_net(5, rng=rng)
+            key, t = canonical_key(net)
+            assert store.put(key, net, t, list(PatLabor().route(net)))
+        try:
+            assert main(["cache", "stats", "--store", str(db), "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["entries"] == 3
+            assert report["size_bytes"] > 0
+            # The commits are still in the WAL: the main file alone is smaller.
+            assert report["size_bytes"] > db.stat().st_size
+        finally:
+            store.close()
