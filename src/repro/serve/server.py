@@ -2,18 +2,22 @@
 
 ``repro serve`` turns the per-invocation CLI into **routing as a
 service**: one resident process accepts batched JSON route requests over
-a Unix socket and/or TCP, dispatches nets to a ``ProcessPoolExecutor``
-whose workers each built their engine exactly once
-(:mod:`repro.serve.pool`), and answers with Pareto fronts — so repeated
+a Unix socket and/or TCP, dispatches nets to a
+:class:`~repro.serve.pool.WorkerPool` whose workers each built their
+engine exactly once, and answers with Pareto fronts — so repeated
 traffic pays neither interpreter start-up, nor lookup-table loading, nor
 re-routing of patterns the cache tiers already hold.
 
 Request lifecycle (see ``docs/architecture.md`` for the full diagram)::
 
-    client ── JSON line ──> asyncio reader ──> dispatch ──> worker pool
-                                                             (resident
-                                                              engine)
-    client <── JSON line ── writer  <── gather  <── per-net futures
+    client ── JSON line ──> asyncio reader ──> submit ──> worker's pipe
+                                                           (resident
+                                                            engine)
+    client <── JSON line ── writer  <── gather  <── add_reader: reply
+
+The event loop itself writes each net to a worker's pipe and reads the
+reply when the pipe turns readable: no executor thread sits between the
+loop and the workers.
 
 Throughput accounting rides :mod:`repro.obs` (no-op unless enabled):
 ``serve.requests`` / ``serve.nets`` counters, per-tier
@@ -48,11 +52,10 @@ import logging
 import threading
 import time
 import uuid
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, cast
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, cast
 
 from .. import obs
 from ..engine.build import SERVING_ENGINE, EngineSpec, build_engine
@@ -128,10 +131,11 @@ class ServeConfig:
 class RouteServer:
     """The daemon: accepts route requests, answers from the worker pool.
 
-    Lifecycle: :meth:`start` (creates the pool and the listeners),
-    :meth:`serve_until_stopped` (runs until a ``shutdown`` request or
-    :meth:`stop`), after which the pool is drained, every worker's
-    persistent-store statistics are flushed, and the sockets are closed.
+    Lifecycle: :meth:`start` (binds the listeners, then starts the
+    pool), :meth:`serve_until_stopped` (runs until a ``shutdown`` request
+    or :meth:`stop`), after which the sockets are closed, the workers'
+    telemetry is drained, every worker's persistent-store statistics are
+    flushed, and every worker is joined.
     """
 
     def __init__(self, config: ServeConfig) -> None:
@@ -169,13 +173,11 @@ class RouteServer:
             tier: obs.LatencyHistogram() for tier in TIERS
         }
         self.slow_requests = 0
-        #: Flipped by the readiness task once every pool worker answered
-        #: its :func:`repro.serve.pool.worker_ready` probe, and cleared
-        #: when a route finds the pool broken; ``/readyz`` serves 503
-        #: whenever it is false.
-        self.ready = False
+        #: Set by the readiness task once every pool worker answered its
+        #: :func:`repro.serve.pool.worker_ready` probe (see :attr:`ready`).
+        self._probed = False
         self.worker_info: List[Dict[str, Any]] = []
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._pool: Optional[pool.WorkerPool] = None
         self._servers: List[asyncio.AbstractServer] = []
         self._stop_event: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -194,16 +196,9 @@ class RouteServer:
     # ------------------------------------------------------------ lifecycle
 
     async def start(self) -> None:
-        """Create the worker pool and bind the configured endpoints."""
+        """Bind the configured endpoints, then start the worker pool."""
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        spec = pool.WorkerSpec(
-            engine=dataclasses.replace(
-                self.config.engine, cache_store=self.config.store_path
-            ),
-            telemetry=self.config.telemetry,
-        )
-        self._executor = pool.start_pool(spec, self._workers)
         if self.config.socket_path is not None:
             self._servers.append(
                 await asyncio.start_unix_server(
@@ -229,6 +224,14 @@ class RouteServer:
                 port=self.config.metrics_port,
             )
             await self._metrics_endpoint.start()
+        spec = pool.WorkerSpec(
+            engine=dataclasses.replace(
+                self.config.engine, cache_store=self.config.store_path
+            ),
+            telemetry=self.config.telemetry,
+        )
+        self._pool = pool.WorkerPool(spec, self._workers)
+        self._pool.attach(self._loop)
         self._ready_task = self._loop.create_task(self._await_pool_ready())
         self.started_at = time.time()
 
@@ -239,26 +242,28 @@ class RouteServer:
         worker, never two on one) and gathers the answers. ``/readyz``
         flips to 200 only after the gather resolves — i.e. after the pool
         has actually executed work post-initialization — and only if
-        each answer shows a healthy store when one is configured. A broken pool leaves the daemon
-        permanently not-ready (the right probe verdict for it).
+        each answer shows a healthy store when one is configured. A
+        broken pool leaves the daemon permanently not-ready (the right
+        probe verdict for it).
         """
-        assert self._loop is not None and self._executor is not None
+        assert self._pool is not None
         try:
-            probes = pool.broadcast(
-                self._executor, pool.worker_ready, self._workers
-            )
-            info = await asyncio.gather(
-                *[asyncio.wrap_future(probe) for probe in probes]
-            )
-        except (BrokenProcessPool, RuntimeError, asyncio.CancelledError):
+            info = await asyncio.gather(*self._pool.broadcast(pool.worker_ready))
+        except (ReproError, asyncio.CancelledError):
             return
         self.worker_info = info
         needs_store = self.config.store_path is not None
-        self.ready = all(
+        self._probed = all(
             w.get("engine")
             and (not needs_store or (w.get("store_attached") and w.get("store_healthy")))
             for w in info
         )
+
+    @property
+    def ready(self) -> bool:
+        """Whether ``/readyz`` answers 200: every worker answered its
+        readiness probe, and none has died since."""
+        return self._probed and self._pool is not None and self._pool.broken is None
 
     @property
     def tcp_port(self) -> Optional[int]:
@@ -295,44 +300,44 @@ class RouteServer:
             await server.wait_closed()
         self._servers.clear()
         if self._ready_task is not None:
-            # Let the readiness broadcast finish: a cancelled probe would
-            # leave its barrier short of one worker.
-            await asyncio.wait([self._ready_task], timeout=pool.BROADCAST_TIMEOUT_S)
             self._ready_task.cancel()
             self._ready_task = None
         if self._metrics_endpoint is not None:
             await self._metrics_endpoint.stop()
             self._metrics_endpoint = None
-        if self._executor is not None:
+        if self._pool is not None:
             if self.config.telemetry:
                 # Drain worker-side telemetry into the daemon's global
                 # registries (histogram merges are associative, so the
                 # drain order across workers is immaterial).
-                try:
-                    for future in pool.broadcast(
-                        self._executor, pool.drain_worker_telemetry, self._workers
-                    ):
-                        drained = future.result(timeout=2 * pool.BROADCAST_TIMEOUT_S)
-                        obs.get_registry().merge_snapshot(drained["snapshot"])
-                        obs.get_event_log().extend(drained["events"])
-                        obs.get_trace_collector().extend(drained["trace"])
-                except Exception:
-                    pass
-            # Best-effort: ask workers to flush their persistent-store
-            # statistics now (their atexit hooks cover stragglers).
-            try:
-                for future in pool.broadcast(
-                    self._executor, pool.flush_worker, self._workers
-                ):
-                    future.result(timeout=2 * pool.BROADCAST_TIMEOUT_S)
-            except Exception:
-                pass
-            self._executor.shutdown(wait=True)
-            self._executor = None
+                for drained in await self._broadcast(pool.drain_worker_telemetry):
+                    obs.get_registry().merge_snapshot(drained["snapshot"])
+                    obs.get_event_log().extend(drained["events"])
+                    obs.get_trace_collector().extend(drained["trace"])
+            # Ask workers to flush their persistent-store statistics now
+            # (their atexit hooks cover stragglers).
+            await self._broadcast(pool.flush_worker)
+            self._pool.close()
         if self._eco_executor is not None:
             self._eco_executor.shutdown(wait=True)
             self._eco_executor = None
         self._eco_sessions.clear()
+
+    async def _broadcast(self, fn: Callable[[], Any]) -> List[Any]:
+        """Run ``fn`` once on every worker; the answers that came back.
+
+        Best effort, for shutdown: a broken pool, a failed task and a
+        worker still busy after :data:`repro.serve.pool.SHUTDOWN_TIMEOUT_S`
+        each just give no answer.
+        """
+        assert self._pool is not None
+        futures = self._pool.broadcast(fn)
+        await asyncio.wait(futures, timeout=pool.SHUTDOWN_TIMEOUT_S)
+        return [
+            f.result()
+            for f in futures
+            if f.done() and not f.cancelled() and f.exception() is None
+        ]
 
     # ------------------------------------------------------------- handlers
 
@@ -478,31 +483,26 @@ class RouteServer:
             # instead of once per net inside the workers.
             resolve_point_policy(select)
         request_id = self._next_request_id()
-        assert self._loop is not None and self._executor is not None
+        assert self._pool is not None
         self.queue_depth += len(nets)
         self.queue_depth_max = max(self.queue_depth_max, self.queue_depth)
         obs.gauge_max("serve.queue_depth_max", float(self.queue_depth))
         try:
-            futures = [
-                self._loop.run_in_executor(
-                    self._executor,
-                    partial(
+            # On a broken pool every future fails with "worker pool
+            # died" (a ReproError), and ``ready`` reads false.
+            results = await asyncio.gather(
+                *[
+                    self._pool.submit(
                         pool.route_payload,
                         payload,
                         with_trees,
                         request_id,
                         f"{request_id}/{index}",
                         select,
-                    ),
-                )
-                for index, payload in enumerate(nets)
-            ]
-            results = await asyncio.gather(*futures)
-        except BrokenProcessPool as exc:
-            # A broken executor never recovers: stop answering ready.
-            # (Submitting to a pool already known broken raises here too.)
-            self.ready = False
-            raise ReproError(f"worker pool died: {exc}") from exc
+                    )
+                    for index, payload in enumerate(nets)
+                ]
+            )
         finally:
             self.queue_depth -= len(nets)
         self.nets += len(results)

@@ -42,7 +42,7 @@ OFF_ROUTE = (
 )
 
 #: Batch set-up (what ``perfbench/setup_probe.py`` times), then the
-#: daemon's table load as ``repro.serve.pool.start_pool`` does it.
+#: daemon's table load as ``repro.serve.pool.WorkerPool`` does it.
 SETUP_SCRIPT = """
 import json, os, sys
 from repro.engine import SERVING_ENGINE, EngineSpec, build_engine
